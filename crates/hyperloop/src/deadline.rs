@@ -26,10 +26,11 @@
 //! that time out mid-reconfiguration simply re-issue on the new chain.
 
 use crate::api::GroupClient;
-use crate::group::{Backpressure, OnDone, OpResult};
+use crate::group::{Backpressure, GroupConfig, OnDone, OpResult};
 use crate::naive::NaiveClient;
 use crate::HyperLoopClient;
 use hl_cluster::World;
+use hl_nvm::RangeSet;
 use hl_sim::{Bytes, Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -68,6 +69,35 @@ impl Backend {
         match self {
             Backend::Hyper(_) => None,
             Backend::Naive(c) => Some(c),
+        }
+    }
+
+    /// The serving chain as an offloaded-group template — what every
+    /// reconfiguration plan sizes its destination from. A Naïve chain
+    /// has no replenisher or transport timeout, so those stay default.
+    pub fn chain_config(&self) -> GroupConfig {
+        match self {
+            Backend::Hyper(c) => c.group().borrow().cfg.clone(),
+            Backend::Naive(n) => {
+                let g = n.group().borrow();
+                GroupConfig {
+                    client: g.cfg.client,
+                    replicas: g.cfg.replicas.clone(),
+                    rep_bytes: g.cfg.rep_bytes,
+                    ring_slots: g.cfg.ring_slots,
+                    ..Default::default()
+                }
+            }
+        }
+    }
+
+    /// Pause or resume the serving group: a paused group refuses new
+    /// issues with `Backpressure`, which supervised ops ride out by
+    /// backing off until the next backend is installed.
+    pub fn set_paused(&self, paused: bool) {
+        match self {
+            Backend::Hyper(c) => c.group().borrow_mut().paused = paused,
+            Backend::Naive(n) => n.group().borrow_mut().paused = paused,
         }
     }
 }
@@ -303,9 +333,10 @@ struct IssueState {
     probe: Rc<RefCell<Option<ProbeState>>>,
 }
 
-/// Shared dirty-range log: `Some` while a cutover is recording
-/// `(offset, len)` ranges mutated at issue time.
-type DirtyLog = Rc<RefCell<Option<Vec<(u64, u32)>>>>;
+/// Shared dirty-range log: `Some` while a reconfiguration is recording
+/// the ranges mutated at issue time. Coalescing, so its size is bounded
+/// by the region, not by the number of ops issued while it is armed.
+type DirtyLog = Rc<RefCell<Option<RangeSet>>>;
 
 /// Deadline-supervising wrapper around a replication [`Backend`].
 ///
@@ -420,14 +451,14 @@ impl RetryClient {
     }
 
     /// Start recording the NVM ranges touched by every subsequently
-    /// issued op (live-cutover dirty log). Replaces any prior log.
-    pub fn begin_dirty_log(&self) {
-        *self.dirty.borrow_mut() = Some(Vec::new());
+    /// issued op (the reconfiguration dirty log). Replaces any prior log.
+    pub(crate) fn begin_dirty_log(&self) {
+        *self.dirty.borrow_mut() = Some(RangeSet::new());
     }
 
-    /// Stop recording and return the dirty ranges as `(offset, len)`
-    /// pairs, in issue order. Empty if logging was never started.
-    pub fn take_dirty_log(&self) -> Vec<(u64, u32)> {
+    /// Stop recording and return the dirty ranges. Empty if logging was
+    /// never started.
+    pub(crate) fn take_dirty_log(&self) -> RangeSet {
         self.dirty.borrow_mut().take().unwrap_or_default()
     }
 
@@ -436,9 +467,13 @@ impl RetryClient {
     pub fn issue(&self, w: &mut World, eng: &mut Engine<World>, op: GroupOp, done: OnOutcome) {
         if let Some(log) = self.dirty.borrow_mut().as_mut() {
             match &op {
-                GroupOp::Write { offset, data, .. } => log.push((*offset, data.len() as u32)),
-                GroupOp::Memcpy { dst_off, len, .. } => log.push((*dst_off, *len)),
-                GroupOp::Cas { offset, .. } => log.push((*offset, 8)),
+                GroupOp::Write { offset, data, .. } => {
+                    log.insert(*offset, *offset + data.len() as u64)
+                }
+                GroupOp::Memcpy { dst_off, len, .. } => {
+                    log.insert(*dst_off, *dst_off + *len as u64)
+                }
+                GroupOp::Cas { offset, .. } => log.insert(*offset, *offset + 8),
                 GroupOp::Flush { .. } => {}
             }
         }

@@ -20,10 +20,10 @@
 //!   seed streams while the Naïve chain keeps serving, and only the
 //!   final delta copy runs under a brief pause ([`live_cutover`]).
 //!
-//! The same cutover machinery implements crash-rejoin under live
-//! traffic ([`rejoin_member`]): a healed host is caught up with
-//! streaming [`crate::recovery::catch_up`] copies while the serving
-//! chain keeps ACKing client operations — no stop-the-world.
+//! The same cutover plan implements crash-rejoin under live traffic
+//! ([`rejoin_member`]): a healed host is caught up with streaming
+//! copies while the serving chain keeps ACKing client operations — no
+//! stop-the-world. Both run on the shared [`crate::reconfig`] engine.
 //!
 //! The health score is a weighted sum of *windowed deltas* (this
 //! evaluation period only) of per-member NIC counters (retransmits,
@@ -32,15 +32,16 @@
 //! all signals the client can observe without instrumenting the sick
 //! middle of the chain.
 
-use crate::deadline::{Backend, RetryClient, RetryStats};
+use crate::deadline::{RetryClient, RetryStats};
 use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::naive::Mode;
-use crate::recovery::{catch_up, degrade_to_naive, OnRebuilt};
+use crate::reconfig::{self, Live, Plan};
+use crate::recovery::{degrade_to_naive, OnRebuilt};
 use crate::slo::SloEngine;
 use crate::HyperLoopClient;
+use hl_cluster::migrate::MigrationStage;
 use hl_cluster::World;
 use hl_fabric::HostId;
-use hl_rnic::Access;
 use hl_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -386,18 +387,11 @@ fn start_promote(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<
     transition_to(m, w, eng, HealthState::Promoting);
     let (retry, cfg) = {
         let mm = m.borrow();
-        let g = mm.group.borrow();
-        (
-            mm.retry.clone(),
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots: mm.cfg.ring_slots,
-                replenish_period: g.cfg.replenish_period,
-                transport_timeout: g.cfg.transport_timeout,
-            },
-        )
+        let cfg = GroupConfig {
+            ring_slots: mm.cfg.ring_slots,
+            ..mm.group.borrow().cfg.clone()
+        };
+        (mm.retry.clone(), cfg)
     };
     let m = m.clone();
     live_cutover(
@@ -427,30 +421,18 @@ fn start_promote(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<
 // Live cutover
 // ---------------------------------------------------------------------------
 
-/// How long the drain phase polls for outstanding supervised ops
-/// before proceeding anyway (under loss, in-flight ops may never reach
-/// zero within any bound; re-issue on the new chain covers them).
-pub(crate) const DRAIN_POLLS: u32 = 20;
-const DRAIN_POLL_PERIOD: SimDuration = SimDuration::from_micros(100);
-
 /// Cut the supervised group over to a freshly built offloaded chain
-/// **without stopping client traffic**:
+/// **without stopping client traffic** — the whole-region
+/// [`crate::reconfig`] plan whose coordinator stays put:
 ///
-/// 1. start dirty-range logging at the [`RetryClient`];
-/// 2. build the new chain and stream the bulk seed to every new
-///    replica with chunked RDMA READs while the old backend keeps
-///    serving;
-/// 3. pause the old backend, drain in-flight ops (bounded — unACKed
-///    survivors re-issue on the new chain and their target ranges are
-///    in the dirty log);
-/// 4. copy only the dirty bounding range as a delta;
-/// 5. swap the new chain's client into the `RetryClient` and hand it
-///    to `done`.
-///
-/// The source of truth throughout is the *client's* copy of the
-/// replicated region: both backends apply every mutation locally at
-/// issue time, so a range written mid-cutover is (a) already current
-/// in the source region and (b) recorded in the dirty log.
+/// * source: the serving backend's head copy (whichever backend);
+/// * targets: the new chain's replicas, streamed while the old backend
+///   keeps serving, plus the new head copy, filled locally;
+/// * after the bulk copy the old backend is paused (new issues see
+///   `Backpressure` and back off until the swap) and in-flight ops
+///   drain, bounded — unACKed survivors re-issue on the new chain;
+/// * commit: swap the new chain's client into the `RetryClient` and
+///   hand it to `done`.
 pub fn live_cutover(
     retry: &RetryClient,
     cfg: GroupConfig,
@@ -459,199 +441,42 @@ pub fn live_cutover(
     done: OnRebuilt,
 ) {
     let backend = retry.backend();
-    let (src_host, src_rep) = match &backend {
-        Backend::Hyper(c) => {
-            let g = c.group().borrow();
-            (g.cfg.client, g.client_rep.clone())
-        }
-        Backend::Naive(n) => {
-            let g = n.group().borrow();
-            (g.cfg.client, g.client_rep.clone())
-        }
-    };
-    assert_eq!(src_host, cfg.client, "cutover keeps the coordinator");
+    let src = reconfig::members(&backend)[0];
+    assert_eq!(src.0, cfg.client, "cutover keeps the coordinator");
     let rep_bytes = cfg.rep_bytes;
-    retry.begin_dirty_log();
-    let now = eng.now();
-    w.telemetry.mark(now, "cutover:start", src_host.0);
-
     let new_group = GroupBuilder::new(cfg).build(w);
-
-    // Local seed of the new chain's client region.
-    let new_rep_addr = new_group.borrow().client_rep.addr;
-    let bytes = w
-        .host(src_host)
-        .mem
-        .read_vec(src_rep.addr, rep_bytes as usize)
-        .unwrap();
-    w.host(src_host).mem.write(new_rep_addr, &bytes).unwrap();
-
-    let src_mr = w
-        .host(src_host)
-        .nic
-        .register_mr(src_rep.addr, src_rep.len, Access::REMOTE_READ);
-    let targets: Vec<(HostId, u64)> = {
-        let g = new_group.borrow();
-        (0..g.n_replicas())
-            .map(|i| (g.cfg.replicas[i], g.replica_rep[i].addr))
-            .collect()
-    };
-
-    // Phase 2: bulk streaming seed, old backend still serving.
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let done_cell = Rc::new(RefCell::new(Some(done)));
     let retry = retry.clone();
-    for (th, taddr) in targets.clone() {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let retry = retry.clone();
-        let backend = backend.clone();
-        let new_group = new_group.clone();
-        let targets = targets.clone();
-        let src_rkey = src_mr.rkey;
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_mr.rkey,
-            src_rep.addr,
-            th,
-            taddr,
+    reconfig::run(
+        Plan {
+            src,
             rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() < total {
-                    return;
-                }
-                // Phase 3: pause the old backend; new issues see
-                // Backpressure and back off until the swap.
-                match &backend {
-                    Backend::Hyper(c) => c.group().borrow_mut().paused = true,
-                    Backend::Naive(n) => n.group().borrow_mut().paused = true,
-                }
-                let now = eng.now();
-                w.telemetry.mark(now, "cutover:pause", src_host.0);
-                let retry2 = retry.clone();
-                drain_then(
-                    retry.clone(),
-                    DRAIN_POLLS,
-                    eng,
-                    Box::new(move |w, eng| {
-                        delta_and_swap(
-                            retry2,
-                            new_group,
-                            targets,
-                            src_host,
-                            src_rkey,
-                            src_rep.addr,
-                            new_rep_addr,
-                            done_cell,
-                            w,
-                            eng,
-                        );
-                    }),
-                );
+            targets: reconfig::group_members(&new_group),
+            ranges: vec![(0, rep_bytes)],
+            chunk: 64 * 1024,
+            live: Some(Live {
+                log: retry.clone(),
+                after_bulk: Box::new(move || backend.set_paused(true)),
+                delta_counter: ("cutover_delta_bytes", "layer=health"),
             }),
-        );
-    }
-}
-
-pub(crate) type OnDrained = Box<dyn FnOnce(&mut World, &mut Engine<World>)>;
-
-/// Poll until no supervised ops are outstanding, or the poll budget is
-/// spent — then run `then`. Shared with the migration driver, whose
-/// drain phase is the same bounded wait.
-pub(crate) fn drain_then(
-    retry: RetryClient,
-    polls_left: u32,
-    eng: &mut Engine<World>,
-    then: OnDrained,
-) {
-    eng.schedule(DRAIN_POLL_PERIOD, move |w: &mut World, eng| {
-        if retry.outstanding() == 0 || polls_left == 0 {
-            then(w, eng);
-        } else {
-            drain_then(retry, polls_left - 1, eng, then);
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn delta_and_swap(
-    retry: RetryClient,
-    new_group: GroupRef,
-    targets: Vec<(HostId, u64)>,
-    src_host: HostId,
-    src_rkey: u32,
-    src_addr: u64,
-    new_rep_addr: u64,
-    done_cell: Rc<RefCell<Option<OnRebuilt>>>,
-    w: &mut World,
-    eng: &mut Engine<World>,
-) {
-    let dirty = retry.take_dirty_log();
-    let finish = move |w: &mut World, eng: &mut Engine<World>| {
-        crate::replica::start_replenishers(&new_group, w, eng);
-        let client = HyperLoopClient::new(new_group.clone(), w);
-        retry.swap(client.clone());
-        let now = eng.now();
-        w.telemetry.mark(now, "cutover:swap", src_host.0);
-        if let Some(done) = done_cell.borrow_mut().take() {
-            done(w, eng, client);
-        }
-    };
-    if dirty.is_empty() {
-        finish(w, eng);
-        return;
-    }
-    // Phase 4: delta — the bounding range of everything dirtied since
-    // the log was armed (bulk copies may have raced any of it).
-    let lo = dirty.iter().map(|&(o, _)| o).min().unwrap();
-    let hi = dirty.iter().map(|&(o, l)| o + l as u64).max().unwrap();
-    let len = hi - lo;
-    if w.telemetry.enabled() {
-        w.telemetry
-            .metrics
-            .counter_add("cutover_delta_bytes", "layer=health", len);
-    }
-    let bytes = w
-        .host(src_host)
-        .mem
-        .read_vec(src_addr + lo, len as usize)
-        .unwrap();
-    w.host(src_host)
-        .mem
-        .write(new_rep_addr + lo, &bytes)
-        .unwrap();
-
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let finish_cell = Rc::new(RefCell::new(Some(finish)));
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let finish_cell = finish_cell.clone();
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_rkey,
-            src_addr + lo,
-            th,
-            taddr + lo,
-            len,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    if let Some(finish) = finish_cell.borrow_mut().take() {
-                        finish(w, eng);
-                    }
-                }
+            on_stage: Box::new(move |w, now, stage| {
+                let name = match stage {
+                    MigrationStage::Planned => "cutover:start",
+                    MigrationStage::Draining => "cutover:pause",
+                    MigrationStage::Retired => "cutover:swap",
+                    MigrationStage::Streaming | MigrationStage::CutOver => return,
+                };
+                w.telemetry.mark(now, name, src.0 .0);
             }),
-        );
-    }
+            commit: Box::new(move |w, eng| {
+                crate::replica::start_replenishers(&new_group, w, eng);
+                let client = HyperLoopClient::new(new_group, w);
+                retry.swap(client.clone());
+                Box::new(move |w, eng| done(w, eng, client))
+            }),
+        },
+        w,
+        eng,
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -670,29 +495,9 @@ pub fn rejoin_member(
     eng: &mut Engine<World>,
     done: OnRebuilt,
 ) {
-    let backend = retry.backend();
-    let mut cfg = match &backend {
-        Backend::Hyper(c) => {
-            let g = c.group().borrow();
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots,
-                replenish_period: g.cfg.replenish_period,
-                transport_timeout: g.cfg.transport_timeout,
-            }
-        }
-        Backend::Naive(n) => {
-            let g = n.group().borrow();
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots,
-                ..Default::default()
-            }
-        }
+    let mut cfg = GroupConfig {
+        ring_slots,
+        ..retry.backend().chain_config()
     };
     assert!(
         !cfg.replicas.contains(&new_member) && cfg.client != new_member,

@@ -21,6 +21,9 @@
 //! * [`recovery`] implements heartbeat failure detection and chain
 //!   rebuild with catch-up copy, plus transport-error (CQ error CQE)
 //!   triggered rebuild and graceful degradation to the Naïve path.
+//! * `reconfig` is the one engine every membership change runs on:
+//!   re-promotion, rejoin, rebuild, degrade, split and merge are plans
+//!   over its log → stream → drain → delta → commit stages.
 //! * [`deadline`] wraps the client with per-operation deadlines,
 //!   exponential backoff and idempotent re-issue so a supervised
 //!   operation either completes or fails with a typed error.
@@ -47,6 +50,7 @@ pub mod metadata;
 pub mod migrate;
 pub mod multi;
 pub mod naive;
+mod reconfig;
 pub mod recovery;
 pub mod replica;
 pub mod router;

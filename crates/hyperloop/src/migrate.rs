@@ -2,13 +2,15 @@
 //!
 //! Online elasticity for a sharded deployment: stand up (or retire) a
 //! replication chain and re-home a key range **while writes keep
-//! flowing**, reusing the same machinery as `live_cutover` — the
-//! [`RetryClient`] dirty-range log, chunked one-sided `catch_up`
-//! streams, and the bounded drain — plus the router's dual window for
-//! the flip itself. The protocol walks the five
-//! [`MigrationStage`]s; each boundary is stamped as a telemetry
-//! transition (`transition:migration:<from>-><to>`) so timelines and
-//! SLO rules can see exactly where a latency excursion sits.
+//! flowing**. Both directions are plans over the shared
+//! [`crate::reconfig`] engine — the same [`RetryClient`] dirty-range
+//! log, chunked one-sided `catch_up` streams and bounded drain as
+//! `live_cutover` — with the router's dual window as the after-bulk
+//! action and the ring flip as the commit. Each of the five
+//! [`hl_cluster::migrate::MigrationStage`] boundaries is stamped as a
+//! telemetry transition (`transition:migration:<from>-><to>`) so
+//! timelines and SLO rules can see exactly where a latency excursion
+//! sits.
 //!
 //! Correctness rests on the same source-of-truth argument as
 //! `live_cutover`: both backends apply every mutation to the *donor
@@ -26,20 +28,15 @@
 //!   ranges into a survivor's chain, flip with `HashRing::merge_shard`,
 //!   and tear the victim chain down.
 
-use crate::deadline::{Backend, DeadlinePolicy, RetryClient};
+use crate::deadline::{DeadlinePolicy, RetryClient};
 use crate::group::{GroupBuilder, GroupConfig};
-use crate::health::{drain_then, DRAIN_POLLS};
-use crate::recovery::catch_up;
+use crate::reconfig::{self, Live, OnStage, Plan};
 use crate::router::ShardRouter;
 use crate::HyperLoopClient;
-use hl_cluster::migrate::MigrationStage;
 use hl_cluster::shard::ShardGroup;
 use hl_cluster::World;
 use hl_fabric::HostId;
-use hl_rnic::Access;
 use hl_sim::Engine;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Knobs for one live migration.
 #[derive(Debug, Clone)]
@@ -67,45 +64,22 @@ impl Default for MigrationSpec {
 /// serves the new topology.
 pub type OnMigrated = Box<dyn FnOnce(&mut World, &mut Engine<World>)>;
 
-/// Stamp the `from → to` stage boundary (mark + telemetry transition).
-fn stage_transition(
-    w: &mut World,
-    eng: &mut Engine<World>,
-    from: &str,
-    to: MigrationStage,
-    host: HostId,
-) {
-    let now = eng.now();
-    w.telemetry
-        .transition(now, "migration", from, to.name(), host.0);
-}
+const DELTA_COUNTER: (&str, &str) = ("migrate_delta_bytes", "layer=migrate");
 
-/// Donor-side facts the driver needs, extracted from either backend.
-fn head_region(backend: &Backend) -> (HostId, u64, u64, Option<(hl_sim::SimDuration, u8)>) {
-    match backend {
-        Backend::Hyper(c) => {
-            let g = c.group().borrow();
-            (
-                g.cfg.client,
-                g.client_rep.addr,
-                g.cfg.rep_bytes,
-                g.cfg.transport_timeout,
-            )
+/// The migration flavour of plan telemetry: every stage entry stamps
+/// the `from → to` boundary as a `migration` transition, and the first
+/// one is followed by the plan's own `migrate:*` mark.
+fn stage_marks(start: String, host: HostId) -> OnStage {
+    let mut from = "idle";
+    let mut start = Some(start);
+    Box::new(move |w, now, to| {
+        w.telemetry
+            .transition(now, "migration", from, to.name(), host.0);
+        from = to.name();
+        if let Some(start) = start.take() {
+            w.telemetry.mark(now, start, host.0);
         }
-        Backend::Naive(n) => {
-            let g = n.group().borrow();
-            (g.cfg.client, g.client_rep.addr, g.cfg.rep_bytes, None)
-        }
-    }
-}
-
-/// Pause a backend's group (merge teardown: the victim chain stops
-/// accepting work; anything still in flight drains through retries).
-fn pause_backend(backend: &Backend) {
-    match backend {
-        Backend::Hyper(c) => c.group().borrow_mut().paused = true,
-        Backend::Naive(n) => n.group().borrow_mut().paused = true,
-    }
+    })
 }
 
 /// Split shard `parent` online: build a fresh chain over `dest`
@@ -128,207 +102,66 @@ pub fn split_live(
     assert!(parent < router.n_shards(), "split of unknown shard");
     let donor = router.client(parent);
     let backend = donor.backend();
-    let (src_host, src_addr, rep_bytes, transport_timeout) = head_region(&backend);
-
-    // Planned: arm the dirty log *before* any byte is copied, so every
-    // concurrent write is either caught by the bulk stream or replayed
-    // by the delta.
-    donor.begin_dirty_log();
-    stage_transition(w, eng, "idle", MigrationStage::Planned, src_host);
-    let now = eng.now();
-    w.telemetry
-        .mark(now, format!("migrate:split:shard{parent}"), src_host.0);
+    let src = reconfig::members(&backend)[0];
+    let donor_cfg = backend.chain_config();
+    let rep_bytes = donor_cfg.rep_bytes;
 
     let new_ring = router.ring().split_shard(parent);
     let new_group = GroupBuilder::new(GroupConfig {
         client: dest.client,
-        replicas: dest.replicas.clone(),
+        replicas: dest.replicas,
         rep_bytes,
         ring_slots: spec.ring_slots,
-        transport_timeout,
+        transport_timeout: donor_cfg.transport_timeout,
         ..Default::default()
     })
     .build(w);
 
-    let src_mr = w
-        .host(src_host)
-        .nic
-        .register_mr(src_addr, rep_bytes, Access::REMOTE_READ);
-    // Unlike `live_cutover`, the destination head is a *different*
-    // host, so its region is streamed like any replica's.
-    let targets: Vec<(HostId, u64)> = {
-        let g = new_group.borrow();
-        let mut t = vec![(g.cfg.client, g.client_rep.addr)];
-        for i in 0..g.n_replicas() {
-            t.push((g.cfg.replicas[i], g.replica_rep[i].addr));
-        }
-        t
-    };
-
-    // Streaming: bulk copy to every destination member, donor serving.
-    stage_transition(
-        w,
-        eng,
-        MigrationStage::Planned.name(),
-        MigrationStage::Streaming,
-        src_host,
-    );
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let done_cell = Rc::new(RefCell::new(Some(done)));
+    let (window, window_ring) = (router.clone(), new_ring.clone());
     let router = router.clone();
-    for (th, taddr) in targets.clone() {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let router = router.clone();
-        let donor = donor.clone();
-        let new_ring = new_ring.clone();
-        let new_group = new_group.clone();
-        let targets = targets.clone();
-        let spec = spec.clone();
-        let src_rkey = src_mr.rkey;
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_rkey,
-            src_addr,
-            th,
-            taddr,
+    reconfig::run(
+        Plan {
+            src,
             rep_bytes,
-            spec.chunk,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() < total {
-                    return;
-                }
-                // Draining: open the dual window — new moving-key ops
-                // park; the donor is NOT paused (it still owns every
-                // non-moving key) — then wait out in-flight donor ops,
-                // bounded.
-                stage_transition(
-                    w,
-                    eng,
-                    MigrationStage::Streaming.name(),
-                    MigrationStage::Draining,
-                    src_host,
-                );
-                router.open_window(new_ring.clone());
-                let donor2 = donor.clone();
-                drain_then(
-                    donor.clone(),
-                    DRAIN_POLLS,
-                    eng,
-                    Box::new(move |w, eng| {
-                        split_cutover(
-                            router, donor2, new_ring, new_group, targets, src_host, src_rkey,
-                            src_addr, spec, done_cell, w, eng,
-                        );
-                    }),
-                );
+            // Unlike `live_cutover`, the destination head is a
+            // *different* host, so its region streams like any
+            // replica's.
+            targets: reconfig::group_members(&new_group),
+            // Ranges of non-moving keys ride along — on the destination
+            // they are dead bytes the ring never routes to.
+            ranges: vec![(0, rep_bytes)],
+            chunk: spec.chunk,
+            live: Some(Live {
+                log: donor,
+                // The donor is NOT paused: it still owns every
+                // non-moving key. New moving-key ops park instead.
+                after_bulk: Box::new(move || window.open_window(window_ring)),
+                delta_counter: DELTA_COUNTER,
             }),
-        );
-    }
-}
-
-/// CutOver + Retired for a split: copy the dirty bounding range to
-/// every destination member, build the new shard's supervised client,
-/// flip the router (replaying parked ops onto the new owner) and
-/// finish.
-#[allow(clippy::too_many_arguments)]
-fn split_cutover(
-    router: ShardRouter,
-    donor: RetryClient,
-    new_ring: hl_cluster::shard::HashRing,
-    new_group: crate::group::GroupRef,
-    targets: Vec<(HostId, u64)>,
-    src_host: HostId,
-    src_rkey: u32,
-    src_addr: u64,
-    spec: MigrationSpec,
-    done_cell: Rc<RefCell<Option<OnMigrated>>>,
-    w: &mut World,
-    eng: &mut Engine<World>,
-) {
-    stage_transition(
+            on_stage: stage_marks(format!("migrate:split:shard{parent}"), src.0),
+            commit: Box::new(move |w, eng| {
+                crate::replica::start_replenishers(&new_group, w, eng);
+                let client = HyperLoopClient::new(new_group, w);
+                let mut shards: Vec<RetryClient> =
+                    (0..router.n_shards()).map(|s| router.client(s)).collect();
+                shards.push(RetryClient::with_policy(client, spec.policy));
+                router.install(w, eng, new_ring, shards);
+                done
+            }),
+        },
         w,
         eng,
-        MigrationStage::Draining.name(),
-        MigrationStage::CutOver,
-        src_host,
     );
-    let dirty = donor.take_dirty_log();
-
-    let flip = move |w: &mut World, eng: &mut Engine<World>| {
-        crate::replica::start_replenishers(&new_group, w, eng);
-        let client = HyperLoopClient::new(new_group.clone(), w);
-        let dest_retry = RetryClient::with_policy(client, spec.policy.clone());
-        let mut shards: Vec<RetryClient> =
-            (0..router.n_shards()).map(|s| router.client(s)).collect();
-        shards.push(dest_retry);
-        router.install(w, eng, new_ring, shards);
-        stage_transition(
-            w,
-            eng,
-            MigrationStage::CutOver.name(),
-            MigrationStage::Retired,
-            src_host,
-        );
-        if let Some(done) = done_cell.borrow_mut().take() {
-            done(w, eng);
-        }
-    };
-
-    if dirty.is_empty() {
-        flip(w, eng);
-        return;
-    }
-    // Delta: the bounding range of everything written since the log was
-    // armed. Ranges belonging to non-moving keys ride along — on the
-    // destination they are dead bytes the ring never routes to.
-    let lo = dirty.iter().map(|&(o, _)| o).min().unwrap();
-    let hi = dirty.iter().map(|&(o, l)| o + l as u64).max().unwrap();
-    let len = hi - lo;
-    if w.telemetry.enabled() {
-        w.telemetry
-            .metrics
-            .counter_add("migrate_delta_bytes", "layer=migrate", len);
-    }
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let flip_cell = Rc::new(RefCell::new(Some(flip)));
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let flip_cell = flip_cell.clone();
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_rkey,
-            src_addr + lo,
-            th,
-            taddr + lo,
-            len,
-            spec.chunk,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    if let Some(flip) = flip_cell.borrow_mut().take() {
-                        flip(w, eng);
-                    }
-                }
-            }),
-        );
-    }
 }
 
 /// Merge the **last** shard into survivor `into`, online: stream the
 /// victim head's `move_ranges` (the slot ranges holding its keys —
 /// range extraction is the store layer's job) into every member of the
 /// survivor's chain, park new victim-key traffic, copy the dirty delta
-/// (intersected with the move ranges so survivor-owned slots are never
-/// clobbered), flip the router to `ring.merge_shard(victim, into)` and
-/// tear the victim chain down.
+/// (clipped to the move ranges: a survivor's region holds *its own*
+/// keys at non-moving offsets, and victim bytes there would clobber
+/// them), flip the router to `ring.merge_shard(victim, into)` and tear
+/// the victim chain down.
 pub fn merge_live(
     router: &ShardRouter,
     into: usize,
@@ -346,208 +179,40 @@ pub fn merge_live(
     );
     let victim_retry = router.client(victim);
     let victim_backend = victim_retry.backend();
-    let (src_host, src_addr, rep_bytes, _) = head_region(&victim_backend);
+    let src = reconfig::members(&victim_backend)[0];
+    let rep_bytes = victim_backend.chain_config().rep_bytes;
     for &(off, len) in &move_ranges {
         assert!(off + len <= rep_bytes, "move range outside victim region");
     }
 
-    victim_retry.begin_dirty_log();
-    stage_transition(w, eng, "idle", MigrationStage::Planned, src_host);
-    let now = eng.now();
-    w.telemetry
-        .mark(now, format!("migrate:merge:shard{victim}"), src_host.0);
-
     let new_ring = router.ring().merge_shard(victim, into);
-    // Survivor members (host, base addr): victim slots land at the same
-    // offsets in the survivor's region.
-    let survivor = router.client(into);
-    let survivor_backend = survivor.backend();
-    let targets: Vec<(HostId, u64)> = (0..crate::api::GroupClient::group_size(&survivor_backend))
-        .map(|m| {
-            (
-                crate::api::GroupClient::member_host(&survivor_backend, m),
-                crate::api::GroupClient::member_addr(&survivor_backend, m, 0),
-            )
-        })
-        .collect();
-
-    let src_mr = w
-        .host(src_host)
-        .nic
-        .register_mr(src_addr, rep_bytes, Access::REMOTE_READ);
-
-    // Streaming: every (range × survivor member) pair is one stream.
-    stage_transition(
-        w,
-        eng,
-        MigrationStage::Planned.name(),
-        MigrationStage::Streaming,
-        src_host,
-    );
-    let total = move_ranges.len() * targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let done_cell = Rc::new(RefCell::new(Some(done)));
+    let (window, window_ring) = (router.clone(), new_ring.clone());
     let router = router.clone();
-    for &(off, len) in &move_ranges {
-        for &(th, taddr) in &targets {
-            let finished = finished.clone();
-            let done_cell = done_cell.clone();
-            let router = router.clone();
-            let victim_retry = victim_retry.clone();
-            let victim_backend = victim_backend.clone();
-            let new_ring = new_ring.clone();
-            let targets = targets.clone();
-            let move_ranges = move_ranges.clone();
-            let spec = spec.clone();
-            let src_rkey = src_mr.rkey;
-            catch_up(
-                w,
-                eng,
-                src_host,
-                src_rkey,
-                src_addr + off,
-                th,
-                taddr + off,
-                len,
-                spec.chunk,
-                Box::new(move |w, eng| {
-                    *finished.borrow_mut() += 1;
-                    if *finished.borrow() < total {
-                        return;
-                    }
-                    stage_transition(
-                        w,
-                        eng,
-                        MigrationStage::Streaming.name(),
-                        MigrationStage::Draining,
-                        src_host,
-                    );
-                    router.open_window(new_ring.clone());
-                    let victim2 = victim_retry.clone();
-                    drain_then(
-                        victim_retry.clone(),
-                        DRAIN_POLLS,
-                        eng,
-                        Box::new(move |w, eng| {
-                            merge_cutover(
-                                router,
-                                victim2,
-                                victim_backend,
-                                new_ring,
-                                targets,
-                                move_ranges,
-                                src_host,
-                                src_rkey,
-                                src_addr,
-                                spec,
-                                done_cell,
-                                w,
-                                eng,
-                            );
-                        }),
-                    );
-                }),
-            );
-        }
-    }
-}
-
-/// CutOver + Retired for a merge: copy the dirty delta (clipped to the
-/// move ranges), flip the router to the merged ring with the victim's
-/// client dropped, and pause the victim chain.
-#[allow(clippy::too_many_arguments)]
-fn merge_cutover(
-    router: ShardRouter,
-    victim_retry: RetryClient,
-    victim_backend: Backend,
-    new_ring: hl_cluster::shard::HashRing,
-    targets: Vec<(HostId, u64)>,
-    move_ranges: Vec<(u64, u64)>,
-    src_host: HostId,
-    src_rkey: u32,
-    src_addr: u64,
-    spec: MigrationSpec,
-    done_cell: Rc<RefCell<Option<OnMigrated>>>,
-    w: &mut World,
-    eng: &mut Engine<World>,
-) {
-    stage_transition(
+    reconfig::run(
+        Plan {
+            src,
+            rep_bytes,
+            // Victim slots land at the same offsets in the survivor's
+            // region, on every member of its chain.
+            targets: reconfig::members(&router.client(into).backend()),
+            ranges: move_ranges,
+            chunk: spec.chunk,
+            live: Some(Live {
+                log: victim_retry,
+                after_bulk: Box::new(move || window.open_window(window_ring)),
+                delta_counter: DELTA_COUNTER,
+            }),
+            on_stage: stage_marks(format!("migrate:merge:shard{victim}"), src.0),
+            commit: Box::new(move |w, eng| {
+                let shards: Vec<RetryClient> = (0..victim).map(|s| router.client(s)).collect();
+                router.install(w, eng, new_ring, shards);
+                // Teardown: the victim chain stops accepting work;
+                // anything still in flight drains through retries.
+                victim_backend.set_paused(true);
+                done
+            }),
+        },
         w,
         eng,
-        MigrationStage::Draining.name(),
-        MigrationStage::CutOver,
-        src_host,
     );
-    let dirty = victim_retry.take_dirty_log();
-    // Clip every dirty range to the moving slot ranges: a survivor's
-    // region holds *its own* keys at non-moving offsets, and an
-    // unclipped copy of victim bytes there would clobber them.
-    let mut deltas: Vec<(u64, u64)> = Vec::new();
-    for &(doff, dlen) in &dirty {
-        let (dlo, dhi) = (doff, doff + dlen as u64);
-        for &(moff, mlen) in &move_ranges {
-            let lo = dlo.max(moff);
-            let hi = dhi.min(moff + mlen);
-            if lo < hi {
-                deltas.push((lo, hi - lo));
-            }
-        }
-    }
-
-    let flip = move |w: &mut World, eng: &mut Engine<World>| {
-        let victim = router.n_shards() - 1;
-        let shards: Vec<RetryClient> = (0..victim).map(|s| router.client(s)).collect();
-        router.install(w, eng, new_ring, shards);
-        // Teardown: the victim chain stops accepting work.
-        pause_backend(&victim_backend);
-        stage_transition(
-            w,
-            eng,
-            MigrationStage::CutOver.name(),
-            MigrationStage::Retired,
-            src_host,
-        );
-        if let Some(done) = done_cell.borrow_mut().take() {
-            done(w, eng);
-        }
-    };
-
-    if deltas.is_empty() {
-        flip(w, eng);
-        return;
-    }
-    let delta_bytes: u64 = deltas.iter().map(|&(_, l)| l).sum();
-    if w.telemetry.enabled() {
-        w.telemetry
-            .metrics
-            .counter_add("migrate_delta_bytes", "layer=migrate", delta_bytes);
-    }
-    let total = deltas.len() * targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let flip_cell = Rc::new(RefCell::new(Some(flip)));
-    for &(off, len) in &deltas {
-        for &(th, taddr) in &targets {
-            let finished = finished.clone();
-            let flip_cell = flip_cell.clone();
-            catch_up(
-                w,
-                eng,
-                src_host,
-                src_rkey,
-                src_addr + off,
-                th,
-                taddr + off,
-                len,
-                spec.chunk,
-                Box::new(move |w, eng| {
-                    *finished.borrow_mut() += 1;
-                    if *finished.borrow() == total {
-                        if let Some(flip) = flip_cell.borrow_mut().take() {
-                            flip(w, eng);
-                        }
-                    }
-                }),
-            );
-        }
-    }
 }

@@ -10,10 +10,11 @@
 
 use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::metadata::Primitive;
+use crate::reconfig::{self, Plan};
 use crate::HyperLoopClient;
 use hl_cluster::{deliver, Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
-use hl_rnic::{Access, Cqe, CqeStatus, Opcode, Wqe, WQE_SIZE};
+use hl_rnic::{Cqe, CqeStatus, Opcode, Wqe, WQE_SIZE};
 use hl_sim::{Engine, SimDuration};
 
 /// One-shot continuation used by the recovery helpers.
@@ -261,8 +262,6 @@ pub fn catch_up(
         src_rkey: u32,
         src_addr: u64,
         dst_addr: u64,
-        dst: HostId,
-        qp_d: u32,
         done: Option<OnRecovered>,
     }
 
@@ -273,22 +272,21 @@ pub fn catch_up(
         src_rkey,
         src_addr,
         dst_addr,
-        dst,
-        qp_d,
         done: Some(done),
     }));
 
+    /// Post the next chunk's READ on `qp` of `dst`, or finish.
     fn issue_next(
         state: &std::rc::Rc<std::cell::RefCell<CopyState>>,
+        dst: HostId,
+        qp: u32,
         w: &mut World,
         eng: &mut Engine<World>,
     ) {
         let mut s = state.borrow_mut();
         if s.offset >= s.len {
             let done = s.done.take();
-            let dst = s.dst;
             drop(s);
-            let _ = dst;
             if let Some(done) = done {
                 done(w, eng);
             }
@@ -306,8 +304,6 @@ pub fn catch_up(
             ..Default::default()
         };
         s.offset += n as u64;
-        let dst = s.dst;
-        let qp = s.qp_d;
         drop(s);
         w.host(dst).post_send(qp, wqe, false).expect("catchup SQ");
         w.ring_doorbell(dst, qp, eng);
@@ -315,18 +311,20 @@ pub fn catch_up(
 
     let st = state.clone();
     w.subscribe_cq_callback(dst, scq_d, move |cqe, w, eng| {
-        if cqe.status == hl_rnic::CqeStatus::Ok {
-            issue_next(&st, w, eng);
+        if cqe.status == CqeStatus::Ok {
+            issue_next(&st, dst, qp_d, w, eng);
         }
     });
-    issue_next(&state, w, eng);
+    issue_next(&state, dst, qp_d, w, eng);
 }
 
 /// Rebuild a chain after a failure: pause the old group, construct a
-/// fresh group over `survivors` (+ optionally a `new_member` that is
-/// caught up from the client's copy first), and hand back the new
-/// client. The old group's rings are simply abandoned, as the paper's
-/// recovery hands control back to the application's protocol.
+/// fresh group over `survivors` (+ optionally a `new_member`), bring
+/// every member to the client's state, and hand back the new client.
+/// The client's copy is authoritative (it holds everything it ever
+/// ACKed); the old group's rings are simply abandoned, as the paper's
+/// recovery hands control back to the application's protocol. A
+/// stop-the-world [`crate::reconfig`] plan.
 #[allow(clippy::too_many_arguments)]
 pub fn rebuild_chain(
     w: &mut World,
@@ -338,88 +336,42 @@ pub fn rebuild_chain(
     done: OnRebuilt,
 ) {
     old.borrow_mut().paused = true;
-    let (client_host, rep_bytes, client_rep) = {
-        let g = old.borrow();
-        (g.cfg.client, g.cfg.rep_bytes, g.client_rep.clone())
-    };
+    let old_cfg = old.borrow().cfg.clone();
     let now = eng.now();
     w.telemetry
-        .mark(now, "recovery:rebuild-chain", client_host.0);
+        .mark(now, "recovery:rebuild-chain", old_cfg.client.0);
     w.telemetry
         .metrics
         .counter_add("recovery_chain_rebuilds", "layer=recovery", 1);
     let mut replicas = survivors;
-    if let Some(nm) = new_member {
-        replicas.push(nm);
-    }
-    let (replenish_period, transport_timeout) = {
-        let g = old.borrow();
-        (g.cfg.replenish_period, g.cfg.transport_timeout)
-    };
-    let cfg = GroupConfig {
-        client: client_host,
-        replicas: replicas.clone(),
-        rep_bytes,
+    replicas.extend(new_member);
+    let new_group = GroupBuilder::new(GroupConfig {
+        replicas,
         ring_slots,
-        replenish_period,
-        transport_timeout,
-    };
-    let new_group = GroupBuilder::new(cfg).build(w);
-
-    // Bring every member of the new group to the client's state. The
-    // client's copy is authoritative (it holds everything it ever
-    // ACKed). The new group's own client region is a fresh allocation,
-    // so seed it with a local copy first; replicas copy over the
-    // fabric.
-    {
-        let new_rep_addr = new_group.borrow().client_rep.addr;
-        let h = w.host(client_host);
-        let bytes = h.mem.read_vec(client_rep.addr, rep_bytes as usize).unwrap();
-        h.mem.write(new_rep_addr, &bytes).unwrap();
-    }
-    let targets: Vec<(HostId, u64)> = {
-        let g = new_group.borrow();
-        (0..g.n_replicas())
-            .map(|i| (g.cfg.replicas[i], g.replica_rep[i].addr))
-            .collect()
-    };
-    // Register the client's rep region for remote reads.
-    let src_mr = {
-        let h = w.host(client_host);
-        h.nic
-            .register_mr(client_rep.addr, client_rep.len, Access::REMOTE_READ)
-    };
-
-    let total = targets.len();
-    let finished = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-    let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-    let ng = new_group.clone();
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let ng = ng.clone();
-        catch_up(
-            w,
-            eng,
-            client_host,
-            src_mr.rkey,
-            client_rep.addr,
-            th,
-            taddr,
-            rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    crate::replica::start_replenishers(&ng, w, eng);
-                    let client = HyperLoopClient::new(ng.clone(), w);
-                    if let Some(done) = done_cell.borrow_mut().take() {
-                        done(w, eng, client);
-                    }
-                }
+        ..old_cfg.clone()
+    })
+    .build(w);
+    reconfig::run(
+        Plan {
+            src: reconfig::group_members(old)[0],
+            rep_bytes: old_cfg.rep_bytes,
+            // The new group's own client region is a fresh allocation
+            // on the same host: filled locally. Replicas copy over the
+            // fabric.
+            targets: reconfig::group_members(&new_group),
+            ranges: vec![(0, old_cfg.rep_bytes)],
+            chunk: 64 * 1024,
+            live: None,
+            on_stage: Box::new(|_, _, _| {}),
+            commit: Box::new(move |w, eng| {
+                crate::replica::start_replenishers(&new_group, w, eng);
+                let client = HyperLoopClient::new(new_group, w);
+                Box::new(move |w, eng| done(w, eng, client))
             }),
-        );
-    }
+        },
+        w,
+        eng,
+    );
 }
 
 /// Callback invoked with each transport-error CQE on the client's
@@ -500,7 +452,9 @@ pub type OnDegraded = Box<dyn FnOnce(&mut World, &mut Engine<World>, crate::naiv
 /// whose CORE-Direct WAIT engine malfunctions (NIC still moves packets
 /// but parked WQE chains never fire — `set_nic_wait_stalled`): Naïve
 /// forwarding posts WQEs from the CPU and uses no WAITs, so it keeps
-/// making progress on the very NIC whose offload path is wedged.
+/// making progress on the very NIC whose offload path is wedged — and
+/// so does the seeding, whose catch-up READs are CPU-posted too. A
+/// stop-the-world [`crate::reconfig`] plan.
 pub fn degrade_to_naive(
     group: &GroupRef,
     w: &mut World,
@@ -509,88 +463,43 @@ pub fn degrade_to_naive(
     done: OnDegraded,
 ) {
     group.borrow_mut().paused = true;
-    let (client_host, replicas, rep_bytes, ring_slots, client_rep) = {
-        let g = group.borrow();
-        (
-            g.cfg.client,
-            g.cfg.replicas.clone(),
-            g.cfg.rep_bytes,
-            g.cfg.ring_slots,
-            g.client_rep.clone(),
-        )
-    };
+    let cfg = group.borrow().cfg.clone();
     hl_sim::trace!(
         w.tracer,
         eng.now(),
         "recovery",
         "degrading to naive-CPU forwarding over {} replicas",
-        replicas.len()
+        cfg.replicas.len()
     );
     let now = eng.now();
     w.telemetry
-        .mark(now, "recovery:degrade-naive", client_host.0);
+        .mark(now, "recovery:degrade-naive", cfg.client.0);
     w.telemetry
         .metrics
         .counter_add("recovery_degrades_to_naive", "layer=recovery", 1);
     let naive = crate::naive::NaiveBuilder::new(crate::naive::NaiveConfig {
-        client: client_host,
-        replicas: replicas.clone(),
-        rep_bytes,
-        ring_slots,
+        client: cfg.client,
+        replicas: cfg.replicas,
+        rep_bytes: cfg.rep_bytes,
+        ring_slots: cfg.ring_slots,
         mode,
         ..Default::default()
     })
     .build(w, eng);
-
-    // Seed every member of the naive chain from the client's copy: its
-    // local region with a CPU copy, the replicas with chunked RDMA
-    // READs (the catch-up path — CPU-posted READs, no WAITs involved).
-    let local_src = client_rep.addr;
-    let local_dst = naive.group().borrow().member_addr(0, 0);
-    let bytes = w
-        .host(client_host)
-        .mem
-        .read_vec(local_src, rep_bytes as usize)
-        .unwrap();
-    w.host(client_host).mem.write(local_dst, &bytes).unwrap();
-
-    let src_mr =
-        w.host(client_host)
-            .nic
-            .register_mr(client_rep.addr, client_rep.len, Access::REMOTE_READ);
-    let targets: Vec<(HostId, u64)> = {
-        let ni = naive.group().borrow();
-        (1..=replicas.len())
-            .map(|m| (replicas[m - 1], ni.member_addr(m, 0)))
-            .collect()
-    };
-    let total = targets.len();
-    let finished = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-    let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let naive = naive.clone();
-        catch_up(
-            w,
-            eng,
-            client_host,
-            src_mr.rkey,
-            client_rep.addr,
-            th,
-            taddr,
-            rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    if let Some(done) = done_cell.borrow_mut().take() {
-                        done(w, eng, naive);
-                    }
-                }
-            }),
-        );
-    }
+    reconfig::run(
+        Plan {
+            src: reconfig::group_members(group)[0],
+            rep_bytes: cfg.rep_bytes,
+            targets: reconfig::members(&naive),
+            ranges: vec![(0, cfg.rep_bytes)],
+            chunk: 64 * 1024,
+            live: None,
+            on_stage: Box::new(|_, _, _| {}),
+            commit: Box::new(move |_, _| Box::new(move |w, eng| done(w, eng, naive))),
+        },
+        w,
+        eng,
+    );
 }
 
 /// Re-deliver a message to a process directly (test helper for control

@@ -20,9 +20,9 @@
 //!    chain runs under a gray impairment matrix for the whole window.
 //! 3. **Thread-count determinism** — the same seeds produce identical
 //!    snapshots at 1, 2 and 4 [`ShardExecutor`] threads.
-//! 4. **Protocol order** — stage transitions fire exactly
-//!    `idle→planned→streaming→draining→cutover→retired`, and the router
-//!    flip replays every parked op.
+//! 4. **Protocol order** — for every live plan of the reconfiguration
+//!    engine (split, merge, live cutover, rejoin) the stage marks fire
+//!    in stage order and the commit lands inside the CutOver stage.
 //! 5. **Model battery** — seeded proptest sequences interleaving issued
 //!    ops, stage advances and crashes over [`MigrationModel`] never lose
 //!    or double-apply an op.
@@ -34,6 +34,7 @@ use hyperloop_repro::cluster::shard::{HashRing, ShardGroup, ShardPlan};
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
 use hyperloop_repro::hyperloop::api::GroupClient;
+use hyperloop_repro::hyperloop::health::{live_cutover, rejoin_member};
 use hyperloop_repro::hyperloop::naive::{Mode, NaiveBuilder, NaiveClient, NaiveConfig};
 use hyperloop_repro::hyperloop::{
     merge_live, replica, split_live, DeadlinePolicy, GroupBuilder, GroupConfig, HyperLoopClient,
@@ -69,6 +70,32 @@ const OP_PERIOD: u64 = 100_000;
 const T_SPLIT: u64 = 4_000_000;
 const T_MERGE: u64 = 14_000_000;
 const T_END: u64 = 40_000_000;
+
+/// Hot-key merge: extra writes to one victim key, one every 6µs (just
+/// under the chain's flushed-write service rate, so none backs off)
+/// from the instant the merge starts. An unused tail of the region rides
+/// along as one more move range, streamed in small chunks, so the bulk
+/// copy outlasts the burst and every hot write lands in the dirty log
+/// instead of parking.
+const HOT_PERIOD: u64 = 6_000;
+const PAD_RANGE: (u64, u64) = (4096, 6144);
+const HOT_CHUNK: u32 = 8;
+
+/// What happens to shard 0 (`PARENT`) mid-run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reconfig {
+    /// Nothing: the no-migration control.
+    None,
+    /// `split_live` at `T_SPLIT`.
+    Split,
+    /// Split, then `merge_live` the new shard back at `T_MERGE` while
+    /// `hot` extra writes hammer one victim key.
+    SplitMerge { hot: usize },
+    /// `live_cutover` of shard 0 onto a fresh chain over its own hosts.
+    Cutover,
+    /// `rejoin_member`: shard 0 re-admits `DEST_CLIENT` as a replica.
+    Rejoin,
+}
 
 fn key_bytes(i: usize) -> [u8; 8] {
     (i as u64).to_le_bytes()
@@ -138,6 +165,11 @@ fn retry_policy() -> DeadlinePolicy {
 struct CampaignRun {
     migrated: bool,
     merged: bool,
+    /// `migrate_delta_bytes` added by the merge alone, and the bytes its
+    /// move ranges hold.
+    merge_delta_bytes: u64,
+    merge_move_bytes: u64,
+    hot_acked: usize,
     epoch: u64,
     n_failures: usize,
     acked: Vec<bool>,
@@ -153,15 +185,13 @@ struct CampaignRun {
 }
 
 /// Run the campaign: three chains + router, open-loop keyed writes,
-/// optional mid-run split (and merge back), optional fault schedule.
+/// optional mid-run reconfiguration of shard 0, optional fault schedule.
 fn run_campaign(
     seed: u64,
-    do_split: bool,
-    merge_back: bool,
+    reconfig: Reconfig,
     faults: Option<&FaultSchedule>,
     telemetry: bool,
 ) -> CampaignRun {
-    assert!(do_split || !merge_back, "merge-back requires the split");
     let (mut w, mut eng) = ClusterBuilder::new(N_HOSTS)
         .arena_size(4 << 20)
         .seed(seed)
@@ -221,45 +251,94 @@ fn run_campaign(
 
     let migrated = Rc::new(RefCell::new(false));
     let merged = Rc::new(RefCell::new(false));
-    if do_split {
+    let merge_delta = Rc::new(RefCell::new((0u64, 0u64)));
+    let hot_acked = Rc::new(RefCell::new(0usize));
+    if reconfig != Reconfig::None {
         let router2 = router.clone();
         let m = migrated.clone();
         eng.schedule_at(SimTime::from_nanos(T_SPLIT), move |w: &mut World, eng| {
-            split_live(
-                &router2,
-                PARENT,
-                dest_group(),
-                mig_spec(),
-                w,
-                eng,
-                Box::new(move |_w, _e| *m.borrow_mut() = true),
-            );
+            let shard0 = router2.client(PARENT);
+            let m2 = m.clone();
+            let rebuilt = Box::new(move |_: &mut World, _: &mut _, _| *m2.borrow_mut() = true);
+            match reconfig {
+                Reconfig::Cutover => {
+                    let cfg = shard0.client().group().borrow().cfg.clone();
+                    live_cutover(&shard0, cfg, w, eng, rebuilt);
+                }
+                Reconfig::Rejoin => rejoin_member(&shard0, DEST_CLIENT, 64, w, eng, rebuilt),
+                _ => split_live(
+                    &router2,
+                    PARENT,
+                    dest_group(),
+                    mig_spec(),
+                    w,
+                    eng,
+                    Box::new(move |_w, _e| *m.borrow_mut() = true),
+                ),
+            }
         });
     }
-    if merge_back {
+    if let Reconfig::SplitMerge { hot } = reconfig {
         // Merge the split-off shard straight back into its parent. The
         // moving ranges are the slots of the keys the split moved.
-        let moving: Vec<(u64, u64)> = (0..K)
+        let moving_keys: Vec<usize> = (0..K)
             .filter(|&i| split_ring().shard_of(&key_bytes(i)) == N_SHARDS)
-            .map(|i| (slot_off(i), REC_BYTES as u64))
             .collect();
+        let mut moving: Vec<(u64, u64)> = moving_keys
+            .iter()
+            .map(|&i| (slot_off(i), REC_BYTES as u64))
+            .collect();
+        let mut spec = mig_spec();
+        if hot > 0 {
+            moving.push(PAD_RANGE);
+            spec.chunk = HOT_CHUNK;
+        }
+        let hot_key = moving_keys[0];
         let router2 = router.clone();
         let migrated = migrated.clone();
         let m = merged.clone();
+        let merge_delta = merge_delta.clone();
+        let hot_acked = hot_acked.clone();
         eng.schedule_at(SimTime::from_nanos(T_MERGE), move |w: &mut World, eng| {
             assert!(
                 *migrated.borrow(),
                 "split must have finished before the merge starts"
             );
+            let counter = |w: &World| {
+                w.telemetry
+                    .metrics
+                    .counter("migrate_delta_bytes", "layer=migrate")
+            };
+            let before = counter(w);
+            let move_bytes = moving.iter().map(|&(_, len)| len).sum();
             merge_live(
                 &router2,
                 PARENT,
                 moving,
-                mig_spec(),
+                spec,
                 w,
                 eng,
-                Box::new(move |_w, _e| *m.borrow_mut() = true),
+                Box::new(move |w, _e| {
+                    *m.borrow_mut() = true;
+                    *merge_delta.borrow_mut() = (counter(w) - before, move_bytes);
+                }),
             );
+            for n in 0..hot {
+                let router = router2.clone();
+                let hot_acked = hot_acked.clone();
+                let at = SimTime::from_nanos(T_MERGE + (n as u64 + 1) * HOT_PERIOD);
+                eng.schedule_at(at, move |w: &mut World, eng| {
+                    router.gwrite_keyed(
+                        w,
+                        eng,
+                        &key_bytes(hot_key),
+                        slot_off(hot_key),
+                        &record(hot_key, N_OPS + n),
+                        true,
+                        Box::new(move |_w, _e, r| *hot_acked.borrow_mut() += r.is_ok() as usize),
+                    );
+                });
+            }
         });
     }
 
@@ -271,7 +350,7 @@ fn run_campaign(
     assert_eq!(router.parked(), 0, "seed {seed}: ops left parked");
 
     // Final owner ring of every key.
-    let final_ring = if do_split && !merge_back {
+    let final_ring = if reconfig == Reconfig::Split {
         split_ring()
     } else {
         base_ring()
@@ -313,10 +392,15 @@ fn run_campaign(
     let race = Vec::new();
 
     let (did_migrate, did_merge) = (*migrated.borrow(), *merged.borrow());
+    let (merge_delta_bytes, merge_move_bytes) = *merge_delta.borrow();
+    let hot_acked = *hot_acked.borrow();
     let acked = acked.borrow().clone();
     CampaignRun {
         migrated: did_migrate,
         merged: did_merge,
+        merge_delta_bytes,
+        merge_move_bytes,
+        hot_acked,
         epoch: router.epoch(),
         n_failures: router.failures().len(),
         acked,
@@ -420,7 +504,7 @@ fn assert_split_nontrivial() {
 #[test]
 fn mid_run_split_matches_never_split_naive_control() {
     assert_split_nontrivial();
-    let hl = run_campaign(42, true, false, None, false);
+    let hl = run_campaign(42, Reconfig::Split, None, false);
     assert!(hl.migrated, "split did not complete");
     assert_eq!(hl.epoch, 1, "exactly one router flip");
     assert_eq!(hl.n_failures, 0, "fault-free run must not fail ops");
@@ -453,7 +537,7 @@ fn mid_run_split_matches_never_split_naive_control() {
 /// member of its (original) owner chain, byte-identical to the control.
 #[test]
 fn split_then_merge_back_under_traffic_matches_control() {
-    let hl = run_campaign(43, true, true, None, false);
+    let hl = run_campaign(43, Reconfig::SplitMerge { hot: 0 }, None, false);
     assert!(hl.migrated && hl.merged, "split+merge did not complete");
     assert_eq!(hl.epoch, 2, "two router flips (split, merge)");
     assert_eq!(hl.n_failures, 0);
@@ -475,8 +559,8 @@ fn split_then_merge_back_under_traffic_matches_control() {
 /// byte-identical to the no-migration control of the same seed.
 #[test]
 fn bystanders_unperturbed_by_neighbor_split() {
-    let split = run_campaign(44, true, false, None, false);
-    let control = run_campaign(44, false, false, None, false);
+    let split = run_campaign(44, Reconfig::Split, None, false);
+    let control = run_campaign(44, Reconfig::None, None, false);
     assert!(split.migrated);
     assert_eq!(control.epoch, 0);
 
@@ -510,8 +594,8 @@ fn bystanders_unperturbed_by_split_under_gray_impairment() {
     );
     assert!(!sched.events.is_empty());
 
-    let split = run_campaign(45, true, false, Some(&sched), false);
-    let control = run_campaign(45, false, false, Some(&sched), false);
+    let split = run_campaign(45, Reconfig::Split, Some(&sched), false);
+    let control = run_campaign(45, Reconfig::None, Some(&sched), false);
     assert!(
         split.migrated,
         "split must ride out the gray impairment matrix"
@@ -554,7 +638,14 @@ fn digest(run: &CampaignRun) -> Digest {
 #[test]
 fn same_seed_identical_snapshots_across_executor_threads() {
     const JOBS: usize = 3;
-    let job = |idx: usize| digest(&run_campaign(300 + idx as u64, true, false, None, false));
+    let job = |idx: usize| {
+        digest(&run_campaign(
+            300 + idx as u64,
+            Reconfig::Split,
+            None,
+            false,
+        ))
+    };
 
     let t1 = ShardExecutor::new(1).run(JOBS, job);
     let t2 = ShardExecutor::new(2).run(JOBS, job);
@@ -565,47 +656,111 @@ fn same_seed_identical_snapshots_across_executor_threads() {
     }
 }
 
-/// Invariant 4: the protocol walks its five stages in order and the
-/// router flip is observable between drain and retirement.
-#[test]
-fn split_stage_transitions_fire_in_order() {
-    let run = run_campaign(46, true, false, None, true);
-    assert!(run.migrated);
+/// Index of the `k`-th (0-based) occurrence of `name` in `marks`.
+fn nth_mark(marks: &[String], name: &str, k: usize) -> usize {
+    marks
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| m.as_str() == name)
+        .nth(k)
+        .unwrap_or_else(|| panic!("mark {name} #{k} missing in {marks:?}"))
+        .0
+}
 
-    let stages: Vec<&str> = run
-        .marks
-        .iter()
-        .filter(|m| m.starts_with("transition:migration:"))
-        .map(|m| m.as_str())
-        .collect();
-    assert_eq!(
-        stages,
-        vec![
-            "transition:migration:idle->planned",
-            "transition:migration:planned->streaming",
-            "transition:migration:streaming->draining",
-            "transition:migration:draining->cutover",
-            "transition:migration:cutover->retired",
-        ],
-        "stage transitions out of order: {stages:?}"
+/// Invariant 4: every live plan walks its stages in order, and its
+/// commit mark lands after the CutOver stage is entered and no later
+/// than retirement.
+#[test]
+fn stage_marks_fire_in_order_for_every_plan() {
+    const MIGRATION: [&str; 5] = [
+        "transition:migration:idle->planned",
+        "transition:migration:planned->streaming",
+        "transition:migration:streaming->draining",
+        "transition:migration:draining->cutover",
+        "transition:migration:cutover->retired",
+    ];
+    const CUTOVER: [&str; 3] = ["cutover:start", "cutover:pause", "cutover:swap"];
+    // Per reconfiguration: the mark that enters CutOver, the commit
+    // mark, and the mark stamped on retirement. The migration plans
+    // commit with a router flip strictly between the last two edges;
+    // the cutover plans commit with the backend swap, which
+    // `cutover:swap`, stamped on retirement, reports.
+    let split = [MIGRATION[3], "router:flip:epoch1", MIGRATION[4]];
+    let merge = [MIGRATION[3], "router:flip:epoch2", MIGRATION[4]];
+    let cutover = [CUTOVER[1], CUTOVER[2], CUTOVER[2]];
+    let table = [
+        (Reconfig::Split, MIGRATION.to_vec(), vec![split]),
+        (
+            Reconfig::SplitMerge { hot: 0 },
+            [MIGRATION, MIGRATION].concat(),
+            vec![split, merge],
+        ),
+        (Reconfig::Cutover, CUTOVER.to_vec(), vec![cutover]),
+        (
+            Reconfig::Rejoin,
+            [&["rejoin:start"][..], &CUTOVER].concat(),
+            vec![cutover],
+        ),
+    ];
+    for (seed, (reconfig, want, plans)) in (46..).zip(table) {
+        let run = run_campaign(seed, reconfig, None, true);
+        assert!(run.migrated, "{reconfig:?} did not complete");
+        assert_eq!(run.n_failures, 0, "{reconfig:?}");
+
+        let stamped: Vec<&str> = run
+            .marks
+            .iter()
+            .map(|m| m.as_str())
+            .filter(|m| {
+                ["transition:migration:", "cutover:", "rejoin:"]
+                    .iter()
+                    .any(|p| m.starts_with(p))
+            })
+            .collect();
+        assert_eq!(stamped, want, "{reconfig:?}: stage marks out of order");
+
+        for (k, [cutover_entry, commit, retirement]) in plans.into_iter().enumerate() {
+            let entered = nth_mark(&run.marks, cutover_entry, k);
+            let committed = nth_mark(&run.marks, commit, 0);
+            let retired = nth_mark(&run.marks, retirement, k);
+            assert!(
+                entered < committed && committed <= retired,
+                "{reconfig:?}: {commit} must land inside the cutover stage"
+            );
+        }
+    }
+}
+
+/// The merge delta is bounded by what the merge moves, not by how many
+/// ops were logged: hundreds of writes to one victim slot inside the
+/// merge window re-copy that slot once per survivor member, and the hot
+/// key still ends byte-identical to the never-split control.
+#[test]
+fn hot_key_merge_delta_is_bounded_by_the_move_ranges() {
+    const HOT: usize = 240;
+    let hl = run_campaign(47, Reconfig::SplitMerge { hot: HOT }, None, true);
+    assert!(hl.migrated && hl.merged, "split+merge did not complete");
+    assert_eq!(hl.n_failures, 0);
+    assert_eq!(hl.hot_acked, HOT, "every hot write must ack");
+    assert!(hl.acked.iter().all(|&a| a), "every op must ack");
+    assert!(
+        hl.merge_delta_bytes > 0,
+        "no hot write reached the dirty log: the burst missed the streaming stage"
     );
     assert!(
-        run.marks.iter().any(|m| m == "router:flip:epoch1"),
-        "router flip mark missing"
+        hl.merge_delta_bytes <= hl.merge_move_bytes,
+        "merge delta {} B exceeds its move ranges {} B",
+        hl.merge_delta_bytes,
+        hl.merge_move_bytes
     );
-    let flip = run.marks.iter().position(|m| m == "router:flip:epoch1");
-    let cutover = run
-        .marks
-        .iter()
-        .position(|m| m == "transition:migration:draining->cutover");
-    let retired = run
-        .marks
-        .iter()
-        .position(|m| m == "transition:migration:cutover->retired");
-    assert!(
-        cutover < flip && flip < retired,
-        "flip must land inside the cutover stage"
-    );
+    assert_race_free(&hl, "hot-key merge campaign");
+
+    let nv = run_naive_control(47);
+    for (i, (hl_kv, nv_kv)) in hl.key_values.iter().zip(&nv).enumerate() {
+        for (m, (a, b)) in hl_kv.iter().zip(nv_kv).enumerate() {
+            assert_eq!(a, b, "key {i} member {m}: diverges from control");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
