@@ -28,64 +28,3 @@ pub mod migration;
 pub mod shard;
 pub mod table;
 pub mod timeline;
-
-/// Allocation audit: a counting wrapper around the system allocator,
-/// compiled in only with `--features alloc-audit` so the default build
-/// pays nothing. Tests use it to pin down "this loop allocates nothing
-/// in steady state" claims about the datapath (telemetry drain, event
-/// scheduling, campaign merge) instead of trusting comments.
-#[cfg(feature = "alloc-audit")]
-pub mod alloc_audit {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static FREES: AtomicU64 = AtomicU64::new(0);
-
-    /// System allocator that counts every alloc/free.
-    pub struct CountingAlloc;
-
-    // SAFETY: defers to `System` for every operation; the counters are
-    // side effects only.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            FREES.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static AUDIT_ALLOC: CountingAlloc = CountingAlloc;
-
-    /// Allocations (including reallocs) since process start.
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Run `f` and return how many allocations it performed.
-    pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-        let before = allocs();
-        let r = f();
-        (allocs() - before, r)
-    }
-
-    /// Debug-assert that `f` performs at most `max` allocations —
-    /// compiled to a plain call in release builds, a hard check under
-    /// `debug_assertions`.
-    pub fn debug_assert_allocs_at_most<R>(label: &str, max: u64, f: impl FnOnce() -> R) -> R {
-        let (n, r) = count_allocs(f);
-        debug_assert!(
-            n <= max,
-            "{label}: expected at most {max} allocations, observed {n}"
-        );
-        r
-    }
-}

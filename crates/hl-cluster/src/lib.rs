@@ -35,7 +35,7 @@ use hl_sim::{
     Telemetry, Tracer,
 };
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Work tag reserved for event-dispatch CPU work.
 const DISPATCH_TAG: u64 = u64::MAX;
@@ -167,11 +167,7 @@ impl Ctx<'_> {
 
     /// Ring a QP doorbell and route the NIC's outputs.
     pub fn ring_doorbell(&mut self, qpn: u32) {
-        let now = self.now();
-        let host = self.me.host;
-        let h = &mut self.world.hosts[host.0];
-        let outs = h.nic.ring_doorbell(now, qpn, &mut h.mem);
-        route_nic(host, outs, self.world, self.eng);
+        self.world.ring_doorbell(self.me.host, qpn, self.eng);
     }
 
     /// Poll a CQ (the CPU cost of polling is the caller's to model).
@@ -201,6 +197,35 @@ struct ProcSlot {
     mailbox: VecDeque<ProcEvent>,
 }
 
+/// Dense `[host][id]` table of optional entries, for per-CQ and per-QP
+/// state touched on every completion or ack. CQs and QPs are created
+/// directly on the public [`Host::nic`], so rows grow on first `put`.
+struct HostTable<T> {
+    rows: Vec<Vec<Option<T>>>,
+}
+
+impl<T> HostTable<T> {
+    fn new(hosts: usize) -> Self {
+        HostTable {
+            rows: (0..hosts).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Store `v` at `[host][id]`, returning what it replaces.
+    fn put(&mut self, host: HostId, id: u32, v: T) -> Option<T> {
+        let row = &mut self.rows[host.0];
+        if row.len() <= id as usize {
+            row.resize_with(id as usize + 1, || None);
+        }
+        row[id as usize].replace(v)
+    }
+
+    /// Remove and return the entry at `[host][id]`.
+    fn take(&mut self, host: HostId, id: u32) -> Option<T> {
+        self.rows[host.0].get_mut(id as usize)?.take()
+    }
+}
+
 /// The simulated world: hosts + fabric + process registry.
 pub struct World {
     /// All hosts.
@@ -215,16 +240,21 @@ pub struct World {
     pub rng: RngFactory,
     drop_rng: RngStream,
     procs: Vec<Vec<ProcSlot>>,
-    cq_subs: BTreeMap<(usize, u32), CqSub>,
+    cq_subs: HostTable<CqSub>,
     /// Packets lost to fault injection.
     pub dropped_packets: u64,
     /// Causal op tracing + labelled metrics (off until
     /// [`World::enable_telemetry`]).
     pub telemetry: Telemetry,
-    /// Live ack-timer event per reliable QP, keyed `(host, qpn)`.
+    /// Live ack-timer event per reliable QP, `[host][qpn]`.
     /// Superseded or dead timers are cancelled in the engine rather
     /// than left queued as no-op events.
-    timer_tokens: BTreeMap<(usize, u32), EventToken>,
+    timer_tokens: HostTable<EventToken>,
+    /// Drained NIC output sinks awaiting reuse (see [`route_nic`]). A
+    /// stack, not one buffer, because routing re-enters: an output can
+    /// run a CQ callback that rings a doorbell while the outer sink is
+    /// still being drained. Its depth is the deepest nesting seen.
+    nic_out_spare: Vec<Vec<NicOutput>>,
     /// Reused buffer for NIC telemetry drains: events hop NIC → scratch
     /// → hub without allocating in steady state (the NIC buffer and
     /// this scratch both keep their capacity).
@@ -335,9 +365,9 @@ impl EventCtx for World {
                 }
             }
             WorldEvent::NicRx { dst, packet } => {
-                let h = &mut self.hosts[dst.0];
-                let outs = h.nic.on_packet(now, packet, &mut h.mem);
-                route_nic(dst, outs, self, eng);
+                route_nic(dst, self, eng, |nic, mem, out| {
+                    nic.on_packet(now, packet, mem, out)
+                });
             }
             WorldEvent::CqeDeliver { host, cq, cqe } => {
                 hl_sim::trace!(
@@ -355,20 +385,20 @@ impl EventCtx for World {
                     self.telemetry
                         .flight_dump(now, format!("cqe:{:?}:host{}", cqe.status, host.0));
                 }
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.deliver_cqe(now, cq, cqe, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                route_nic(host, self, eng, |nic, mem, out| {
+                    nic.deliver_cqe(now, cq, cqe, mem, out)
+                });
             }
             WorldEvent::DoLocal { host, qpn, wqe } => {
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.finish_local(now, qpn, wqe, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                route_nic(host, self, eng, |nic, mem, out| {
+                    nic.finish_local(now, qpn, wqe, mem, out)
+                });
             }
             WorldEvent::NicTimer { host, qpn, gen } => {
-                self.timer_tokens.remove(&(host.0, qpn));
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.on_timer(now, qpn, gen, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                self.timer_tokens.take(host, qpn);
+                route_nic(host, self, eng, |nic, mem, out| {
+                    nic.on_timer(now, qpn, gen, mem, out)
+                });
             }
             WorldEvent::CpuTimer { host, core, gen } => {
                 let outs = self.hosts[host.0].cpu.on_timer(now, core, gen);
@@ -444,8 +474,7 @@ impl World {
         cost: SimDuration,
     ) {
         self.hosts[host.0].nic.arm_cq(cq);
-        self.cq_subs
-            .insert((host.0, cq), CqSub::Interrupt { pid, cost });
+        self.cq_subs.put(host, cq, CqSub::Interrupt { pid, cost });
     }
 
     /// Subscribe a zero-CPU callback to a CQ (benchmark drivers /
@@ -458,15 +487,15 @@ impl World {
     ) {
         self.hosts[host.0].nic.arm_cq(cq);
         let cb: CqCallback = Box::new(f);
-        self.cq_subs.insert((host.0, cq), CqSub::Callback(cb));
+        self.cq_subs.put(host, cq, CqSub::Callback(cb));
     }
 
     /// Ring a doorbell from outside a process (drivers).
     pub fn ring_doorbell(&mut self, host: HostId, qpn: u32, eng: &mut Engine<World>) {
         let now = eng.now();
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.ring_doorbell(now, qpn, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        route_nic(host, self, eng, |nic, mem, out| {
+            nic.ring_doorbell(now, qpn, mem, out)
+        });
     }
 
     /// Send a message between processes (driver-side variant of
@@ -522,9 +551,9 @@ impl World {
             "{host} nic {}",
             if on { "STALL" } else { "unstall" }
         );
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.set_stalled(now, on, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        route_nic(host, self, eng, |nic, mem, out| {
+            nic.set_stalled(now, on, mem, out)
+        });
     }
 
     /// One line per violation recorded by the race detector across
@@ -562,9 +591,9 @@ impl World {
             "{host} wait-engine {}",
             if on { "STALL" } else { "unstall" }
         );
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.set_wait_stalled(now, on, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        route_nic(host, self, eng, |nic, mem, out| {
+            nic.set_wait_stalled(now, on, mem, out)
+        });
     }
 
     /// Turn on causal op tracing: the telemetry hub starts recording
@@ -708,10 +737,11 @@ impl ClusterBuilder {
             rng,
             profile: self.profile,
             procs: (0..self.hosts).map(|_| Vec::new()).collect(),
-            cq_subs: BTreeMap::new(),
+            cq_subs: HostTable::new(self.hosts),
             dropped_packets: 0,
             telemetry: Telemetry::default(),
-            timer_tokens: BTreeMap::new(),
+            timer_tokens: HostTable::new(self.hosts),
+            nic_out_spare: Vec::new(),
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
         };
@@ -806,10 +836,26 @@ fn drain_nic_telemetry(host: HostId, w: &mut World) {
     w.nic_event_scratch = scratch;
 }
 
-/// Turn NIC outputs into events.
-pub fn route_nic(host: HostId, outs: Vec<NicOutput>, w: &mut World, eng: &mut Engine<World>) {
+/// Run one NIC entry point on `host` and turn what it pushed into
+/// events, in push order (the engine breaks same-instant ties by
+/// scheduling order, so push order is simulated behaviour).
+///
+/// `entry` gets the host's NIC and arena plus an empty sink owned by the
+/// world: the datapath allocates no output buffer per call. Draining can
+/// re-enter `route_nic` (an output runs a CQ callback that rings a
+/// doorbell), so the sink comes off a stack of spares and goes back on
+/// it, empty, when this level is done.
+pub fn route_nic(
+    host: HostId,
+    w: &mut World,
+    eng: &mut Engine<World>,
+    entry: impl FnOnce(&mut Nic, &mut NvmArena, &mut Vec<NicOutput>),
+) {
+    let mut outs = w.nic_out_spare.pop().unwrap_or_default();
+    let h = &mut w.hosts[host.0];
+    entry(&mut h.nic, &mut h.mem, &mut outs);
     drain_nic_telemetry(host, w);
-    for o in outs {
+    for o in outs.drain(..) {
         match o {
             NicOutput::Transmit {
                 at,
@@ -840,21 +886,24 @@ pub fn route_nic(host: HostId, outs: Vec<NicOutput>, w: &mut World, eng: &mut En
                 // QP: cancel it instead of letting it fire as a
                 // stale-generation no-op.
                 let tok = eng.schedule_event_at(at, WorldEvent::NicTimer { host, qpn, gen });
-                if let Some(old) = w.timer_tokens.insert((host.0, qpn), tok) {
+                if let Some(old) = w.timer_tokens.put(host, qpn, tok) {
                     eng.cancel(old);
                 }
             }
             NicOutput::CancelTimer { qpn } => {
-                if let Some(tok) = w.timer_tokens.remove(&(host.0, qpn)) {
+                if let Some(tok) = w.timer_tokens.take(host, qpn) {
                     eng.cancel(tok);
                 }
             }
         }
     }
+    w.nic_out_spare.push(outs);
 }
 
 fn dispatch_cq_event(host: HostId, cq: u32, w: &mut World, eng: &mut Engine<World>) {
-    let Some(sub) = w.cq_subs.remove(&(host.0, cq)) else {
+    // Taken out for the call and put back after it, so a callback that
+    // re-subscribes its own CQ is overwritten by its old subscription.
+    let Some(sub) = w.cq_subs.take(host, cq) else {
         return;
     };
     match sub {
@@ -865,8 +914,7 @@ fn dispatch_cq_event(host: HostId, cq: u32, w: &mut World, eng: &mut Engine<Worl
             eng.schedule(delay, move |w: &mut World, eng| {
                 deliver(addr, ProcEvent::CqEvent { cq }, cost, w, eng);
             });
-            w.cq_subs
-                .insert((host.0, cq), CqSub::Interrupt { pid, cost });
+            w.cq_subs.put(host, cq, CqSub::Interrupt { pid, cost });
             // The process must re-arm after draining (as with
             // ibv_req_notify_cq); see Ctx::arm_cq.
         }
@@ -888,7 +936,7 @@ fn dispatch_cq_event(host: HostId, cq: u32, w: &mut World, eng: &mut Engine<Worl
             cqes.clear();
             w.cqe_scratch = cqes;
             w.hosts[host.0].nic.arm_cq(cq);
-            w.cq_subs.insert((host.0, cq), CqSub::Callback(f));
+            w.cq_subs.put(host, cq, CqSub::Callback(f));
         }
     }
 }

@@ -129,6 +129,18 @@ impl NvmArena {
         Ok(())
     }
 
+    /// Copy `len` bytes from `src` to `dst` inside the arena (a DMA
+    /// engine's local copy; the ranges may overlap). Volatile at `dst`,
+    /// like [`NvmArena::write`].
+    pub fn copy_within(&mut self, src: u64, dst: u64, len: usize) -> Result<(), MemError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        self.current
+            .copy_within(src as usize..src as usize + len, dst as usize);
+        self.dirty.insert(dst, dst + len as u64);
+        Ok(())
+    }
+
     /// Write a little-endian `u64` (volatile, like [`NvmArena::write`]).
     pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), MemError> {
         self.write(addr, &v.to_le_bytes())
@@ -168,12 +180,11 @@ impl NvmArena {
     pub fn flush(&mut self, addr: u64, len: usize) -> Result<u64, MemError> {
         self.check(addr, len)?;
         let mut flushed = 0;
-        for (s, e) in self.dirty.intersection(addr, addr + len as u64) {
-            self.durable[s as usize..e as usize]
-                .copy_from_slice(&self.current[s as usize..e as usize]);
+        let (current, durable) = (&self.current, &mut self.durable);
+        self.dirty.remove_each(addr, addr + len as u64, |s, e| {
+            durable[s as usize..e as usize].copy_from_slice(&current[s as usize..e as usize]);
             flushed += e - s;
-        }
-        self.dirty.remove(addr, addr + len as u64);
+        });
         self.flushes += 1;
         Ok(flushed)
     }
@@ -271,6 +282,24 @@ mod tests {
         assert_eq!(m.read(16, 16).unwrap(), &[0; 16]);
     }
 
+    /// Flushing one record out of the middle of a dirty span splits the
+    /// span: the record becomes durable, its neighbours stay volatile.
+    #[test]
+    fn flush_of_a_split_range() {
+        let mut m = NvmArena::new(64);
+        m.write(0, &[7; 48]).unwrap();
+        assert_eq!(m.flush(16, 16).unwrap(), 16);
+        assert!(m.is_durable(16, 16));
+        assert!(!m.is_durable(0, 16) && !m.is_durable(32, 16));
+        assert_eq!(m.dirty_bytes(), 32);
+        // A flush spanning the hole reports only the bytes still dirty.
+        assert_eq!(m.flush(8, 32).unwrap(), 16);
+        m.crash();
+        assert_eq!(m.read(0, 8).unwrap(), &[0; 8]);
+        assert_eq!(m.read(8, 32).unwrap(), &[7; 32]);
+        assert_eq!(m.read(40, 8).unwrap(), &[0; 8]);
+    }
+
     #[test]
     fn bounds_checked() {
         let mut m = NvmArena::new(16);
@@ -300,6 +329,18 @@ mod tests {
         let orig = m.compare_and_swap_u64(8, 7, 99).unwrap();
         assert_eq!(orig, 42);
         assert_eq!(m.read_u64(8).unwrap(), 42);
+    }
+
+    #[test]
+    fn copy_within_is_a_volatile_write() {
+        let mut m = NvmArena::new(64);
+        m.write(0, b"abcdefgh").unwrap();
+        m.flush(0, 8).unwrap();
+        m.copy_within(0, 4, 8).unwrap(); // overlapping: source read first
+        assert_eq!(m.read(0, 12).unwrap(), b"abcdabcdefgh");
+        assert!(m.is_durable(0, 4) && !m.is_durable(4, 8));
+        assert!(m.copy_within(60, 0, 8).is_err());
+        assert!(m.copy_within(0, 60, 8).is_err());
     }
 
     #[test]

@@ -39,7 +39,14 @@ impl RangeSet {
         // Find insertion window: all ranges overlapping or adjacent to
         // [start, end) get merged.
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        let hi = self.ranges.partition_point(|&(s, _)| s <= end);
+        // Rewrites of bytes that are already dirty are the common case
+        // (rings, staging buffers, hot records): nothing to merge.
+        if let Some(&(s, e)) = self.ranges.get(lo) {
+            if s <= start && end <= e {
+                return;
+            }
+        }
+        let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s <= end);
         let mut new_start = start;
         let mut new_end = end;
         if lo < hi {
@@ -51,23 +58,33 @@ impl RangeSet {
 
     /// Remove `[start, end)` from the set, splitting ranges as needed.
     pub fn remove(&mut self, start: u64, end: u64) {
-        if start >= end || self.ranges.is_empty() {
+        self.remove_each(start, end, |_, _| {});
+    }
+
+    /// Remove `[start, end)` from the set in place, calling `removed`
+    /// with each maximal sub-range that was covered, in address order.
+    /// Allocates only when the cut falls strictly inside one range (it
+    /// splits in two) and the vector is full.
+    pub fn remove_each(&mut self, start: u64, end: u64, mut removed: impl FnMut(u64, u64)) {
+        if start >= end {
             return;
         }
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &(s, e) in &self.ranges {
-            if e <= start || s >= end {
-                out.push((s, e));
-                continue;
-            }
-            if s < start {
-                out.push((s, start));
-            }
-            if e > end {
-                out.push((end, e));
-            }
+        // Ranges [lo, hi) overlap the cut; at most the first keeps a
+        // left remainder and the last a right remainder.
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s < end);
+        if lo == hi {
+            return;
         }
-        self.ranges = out;
+        for &(s, e) in &self.ranges[lo..hi] {
+            removed(s.max(start), e.min(end));
+        }
+        // What survives: the first range's part left of the cut and the
+        // last range's part right of it, either of which may be empty.
+        let keep = [(self.ranges[lo].0, start), (end, self.ranges[hi - 1].1)];
+        let from = usize::from(keep[0].0 >= keep[0].1);
+        let to = 1 + usize::from(keep[1].0 < keep[1].1);
+        self.ranges.splice(lo..hi, keep[from..to].iter().copied());
     }
 
     /// Does the set intersect `[start, end)`?
@@ -92,18 +109,15 @@ impl RangeSet {
 
     /// Intersection of the set with `[start, end)`, as concrete ranges.
     pub fn intersection(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for &(s, e) in &self.ranges {
-            let lo = s.max(start);
-            let hi = e.min(end);
-            if lo < hi {
-                out.push((lo, hi));
-            }
-            if s >= end {
-                break;
-            }
+        if start >= end {
+            return Vec::new();
         }
-        out
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        self.ranges[lo..]
+            .iter()
+            .take_while(|&&(s, _)| s < end)
+            .map(|&(s, e)| (s.max(start), e.min(end)))
+            .collect()
     }
 
     /// Iterate all ranges.
@@ -211,7 +225,16 @@ mod tests {
                     bits[i as usize] = true;
                 }
             } else {
-                rs.remove(s, e);
+                // Every reported sub-range was covered, and together
+                // they are everything that was covered inside the cut.
+                let mut reported = 0;
+                rs.remove_each(s, e, |a, b| {
+                    assert!(s <= a && a < b && b <= e, "[{a}, {b}) outside the cut");
+                    assert!(bits[a as usize..b as usize].iter().all(|&bit| bit));
+                    reported += b - a;
+                });
+                let covered = (s..e.min(N as u64)).filter(|&i| bits[i as usize]).count();
+                assert_eq!(reported, covered as u64);
                 for i in s..e.min(N as u64) {
                     bits[i as usize] = false;
                 }
@@ -229,6 +252,27 @@ mod tests {
             rs.covered_bytes(),
             bits.iter().filter(|&&b| b).count() as u64
         );
+    }
+
+    /// The two paths the datapath leans on, as fixed inputs to the
+    /// model: an insert inside a range that is already covered (every
+    /// rewrite of a ring slot), and a removal strictly inside one range,
+    /// which splits it (a flush of one record of a dirty log).
+    #[test]
+    fn model_covered_insert_and_split_removal() {
+        model_ops(&[
+            (true, 10, 40),
+            (true, 15, 20),  // covered: interior
+            (true, 10, 40),  // covered: exact
+            (true, 10, 11),  // covered: left edge
+            (true, 39, 40),  // covered: right edge
+            (false, 20, 30), // split
+            (true, 22, 28),  // refill inside the hole, touching neither side
+            (false, 24, 26), // split the refill
+            (true, 20, 30),  // heal: merges five pieces into one
+            (false, 12, 38), // split, leaving one byte-pair on each side
+            (false, 0, 64),
+        ]);
     }
 
     proptest! {

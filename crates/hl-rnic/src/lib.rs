@@ -29,6 +29,11 @@ mod qp;
 pub mod track;
 mod wqe;
 
+/// Does this build carry the WQE-ownership & DMA race detector (feature
+/// `check-ownership`)? Its shadow state allocates per DMA, so allocation
+/// budgets measured without it do not hold with it.
+pub const RACE_DETECTOR: bool = cfg!(feature = "check-ownership");
+
 pub use cq::{Cq, Cqe, CqeKind, CqeStatus};
 pub use mr::{Access, MemoryRegion, MrError, MrTable};
 pub use nic::{Nic, NicCounters, NicEvent, NicEventKind, NicOutput, RingFull};

@@ -1,10 +1,15 @@
 //! The RDMA NIC state machine.
 //!
 //! One [`Nic`] per host. The NIC is a pure state machine: every entry
-//! point takes the current time and the host's [`NvmArena`], mutates NIC
-//! and memory state, and returns [`NicOutput`]s — packets to transmit,
-//! completions to deliver, and deferred local operations — each stamped
-//! with an absolute time. The cluster layer turns outputs into events.
+//! point takes the current time, the host's [`NvmArena`] and a
+//! caller-owned output sink, mutates NIC and memory state, and pushes
+//! [`NicOutput`]s — packets to transmit, completions to deliver, and
+//! deferred local operations — each stamped with an absolute time. The
+//! cluster layer turns outputs into events in push order, and the engine
+//! breaks same-instant ties by that order, so the order in which an
+//! entry point pushes is part of its contract (DESIGN.md §11). The NIC
+//! never allocates the sink: one `Vec` travels from the doorbell or
+//! packet entry down through every helper.
 //!
 //! ## Send-queue semantics
 //!
@@ -56,7 +61,7 @@ use crate::track::{OwnershipTracker, Violation};
 use crate::wqe::{flags, Opcode, Wqe, WQE_SIZE};
 use hl_nvm::NvmArena;
 use hl_sim::config::NicProfile;
-use hl_sim::{RngStream, SimDuration, SimTime};
+use hl_sim::{Bytes, RngStream, SimDuration, SimTime};
 
 /// Things the cluster layer must do on the NIC's behalf.
 #[derive(Debug)]
@@ -223,6 +228,9 @@ pub struct Nic {
     srqs: Vec<std::collections::VecDeque<RecvWqe>>,
     /// Per-CQ list of QPs parked on an unsatisfied WAIT.
     waiters: Vec<Vec<u32>>,
+    /// Spare waiter list that [`Nic::deliver_cqe`] swaps with the list
+    /// it is resuming (empty between calls).
+    resumed: Vec<u32>,
     inflight: Vec<Option<Inflight>>,
     rng: RngStream,
     counters: NicCounters,
@@ -251,6 +259,7 @@ impl Nic {
             cqs: Vec::new(),
             srqs: Vec::new(),
             waiters: Vec::new(),
+            resumed: Vec::new(),
             inflight: Vec::new(),
             rng,
             counters: NicCounters::default(),
@@ -457,12 +466,18 @@ impl Nic {
     /// Acknowledge a send-queue error ([`QpState::Sqe`]) and resume the
     /// QP. No-op in other states: [`QpState::Error`] is unrecoverable
     /// (tear down and reconnect, as with real RC).
-    pub fn recover_qp(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn recover_qp(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.qps[qpn as usize].state != QpState::Sqe {
-            return Vec::new();
+            return;
         }
         self.qps[qpn as usize].state = QpState::Rts;
-        self.advance_sq(now, qpn, mem)
+        self.advance_sq(now, qpn, mem, out);
     }
 
     /// Stall or un-stall the whole NIC (fault injection: hung adapter).
@@ -470,22 +485,26 @@ impl Nic {
     /// send engine does not run; reliable peers keep retransmitting into
     /// the void and eventually error out. Un-stalling kicks every send
     /// queue and immediately retransmits any unacked reliable requests.
-    pub fn set_stalled(&mut self, now: SimTime, on: bool, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn set_stalled(
+        &mut self,
+        now: SimTime,
+        on: bool,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled == on {
-            return Vec::new();
+            return;
         }
         self.stalled = on;
         if on {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for qpn in 0..self.qps.len() as u32 {
-            out.extend(self.advance_sq(now, qpn, mem));
+            self.advance_sq(now, qpn, mem, out);
             if !self.qps[qpn as usize].unacked.is_empty() {
-                out.extend(self.retransmit_all(now, qpn));
+                self.retransmit_all(now, qpn, out);
             }
         }
-        out
     }
 
     /// Is the NIC currently stalled?
@@ -503,23 +522,22 @@ impl Nic {
         now: SimTime,
         on: bool,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.wait_stalled == on {
-            return Vec::new();
+            return;
         }
         self.wait_stalled = on;
         if on {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for cq in 0..self.waiters.len() {
             let parked = std::mem::take(&mut self.waiters[cq]);
             for qpn in parked {
                 self.qps[qpn as usize].parked = false;
-                out.extend(self.advance_sq(now, qpn, mem));
+                self.advance_sq(now, qpn, mem, out);
             }
         }
-        out
     }
 
     /// Is WAIT triggering currently broken?
@@ -604,10 +622,16 @@ impl Nic {
     }
 
     /// Ring the doorbell: kick the send engine.
-    pub fn ring_doorbell(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn ring_doorbell(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         self.counters.doorbells += 1;
         let t = now + self.profile.doorbell;
-        self.advance_sq(t, qpn, mem)
+        self.advance_sq(t, qpn, mem, out);
     }
 
     /// Poll completions (CPU verb; CPU cost is accounted by the caller).
@@ -634,18 +658,17 @@ impl Nic {
     // ----- send engine ----------------------------------------------------
 
     /// Advance a QP's send queue as far as possible.
-    fn advance_sq(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn advance_sq(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena, out: &mut Vec<NicOutput>) {
         if self.stalled {
-            return Vec::new();
+            return;
         }
         match self.qps[qpn as usize].state {
             QpState::Rts => {}
             // SQE: halted until software calls recover_qp.
-            QpState::Sqe => return Vec::new(),
+            QpState::Sqe => return,
             // Error: everything posted flushes without executing.
-            QpState::Error => return self.flush_sq_in_error(now, qpn, mem),
+            QpState::Error => return self.flush_sq_in_error(now, qpn, mem, out),
         }
-        let mut out = Vec::new();
         // The engine is serialized per QP.
         let mut t = now.max(self.qps[qpn as usize].busy_until);
         loop {
@@ -749,18 +772,23 @@ impl Nic {
             self.counters.wqes_executed += 1;
             self.ev(t, wqe.op, NicEventKind::Fetch { qpn });
             t += self.jit(self.profile.wqe_process);
-            out.extend(self.execute(t, qpn, wqe, mem));
+            self.execute(t, qpn, wqe, mem, out);
         }
         self.qps[qpn as usize].busy_until = t;
-        out
     }
 
     /// Execute one non-WAIT WQE at time `t`.
-    fn execute(&mut self, t: SimTime, qpn: u32, wqe: Wqe, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn execute(
+        &mut self,
+        t: SimTime,
+        qpn: u32,
+        wqe: Wqe,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &self.qps[qpn as usize];
         let send_cq = qp.send_cq;
         let remote = qp.remote;
-        let mut out = Vec::new();
         match wqe.opcode {
             Opcode::Nop => {
                 // Always completes locally (the gCAS execute map relies
@@ -780,19 +808,19 @@ impl Nic {
                 });
             }
             Opcode::Send => {
-                let Ok(gather) = mem.read_vec(wqe.laddr, wqe.len as usize) else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                let Ok(gather) = mem.read(wqe.laddr, wqe.len as usize) else {
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
-                let data: hl_sim::Bytes = gather.into();
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
+                let data = Bytes::copy_from_slice(gather);
                 let kind = PacketKind::Send {
                     data,
                     wr_id: wqe.wr_id,
                     signaled: wqe.signaled(),
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -802,16 +830,17 @@ impl Nic {
                     wqe.signaled(),
                     wqe.len,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::Write | Opcode::WriteImm => {
-                let Ok(gather) = mem.read_vec(wqe.laddr, wqe.len as usize) else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                let Ok(gather) = mem.read(wqe.laddr, wqe.len as usize) else {
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
-                let data: hl_sim::Bytes = gather.into();
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
+                let data = Bytes::copy_from_slice(gather);
                 let kind = if wqe.opcode == Opcode::Write {
                     PacketKind::Write {
                         raddr: wqe.raddr,
@@ -830,7 +859,7 @@ impl Nic {
                         signaled: wqe.signaled(),
                     }
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -840,11 +869,12 @@ impl Nic {
                     wqe.signaled(),
                     wqe.len,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::Read | Opcode::Flush | Opcode::Cas => {
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
                 self.qps[qpn as usize].fenced = true;
                 self.inflight[qpn as usize] = Some(Inflight {
@@ -874,7 +904,7 @@ impl Nic {
                         wr_id: wqe.wr_id,
                     },
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -884,7 +914,8 @@ impl Nic {
                     wqe.signaled(),
                     0,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::LocalCopy => {
                 let at = t + self.jit(self.profile.dma_time(wqe.len as usize));
@@ -903,17 +934,16 @@ impl Nic {
             // hl-lint: allow(panic-in-handler)
             Opcode::Wait => unreachable!("WAIT handled by the engine loop"),
         }
-        out
     }
 
-    fn tx(&mut self, at: SimTime, dst_nic: u32, packet: Packet) -> NicOutput {
+    fn tx(&mut self, at: SimTime, dst_nic: u32, packet: Packet, out: &mut Vec<NicOutput>) {
         self.counters.tx_packets += 1;
         self.ev(at, packet.op, NicEventKind::TxWire { dst: dst_nic });
-        NicOutput::Transmit {
+        out.push(NicOutput::Transmit {
             at,
             dst_nic,
             packet,
-        }
+        });
     }
 
     /// Transmit a request packet, stamping a PSN and recording it on the
@@ -931,7 +961,8 @@ impl Nic {
         signaled: bool,
         byte_len: u32,
         op: u32,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         let id = self.id;
         let qp = &mut self.qps[qpn as usize];
         let Some(cfg) = qp.timeout else {
@@ -944,7 +975,7 @@ impl Nic {
                 op,
                 kind,
             };
-            return vec![self.tx(t, dst_nic, packet)];
+            return self.tx(t, dst_nic, packet, out);
         };
         let psn = qp.next_psn;
         qp.next_psn += 1;
@@ -957,7 +988,6 @@ impl Nic {
             op,
             kind,
         };
-        let mut out = Vec::new();
         let was_empty = qp.unacked.is_empty();
         qp.unacked.push_back(PendingTx {
             psn,
@@ -975,24 +1005,19 @@ impl Nic {
                 gen: qp.timer_gen,
             });
         }
-        out.push(self.tx(t, dst_nic, packet));
-        out
+        self.tx(t, dst_nic, packet, out);
     }
 
     /// Go-back-N: retransmit every unacked request in order and re-arm
     /// the ack timer.
-    fn retransmit_all(&mut self, now: SimTime, qpn: u32) -> Vec<NicOutput> {
-        let pending: Vec<(u32, Packet)> = self.qps[qpn as usize]
-            .unacked
-            .iter()
-            .map(|p| (p.dst_nic, p.packet.clone()))
-            .collect();
-        let mut out = Vec::new();
+    fn retransmit_all(&mut self, now: SimTime, qpn: u32, out: &mut Vec<NicOutput>) {
         let mut t = now;
-        for (dst, pkt) in pending {
+        for i in 0..self.qps[qpn as usize].unacked.len() {
+            let p = &self.qps[qpn as usize].unacked[i];
+            let (dst, pkt) = (p.dst_nic, p.packet.clone());
             t += self.jit(self.profile.wqe_process);
             self.counters.retransmits += 1;
-            out.push(self.tx(t, dst, pkt));
+            self.tx(t, dst, pkt, out);
         }
         let qp = &mut self.qps[qpn as usize];
         if let Some(cfg) = qp.timeout {
@@ -1003,7 +1028,6 @@ impl Nic {
                 gen: qp.timer_gen,
             });
         }
-        out
     }
 
     /// Ack-timeout expiry for a reliable QP. Stale generations (the
@@ -1014,25 +1038,26 @@ impl Nic {
         qpn: u32,
         gen: u64,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled {
             // A stalled NIC does not time out its own requests; un-stall
             // retransmits anything still pending.
-            return Vec::new();
+            return;
         }
         let qp = &self.qps[qpn as usize];
         if qp.timer_gen != gen || qp.unacked.is_empty() || qp.state == QpState::Error {
-            return Vec::new();
+            return;
         }
         let Some(cfg) = qp.timeout else {
-            return Vec::new();
+            return;
         };
         self.counters.timeouts += 1;
         self.qps[qpn as usize].retries += 1;
         if self.qps[qpn as usize].retries > cfg.retry_cnt {
-            return self.fatal_qp_error(now, qpn, mem);
+            return self.fatal_qp_error(now, qpn, mem, out);
         }
-        self.retransmit_all(now, qpn)
+        self.retransmit_all(now, qpn, out);
     }
 
     /// A local fault while executing a WQE — the gather range fell
@@ -1048,7 +1073,8 @@ impl Nic {
         qpn: u32,
         wqe: &Wqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &mut self.qps[qpn as usize];
         qp.state = QpState::Error;
         qp.timer_gen += 1;
@@ -1057,8 +1083,8 @@ impl Nic {
         let send_cq = qp.send_cq;
         let pending = std::mem::take(&mut qp.unacked);
         self.inflight[qpn as usize] = None;
-        let mut out = vec![NicOutput::CancelTimer { qpn }];
-        out.extend(self.deliver_cqe(
+        out.push(NicOutput::CancelTimer { qpn });
+        self.deliver_cqe(
             now,
             send_cq,
             Cqe {
@@ -1071,9 +1097,10 @@ impl Nic {
                 op: wqe.op,
             },
             mem,
-        ));
+            out,
+        );
         for p in pending.iter() {
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1086,10 +1113,10 @@ impl Nic {
                     op: p.packet.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.flush_sq_in_error(now, qpn, mem));
-        out
+        self.flush_sq_in_error(now, qpn, mem, out);
     }
 
     /// Retry budget exhausted: move the QP to Error and flush everything
@@ -1097,7 +1124,13 @@ impl Nic {
     /// the unacked list and every posted-but-unexecuted WQE complete
     /// `FlushedInError`. Error completions are delivered regardless of
     /// the signaled flag (as on real hardware).
-    fn fatal_qp_error(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn fatal_qp_error(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &mut self.qps[qpn as usize];
         qp.state = QpState::Error;
         qp.timer_gen += 1;
@@ -1107,14 +1140,14 @@ impl Nic {
         let pending = std::mem::take(&mut qp.unacked);
         self.inflight[qpn as usize] = None;
         // The ack timer dies with the QP.
-        let mut out = vec![NicOutput::CancelTimer { qpn }];
+        out.push(NicOutput::CancelTimer { qpn });
         for (i, p) in pending.iter().enumerate() {
             let status = if i == 0 {
                 CqeStatus::RetryExceeded
             } else {
                 CqeStatus::FlushedInError
             };
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1127,17 +1160,22 @@ impl Nic {
                     op: p.packet.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.flush_sq_in_error(now, qpn, mem));
-        out
+        self.flush_sq_in_error(now, qpn, mem, out);
     }
 
     /// Flush every posted-but-unexecuted WQE of an Error-state QP with
     /// `FlushedInError` completions (also used for posts made after the
     /// transition, matching ibverbs flush semantics).
-    fn flush_sq_in_error(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
-        let mut out = Vec::new();
+    fn flush_sq_in_error(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         loop {
             let qp = &self.qps[qpn as usize];
             if qp.sq.head >= qp.sq.tail {
@@ -1154,7 +1192,7 @@ impl Nic {
             self.qps[qpn as usize].sq.head += 1;
             #[cfg(feature = "check-ownership")]
             self.tracker.slot_cleared(qpn, head_idx);
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1167,9 +1205,9 @@ impl Nic {
                     op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out
     }
 
     /// Finish a loopback operation scheduled via [`NicOutput::DoLocal`].
@@ -1179,15 +1217,15 @@ impl Nic {
         qpn: u32,
         wqe: Wqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         // A descriptor scribbled out of the arena (or a DoLocal carrying
         // a non-local opcode) surfaces as a LocalProtection error CQE
         // instead of killing the simulated host.
         let ok = match wqe.opcode {
             Opcode::LocalCopy => mem
-                .read_vec(wqe.laddr, wqe.len as usize)
-                .ok()
-                .is_some_and(|data| mem.write(wqe.raddr, &data).is_ok()),
+                .copy_within(wqe.laddr, wqe.raddr, wqe.len as usize)
+                .is_ok(),
             Opcode::LocalCas => mem
                 .compare_and_swap_u64(wqe.raddr, wqe.cmp, wqe.swp)
                 .ok()
@@ -1222,9 +1260,8 @@ impl Nic {
                     op: wqe.op,
                 },
                 mem,
-            )
-        } else {
-            Vec::new()
+                out,
+            );
         }
     }
 
@@ -1238,8 +1275,8 @@ impl Nic {
         cq: u32,
         cqe: Cqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
-        let mut out = Vec::new();
+        out: &mut Vec<NicOutput>,
+    ) {
         if cqe.status != CqeStatus::Ok {
             self.counters.error_cqes += 1;
         }
@@ -1251,23 +1288,34 @@ impl Nic {
         if self.cqs[cq as usize].push(cqe) {
             out.push(NicOutput::CqEvent { cq });
         }
-        // Resume parked QPs; advance re-parks them if still unsatisfied.
-        let parked = std::mem::take(&mut self.waiters[cq as usize]);
-        for qpn in parked {
+        // Resume parked QPs in park order; advance re-parks them if
+        // still unsatisfied. The list trades places with a spare so both
+        // keep their capacity: a forwarding QP re-parks on its next
+        // slot's WAIT every time it is resumed.
+        let mut parked = std::mem::take(&mut self.resumed);
+        std::mem::swap(&mut parked, &mut self.waiters[cq as usize]);
+        for &qpn in &parked {
             self.qps[qpn as usize].parked = false;
-            out.extend(self.advance_sq(now, qpn, mem));
+            self.advance_sq(now, qpn, mem, out);
         }
-        out
+        parked.clear();
+        self.resumed = parked;
     }
 
     // ----- receive path ----------------------------------------------------
 
     /// Handle an inbound packet.
-    pub fn on_packet(&mut self, now: SimTime, pkt: Packet, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn on_packet(
+        &mut self,
+        now: SimTime,
+        pkt: Packet,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled {
             // A hung adapter eats everything silently.
             self.counters.rx_dropped += 1;
-            return Vec::new();
+            return;
         }
         self.counters.rx_packets += 1;
         self.ev(now, pkt.op, NicEventKind::RxWire { src: pkt.src_nic });
@@ -1276,41 +1324,40 @@ impl Nic {
         let qp = &self.qps[qpn as usize];
         if qp.state == QpState::Error {
             self.counters.rx_dropped += 1;
-            return Vec::new();
+            return;
         }
+        let req = ReqHeader::of(&pkt);
+        // `None` marks a response or ack (requester-bound).
+        let req_wr_id = pkt.kind.request_wr_id();
         // Connection safety check (paper §7): only the connected peer may
         // talk to this QP.
         if qp.remote != Some((pkt.src_nic, pkt.src_qpn)) {
-            return self.refuse(t, &pkt, NakReason::NotConnected);
+            return self.refuse(t, req, req_wr_id, NakReason::NotConnected, out);
         }
         // Requester side: on a reliable QP every response acks
         // cumulatively — entries older than its PSN had their own
         // responses lost, so synthesize their success completions; a
         // response matching nothing pending is a stale duplicate.
-        let mut pre = Vec::new();
-        if qp.timeout.is_some() && Self::is_response(&pkt.kind) {
-            let (proceed, outs) = self.process_cum_ack(t, qpn, pkt.psn, mem);
-            if !proceed {
-                return outs;
-            }
-            pre = outs;
+        let is_response = req_wr_id.is_none();
+        if qp.timeout.is_some() && is_response && !self.process_cum_ack(t, qpn, pkt.psn, mem, out) {
+            return;
         }
         // Responder side: expected-PSN enforcement for reliable requests.
-        if pkt.reliable && !Self::is_response(&pkt.kind) {
+        if pkt.reliable && !is_response {
             let epsn = self.qps[qpn as usize].epsn;
             if pkt.psn > epsn {
                 // Gap: an earlier request was lost; drop and let the
                 // requester's timer go-back-N.
                 self.counters.rx_dropped += 1;
-                return Vec::new();
+                return;
             }
             if pkt.psn < epsn {
                 // Duplicate of something already executed.
-                return self.replay_duplicate(t, &pkt);
+                return self.replay_duplicate(t, &pkt, out);
             }
             self.qps[qpn as usize].epsn += 1;
         }
-        let main = match pkt.kind.clone() {
+        match pkt.kind {
             PacketKind::Write {
                 raddr,
                 rkey,
@@ -1323,8 +1370,8 @@ impl Nic {
                     rkey,
                     raddr,
                     data.len() as u64,
-                    pkt.src_nic,
-                    pkt.src_qpn,
+                    req.src_nic,
+                    req.src_qpn,
                     t,
                 );
                 if self
@@ -1332,17 +1379,17 @@ impl Nic {
                     .check_remote(rkey, raddr, data.len() as u64, Access::REMOTE_WRITE)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 if mem.write(raddr, &data).is_err() {
                     // MR registered beyond the arena: refuse rather than
                     // kill the simulated host.
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_write(raddr, &data, pkt.src_nic, pkt.src_qpn, t);
-                self.ack(t, &pkt, wr_id, signaled, data.len() as u32)
+                    .remote_write(raddr, &data, req.src_nic, req.src_qpn, t);
+                self.ack(t, req, wr_id, signaled, data.len() as u32, out);
             }
             PacketKind::WriteImm {
                 raddr,
@@ -1357,8 +1404,8 @@ impl Nic {
                     rkey,
                     raddr,
                     data.len() as u64,
-                    pkt.src_nic,
-                    pkt.src_qpn,
+                    req.src_nic,
+                    req.src_qpn,
                     t,
                 );
                 if self
@@ -1366,19 +1413,19 @@ impl Nic {
                     .check_remote(rkey, raddr, data.len() as u64, Access::REMOTE_WRITE)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 if mem.write(raddr, &data).is_err() {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_write(raddr, &data, pkt.src_nic, pkt.src_qpn, t);
+                    .remote_write(raddr, &data, req.src_nic, req.src_qpn, t);
                 let Some(recv) = self.pop_recv(qpn) else {
-                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady);
+                    return self.refuse(t, req, Some(wr_id), NakReason::ReceiverNotReady, out);
                 };
                 let recv_cq = self.qps[qpn as usize].recv_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     recv_cq,
                     Cqe {
@@ -1388,12 +1435,12 @@ impl Nic {
                         status: CqeStatus::Ok,
                         byte_len: data.len() as u32,
                         imm,
-                        op: pkt.op,
+                        op: req.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.ack(t, &pkt, wr_id, signaled, data.len() as u32));
-                out
+                self.ack(t, req, wr_id, signaled, data.len() as u32, out);
             }
             PacketKind::Send {
                 data,
@@ -1401,7 +1448,7 @@ impl Nic {
                 signaled,
             } => {
                 let Some(recv) = self.pop_recv(qpn) else {
-                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady);
+                    return self.refuse(t, req, Some(wr_id), NakReason::ReceiverNotReady, out);
                 };
                 // Scatter the payload, possibly into pre-posted WQE
                 // descriptor fields — the heart of remote WQE
@@ -1416,8 +1463,8 @@ impl Nic {
                     self.tracker.remote_write(
                         e.addr,
                         &data[off..off + n],
-                        pkt.src_nic,
-                        pkt.src_qpn,
+                        req.src_nic,
+                        req.src_qpn,
                         t,
                     );
                     if mem.write(e.addr, &data[off..off + n]).is_err() {
@@ -1425,11 +1472,11 @@ impl Nic {
                         // corrupted pre-posted descriptor; refuse the
                         // SEND (partial scatter may have landed, as with
                         // a mid-message fault on real hardware).
-                        return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                        return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                     }
                 }
                 let recv_cq = self.qps[qpn as usize].recv_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     recv_cq,
                     Cqe {
@@ -1439,12 +1486,12 @@ impl Nic {
                         status: CqeStatus::Ok,
                         byte_len: data.len() as u32,
                         imm: 0,
-                        op: pkt.op,
+                        op: req.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.ack(t, &pkt, wr_id, signaled, data.len() as u32));
-                out
+                self.ack(t, req, wr_id, signaled, data.len() as u32, out);
             }
             PacketKind::Read {
                 raddr,
@@ -1454,25 +1501,22 @@ impl Nic {
             } => {
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_access(rkey, raddr, len as u64, pkt.src_nic, pkt.src_qpn, t);
+                    .remote_access(rkey, raddr, len as u64, req.src_nic, req.src_qpn, t);
                 if self
                     .mrs
                     .check_remote(rkey, raddr, len as u64, Access::REMOTE_READ)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
-                let Ok(data) = mem.read_vec(raddr, len as usize) else {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                let Ok(data) = mem.read(raddr, len as usize) else {
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 };
                 let kind = PacketKind::ReadResp {
-                    data: data.into(),
+                    data: Bytes::copy_from_slice(data),
                     wr_id,
                 };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_fenced(t, req, pkt.reliable, kind, out);
             }
             PacketKind::Flush {
                 raddr,
@@ -1482,26 +1526,22 @@ impl Nic {
             } => {
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_access(rkey, raddr, len as u64, pkt.src_nic, pkt.src_qpn, t);
+                    .remote_access(rkey, raddr, len as u64, req.src_nic, req.src_qpn, t);
                 if self
                     .mrs
                     .check_remote(rkey, raddr, len as u64, Access::REMOTE_READ)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 // Drain the NIC cache for the range into the durable
                 // medium (the firmware feature of paper §4.2).
                 if mem.flush(raddr, len as usize).is_err() {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 self.counters.flushes += 1;
                 let t = t + self.profile.cache_flush;
-                let kind = PacketKind::FlushResp { wr_id };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_fenced(t, req, pkt.reliable, PacketKind::FlushResp { wr_id }, out);
             }
             PacketKind::Cas {
                 raddr,
@@ -1512,66 +1552,68 @@ impl Nic {
             } => {
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_access(rkey, raddr, 8, pkt.src_nic, pkt.src_qpn, t);
+                    .remote_access(rkey, raddr, 8, req.src_nic, req.src_qpn, t);
                 if self
                     .mrs
                     .check_remote(rkey, raddr, 8, Access::REMOTE_ATOMIC)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
                 let Ok(orig) = mem.compare_and_swap_u64(raddr, cmp, swp) else {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 };
-                let kind = PacketKind::CasResp { orig, wr_id };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_fenced(
+                    t,
+                    req,
+                    pkt.reliable,
+                    PacketKind::CasResp { orig, wr_id },
+                    out,
+                );
             }
             PacketKind::ReadResp { data, wr_id } => {
                 let Some(fl) = self.take_inflight(qpn, wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
                 let status = if mem.write(fl.laddr, &data).is_ok() {
                     // The response landing is itself a NIC DMA write
                     // into local memory — attribute it to the peer QP.
                     #[cfg(feature = "check-ownership")]
                     self.tracker
-                        .remote_write(fl.laddr, &data, pkt.src_nic, pkt.src_qpn, t);
+                        .remote_write(fl.laddr, &data, req.src_nic, req.src_qpn, t);
                     CqeStatus::Ok
                 } else {
                     CqeStatus::LocalProtection
                 };
-                self.complete_fenced(t, qpn, fl, data.len() as u32, status, mem)
+                self.complete_fenced(t, qpn, fl, data.len() as u32, status, mem, out);
             }
             PacketKind::FlushResp { wr_id } => {
                 let Some(fl) = self.take_inflight(qpn, wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
-                self.complete_fenced(t, qpn, fl, 0, CqeStatus::Ok, mem)
+                self.complete_fenced(t, qpn, fl, 0, CqeStatus::Ok, mem, out);
             }
             PacketKind::CasResp { orig, wr_id } => {
                 let Some(fl) = self.take_inflight(qpn, wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
                 let status = if mem.write_u64(fl.laddr, orig).is_ok() {
                     #[cfg(feature = "check-ownership")]
                     self.tracker.remote_write(
                         fl.laddr,
                         &orig.to_le_bytes(),
-                        pkt.src_nic,
-                        pkt.src_qpn,
+                        req.src_nic,
+                        req.src_qpn,
                         t,
                     );
                     CqeStatus::Ok
                 } else {
                     CqeStatus::LocalProtection
                 };
-                self.complete_fenced(t, qpn, fl, 8, status, mem)
+                self.complete_fenced(t, qpn, fl, 8, status, mem, out);
             }
             PacketKind::Ack {
                 wr_id,
@@ -1590,12 +1632,11 @@ impl Nic {
                             status: CqeStatus::Ok,
                             byte_len,
                             imm: 0,
-                            op: pkt.op,
+                            op: req.op,
                         },
                         mem,
-                    )
-                } else {
-                    Vec::new()
+                        out,
+                    );
                 }
             }
             PacketKind::Nak { wr_id, reason } => {
@@ -1619,7 +1660,7 @@ impl Nic {
                     self.qps[qpn as usize].state = QpState::Sqe;
                 }
                 let cq = self.qps[qpn as usize].send_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     cq,
                     Cqe {
@@ -1629,43 +1670,29 @@ impl Nic {
                         status,
                         byte_len: 0,
                         imm: 0,
-                        op: pkt.op,
+                        op: req.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.advance_sq(t, qpn, mem));
-                out
+                self.advance_sq(t, qpn, mem, out);
             }
-        };
-        pre.extend(main);
-        pre
-    }
-
-    /// Is this packet kind a response (requester-bound)?
-    fn is_response(kind: &PacketKind) -> bool {
-        matches!(
-            kind,
-            PacketKind::ReadResp { .. }
-                | PacketKind::FlushResp { .. }
-                | PacketKind::CasResp { .. }
-                | PacketKind::Ack { .. }
-                | PacketKind::Nak { .. }
-        )
+        }
     }
 
     /// Requester-side cumulative ack: a response with PSN `psn` proves
     /// delivery of every older pending request (their acks were lost) —
     /// pop them with synthesized success completions, then pop the
     /// matching entry itself for the caller's normal response handling.
-    /// Returns `(false, ..)` for a stale duplicate that matches nothing.
+    /// Returns `false` for a stale duplicate that matches nothing.
     fn process_cum_ack(
         &mut self,
         t: SimTime,
         qpn: u32,
         psn: u64,
         mem: &mut NvmArena,
-    ) -> (bool, Vec<NicOutput>) {
-        let mut out = Vec::new();
+        out: &mut Vec<NicOutput>,
+    ) -> bool {
         let mut progressed = false;
         loop {
             match self.qps[qpn as usize].unacked.front() {
@@ -1678,7 +1705,7 @@ impl Nic {
             progressed = true;
             if p.signaled {
                 let cq = self.qps[qpn as usize].send_cq;
-                out.extend(self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     cq,
                     Cqe {
@@ -1691,7 +1718,8 @@ impl Nic {
                         op: p.packet.op,
                     },
                     mem,
-                ));
+                    out,
+                );
             }
         }
         let matched = self.qps[qpn as usize]
@@ -1722,18 +1750,19 @@ impl Nic {
         if !matched {
             self.counters.rx_dropped += 1;
         }
-        (matched, out)
+        matched
     }
 
     /// Responder-side handling of a duplicate reliable request
     /// (PSN below the expected one): it already executed, so re-ack /
     /// replay the cached response without re-executing. This is what
     /// keeps RECV consumption and CAS exactly-once under retransmission.
-    fn replay_duplicate(&mut self, t: SimTime, pkt: &Packet) -> Vec<NicOutput> {
-        let qpn = pkt.dst_qpn as usize;
-        if let Some((psn, kind)) = self.qps[qpn].resp_cache.clone() {
-            if psn == pkt.psn {
-                return vec![self.respond(t, pkt, kind)];
+    fn replay_duplicate(&mut self, t: SimTime, pkt: &Packet, out: &mut Vec<NicOutput>) {
+        let req = ReqHeader::of(pkt);
+        if let Some((psn, kind)) = &self.qps[pkt.dst_qpn as usize].resp_cache {
+            if *psn == pkt.psn {
+                let kind = kind.clone();
+                return self.respond(t, req, kind, out);
             }
         }
         match &pkt.kind {
@@ -1753,12 +1782,11 @@ impl Nic {
                 data,
                 wr_id,
                 signaled,
-            } => self.ack(t, pkt, *wr_id, *signaled, data.len() as u32),
+            } => self.ack(t, req, *wr_id, *signaled, data.len() as u32, out),
             _ => {
                 // A fencing duplicate older than the replay cache: the
                 // requester has already consumed its response.
                 self.counters.rx_dropped += 1;
-                Vec::new()
             }
         }
     }
@@ -1779,6 +1807,7 @@ impl Nic {
     /// Clear the fence, deliver the completion, resume the SQ. Error
     /// statuses are delivered regardless of the signaled flag (as on
     /// real hardware).
+    #[allow(clippy::too_many_arguments)]
     fn complete_fenced(
         &mut self,
         t: SimTime,
@@ -1787,12 +1816,12 @@ impl Nic {
         byte_len: u32,
         status: CqeStatus,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         self.qps[qpn as usize].fenced = false;
-        let mut out = Vec::new();
         if fl.signaled || status != CqeStatus::Ok {
             let cq = self.qps[qpn as usize].send_cq;
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 t,
                 cq,
                 Cqe {
@@ -1805,47 +1834,62 @@ impl Nic {
                     op: fl.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.advance_sq(t, qpn, mem));
-        out
+        self.advance_sq(t, qpn, mem, out);
     }
 
     fn ack(
         &mut self,
         t: SimTime,
-        pkt: &Packet,
+        req: ReqHeader,
         wr_id: u64,
         signaled: bool,
         byte_len: u32,
-    ) -> Vec<NicOutput> {
-        vec![self.respond(
-            t,
-            pkt,
-            PacketKind::Ack {
-                wr_id,
-                signaled,
-                byte_len,
-            },
-        )]
-    }
-
-    fn refuse(&mut self, t: SimTime, pkt: &Packet, reason: NakReason) -> Vec<NicOutput> {
-        self.counters.naks_sent += 1;
-        let wr_id = match &pkt.kind {
-            PacketKind::Write { wr_id, .. }
-            | PacketKind::WriteImm { wr_id, .. }
-            | PacketKind::Send { wr_id, .. }
-            | PacketKind::Read { wr_id, .. }
-            | PacketKind::Flush { wr_id, .. }
-            | PacketKind::Cas { wr_id, .. } => *wr_id,
-            // Never NAK a response/ack: drop it instead.
-            _ => return Vec::new(),
+        out: &mut Vec<NicOutput>,
+    ) {
+        let kind = PacketKind::Ack {
+            wr_id,
+            signaled,
+            byte_len,
         };
-        vec![self.respond(t, pkt, PacketKind::Nak { wr_id, reason })]
+        self.respond(t, req, kind, out);
     }
 
-    fn respond(&mut self, t: SimTime, req: &Packet, kind: PacketKind) -> NicOutput {
+    /// NAK a request. `wr_id` is `None` for a response or ack, which is
+    /// never NAKed: it is dropped instead.
+    fn refuse(
+        &mut self,
+        t: SimTime,
+        req: ReqHeader,
+        wr_id: Option<u64>,
+        reason: NakReason,
+        out: &mut Vec<NicOutput>,
+    ) {
+        self.counters.naks_sent += 1;
+        if let Some(wr_id) = wr_id {
+            self.respond(t, req, PacketKind::Nak { wr_id, reason }, out);
+        }
+    }
+
+    /// Answer a fencing request (READ / FLUSH / CAS), remembering the
+    /// response for duplicate replay when the request was reliable.
+    fn respond_fenced(
+        &mut self,
+        t: SimTime,
+        req: ReqHeader,
+        reliable: bool,
+        kind: PacketKind,
+        out: &mut Vec<NicOutput>,
+    ) {
+        if reliable {
+            self.qps[req.dst_qpn as usize].resp_cache = Some((req.psn, kind.clone()));
+        }
+        self.respond(t, req, kind, out);
+    }
+
+    fn respond(&mut self, t: SimTime, req: ReqHeader, kind: PacketKind, out: &mut Vec<NicOutput>) {
         self.tx(
             t,
             req.src_nic,
@@ -1861,7 +1905,31 @@ impl Nic {
                 op: req.op,
                 kind,
             },
-        )
+            out,
+        );
+    }
+}
+
+/// The addressing fields of an inbound packet, copied out before its
+/// payload is consumed so the response can still be addressed.
+#[derive(Debug, Clone, Copy)]
+struct ReqHeader {
+    src_nic: u32,
+    src_qpn: u32,
+    dst_qpn: u32,
+    psn: u64,
+    op: u32,
+}
+
+impl ReqHeader {
+    fn of(pkt: &Packet) -> Self {
+        ReqHeader {
+            src_nic: pkt.src_nic,
+            src_qpn: pkt.src_qpn,
+            dst_qpn: pkt.dst_qpn,
+            psn: pkt.psn,
+            op: pkt.op,
+        }
     }
 }
 

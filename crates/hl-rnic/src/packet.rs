@@ -166,6 +166,26 @@ pub enum NakReason {
     NotConnected,
 }
 
+impl PacketKind {
+    /// The requester's cookie when this is a request (the value a NAK
+    /// must echo); `None` for responses and acks.
+    pub fn request_wr_id(&self) -> Option<u64> {
+        match self {
+            PacketKind::Write { wr_id, .. }
+            | PacketKind::WriteImm { wr_id, .. }
+            | PacketKind::Send { wr_id, .. }
+            | PacketKind::Read { wr_id, .. }
+            | PacketKind::Flush { wr_id, .. }
+            | PacketKind::Cas { wr_id, .. } => Some(*wr_id),
+            PacketKind::ReadResp { .. }
+            | PacketKind::FlushResp { .. }
+            | PacketKind::CasResp { .. }
+            | PacketKind::Ack { .. }
+            | PacketKind::Nak { .. } => None,
+        }
+    }
+}
+
 impl Packet {
     /// Bytes this packet occupies on the wire.
     pub fn wire_size(&self) -> usize {

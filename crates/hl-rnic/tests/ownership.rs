@@ -5,6 +5,9 @@
 
 #![cfg(feature = "check-ownership")]
 
+mod common;
+
+use common::collect;
 use hl_nvm::NvmArena;
 use hl_rnic::track::Violation;
 use hl_rnic::{
@@ -73,7 +76,7 @@ fn forged_ownership_flag_is_flagged_at_fetch() {
     let slot = nic.sq_slot_addr(qp, idx);
     let f = mem.read(slot + 1, 1).unwrap()[0];
     mem.write(slot + 1, &[f | flags::HW_OWNED]).unwrap();
-    nic.ring_doorbell(T1, qp, &mut mem);
+    collect(|o| nic.ring_doorbell(T1, qp, &mut mem, o));
     assert!(
         matches!(
             nic.race_violations(),
@@ -113,7 +116,7 @@ fn granted_and_doorbell_posts_are_clean() {
         false,
     )
     .unwrap();
-    nic.ring_doorbell(T1, qp, &mut mem);
+    collect(|o| nic.ring_doorbell(T1, qp, &mut mem, o));
     assert!(nic.race_violations().is_empty());
 }
 
@@ -142,22 +145,28 @@ fn scatter_into_granted_slot_is_flagged() {
         .unwrap();
     // Legal: rewrite the length field while software still owns it.
     let slot = nic.sq_slot_addr(qp, idx);
-    nic.on_packet(
-        T1,
-        write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &8u32.to_le_bytes()),
-        &mut mem,
-    );
+    collect(|o| {
+        nic.on_packet(
+            T1,
+            write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &8u32.to_le_bytes()),
+            &mut mem,
+            o,
+        )
+    });
     assert!(
         nic.race_violations().is_empty(),
         "pre-grant scatter is legal"
     );
     // Illegal: the same rewrite after the grant.
     nic.grant_ownership(&mut mem, qp, idx);
-    nic.on_packet(
-        T2,
-        write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &16u32.to_le_bytes()),
-        &mut mem,
-    );
+    collect(|o| {
+        nic.on_packet(
+            T2,
+            write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &16u32.to_le_bytes()),
+            &mut mem,
+            o,
+        )
+    });
     assert!(
         matches!(
             nic.race_violations(),
@@ -188,16 +197,22 @@ fn concurrent_overlapping_dma_is_flagged() {
     let mr = nic.register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Same epoch, same range, different peers, different bytes: race.
-    nic.on_packet(
-        T1,
-        write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xaa; 64]),
-        &mut mem,
-    );
-    nic.on_packet(
-        T2,
-        write_pkt(2, 0, qp_b, 0x8020, mr.rkey, &[0xbb; 64]),
-        &mut mem,
-    );
+    collect(|o| {
+        nic.on_packet(
+            T1,
+            write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xaa; 64]),
+            &mut mem,
+            o,
+        )
+    });
+    collect(|o| {
+        nic.on_packet(
+            T2,
+            write_pkt(2, 0, qp_b, 0x8020, mr.rkey, &[0xbb; 64]),
+            &mut mem,
+            o,
+        )
+    });
     assert!(
         matches!(
             nic.race_violations(),
@@ -225,43 +240,58 @@ fn completion_or_identical_bytes_make_overlap_legal() {
     let mr = nic.register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Byte-identical rewrite from another peer: a re-issued record.
-    nic.on_packet(
-        T1,
-        write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xcc; 64]),
-        &mut mem,
-    );
-    nic.on_packet(
-        T2,
-        write_pkt(2, 0, qp_b, 0x8000, mr.rkey, &[0xcc; 64]),
-        &mut mem,
-    );
+    collect(|o| {
+        nic.on_packet(
+            T1,
+            write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xcc; 64]),
+            &mut mem,
+            o,
+        )
+    });
+    collect(|o| {
+        nic.on_packet(
+            T2,
+            write_pkt(2, 0, qp_b, 0x8000, mr.rkey, &[0xcc; 64]),
+            &mut mem,
+            o,
+        )
+    });
     assert!(nic.race_violations().is_empty());
 
     // Different bytes, but a completion orders the two writes.
-    nic.on_packet(
-        T1,
-        write_pkt(1, 0, qp_a, 0x9000, mr.rkey, &[0x11; 64]),
-        &mut mem,
-    );
-    nic.deliver_cqe(
-        T2,
-        cq,
-        Cqe {
-            qpn: qp_a,
-            wr_id: 0,
-            kind: CqeKind::Recv,
-            status: CqeStatus::Ok,
-            byte_len: 0,
-            imm: 0,
-            op: 0,
-        },
-        &mut mem,
-    );
-    nic.on_packet(
-        T2,
-        write_pkt(2, 0, qp_b, 0x9000, mr.rkey, &[0x22; 64]),
-        &mut mem,
-    );
+    collect(|o| {
+        nic.on_packet(
+            T1,
+            write_pkt(1, 0, qp_a, 0x9000, mr.rkey, &[0x11; 64]),
+            &mut mem,
+            o,
+        )
+    });
+    collect(|o| {
+        nic.deliver_cqe(
+            T2,
+            cq,
+            Cqe {
+                qpn: qp_a,
+                wr_id: 0,
+                kind: CqeKind::Recv,
+                status: CqeStatus::Ok,
+                byte_len: 0,
+                imm: 0,
+                op: 0,
+            },
+            &mut mem,
+            o,
+        )
+    });
+    collect(|o| {
+        nic.on_packet(
+            T2,
+            write_pkt(2, 0, qp_b, 0x9000, mr.rkey, &[0x22; 64]),
+            &mut mem,
+            o,
+        )
+    });
     assert!(nic.race_violations().is_empty());
 }
 
@@ -277,7 +307,14 @@ fn use_after_deregister_is_flagged_and_refused() {
     assert!(nic.deregister_mr(T1, mr.rkey));
     assert!(!nic.deregister_mr(T1, mr.rkey), "double deregister");
 
-    let outs = nic.on_packet(T2, write_pkt(1, 0, qp, 0x4000, mr.rkey, &[1; 16]), &mut mem);
+    let outs = collect(|o| {
+        nic.on_packet(
+            T2,
+            write_pkt(1, 0, qp, 0x4000, mr.rkey, &[1; 16]),
+            &mut mem,
+            o,
+        )
+    });
     assert!(
         matches!(
             nic.race_violations(),

@@ -1,6 +1,9 @@
 //! Verbs-level tests for the SRQ and threshold-WAIT features that the
 //! multi-client and fan-out extensions build on.
 
+mod common;
+
+use common::collect;
 use hl_nvm::NvmArena;
 use hl_rnic::{flags, Access, Nic, NicOutput, Opcode, RecvWqe, ScatterEntry, Wqe};
 use hl_sim::config::NicProfile;
@@ -37,30 +40,38 @@ fn route(nic: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                 packet,
             } => {
                 eng.schedule_at(at + LINK, move |w: &mut World, eng| {
-                    let outs = w.nics[dst_nic as usize].on_packet(
-                        eng.now(),
-                        packet,
-                        &mut w.mems[dst_nic as usize],
-                    );
+                    let outs = collect(|o| {
+                        w.nics[dst_nic as usize].on_packet(
+                            eng.now(),
+                            packet,
+                            &mut w.mems[dst_nic as usize],
+                            o,
+                        )
+                    });
                     route(dst_nic as usize, outs, eng);
                 });
             }
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic]);
+                    let outs = collect(|o| {
+                        w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic], o)
+                    });
                     route(nic, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic]);
+                    let outs = collect(|o| {
+                        w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic], o)
+                    });
                     route(nic, outs, eng);
                 });
             }
             NicOutput::CqEvent { .. } => {}
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic]);
+                    let outs =
+                        collect(|o| w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic], o));
                     route(nic, outs, eng);
                 });
             }
@@ -127,7 +138,8 @@ fn srq_serializes_two_senders() {
         eng.schedule_at(
             SimTime::from_nanos(delay_us * 1000),
             move |w: &mut World, eng| {
-                let outs = w.nics[src].ring_doorbell(eng.now(), s_qp, &mut w.mems[src]);
+                let outs =
+                    collect(|o| w.nics[src].ring_doorbell(eng.now(), s_qp, &mut w.mems[src], o));
                 route(src, outs, eng);
             },
         );
@@ -176,7 +188,7 @@ fn threshold_waits_share_a_cq() {
             ..Default::default()
         };
         w.nics[1].post_send(&mut w.mems[1], qp, nop, true).unwrap();
-        let outs = w.nics[1].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[1]);
+        let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[1], o));
         route(1, outs, &mut eng);
         nop_cqs.push(cq);
     }
@@ -199,7 +211,7 @@ fn threshold_waits_share_a_cq() {
         w.nics[0]
             .post_send(&mut w.mems[0], qp0, wqe, false)
             .unwrap();
-        let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+        let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
         route(0, outs, eng);
     };
 
@@ -253,7 +265,7 @@ fn private_rq_unaffected_by_srq_presence() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x9000, 4).unwrap(), b"priv");

@@ -6,8 +6,13 @@
 //! latency and a per-NIC "drop the next N inbound packets" knob that
 //! models transient fabric loss at precise points in the exchange.
 
+mod common;
+
+use common::collect;
 use hl_nvm::NvmArena;
-use hl_rnic::{flags, Access, CqeStatus, Nic, NicOutput, Opcode, QpState, RecvWqe, Wqe};
+use hl_rnic::{
+    flags, Access, CqeStatus, Nic, NicOutput, Opcode, PacketKind, QpState, RecvWqe, Wqe,
+};
 use hl_sim::config::NicProfile;
 use hl_sim::{Engine, RngFactory, SimDuration, SimTime};
 
@@ -51,26 +56,32 @@ fn route(nic: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                         w.rx_drop[d] -= 1;
                         return; // lost on the wire
                     }
-                    let outs = w.nics[d].on_packet(eng.now(), packet, &mut w.mems[d]);
+                    let outs =
+                        collect(|o| w.nics[d].on_packet(eng.now(), packet, &mut w.mems[d], o));
                     route(d, outs, eng);
                 });
             }
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic]);
+                    let outs = collect(|o| {
+                        w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic], o)
+                    });
                     route(nic, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic]);
+                    let outs = collect(|o| {
+                        w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic], o)
+                    });
                     route(nic, outs, eng);
                 });
             }
             NicOutput::CqEvent { .. } => {}
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic]);
+                    let outs =
+                        collect(|o| w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic], o));
                     route(nic, outs, eng);
                 });
             }
@@ -133,7 +144,7 @@ fn lost_write_is_retransmitted() {
 
     w.rx_drop[1] = 1; // eat the write itself
     post_write(&mut w, qp0, mr.rkey, b"retransmit me", 0x8000, 0x8000, 7);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -180,7 +191,7 @@ fn lost_ack_does_not_double_deliver() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -217,7 +228,7 @@ fn cas_is_exactly_once_under_lost_response() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -242,7 +253,7 @@ fn retry_exhaustion_flushes_the_qp() {
     w.rx_drop[1] = u32::MAX; // peer is gone for good
     post_write(&mut w, qp0, mr.rkey, b"aa", 0x8000, 0x8000, 1);
     post_write(&mut w, qp0, mr.rkey, b"bb", 0x8010, 0x8010, 2);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -259,7 +270,7 @@ fn retry_exhaustion_flushes_the_qp() {
 
     // Posting after the transition: flushed on the next doorbell.
     post_write(&mut w, qp0, mr.rkey, b"cc", 0x8020, 0x8020, 3);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(
@@ -278,18 +289,18 @@ fn stall_window_recovers_without_error() {
     let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Stall the responder NIC now; un-stall after 3 timeout periods.
-    let outs = w.nics[1].set_stalled(eng.now(), true, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].set_stalled(eng.now(), true, &mut w.mems[1], o));
     route(1, outs, &mut eng);
     eng.schedule_at(
         SimTime::from_nanos(3 * TIMEOUT.as_nanos()),
         |w: &mut World, eng| {
-            let outs = w.nics[1].set_stalled(eng.now(), false, &mut w.mems[1]);
+            let outs = collect(|o| w.nics[1].set_stalled(eng.now(), false, &mut w.mems[1], o));
             route(1, outs, eng);
         },
     );
 
     post_write(&mut w, qp0, mr.rkey, b"survives", 0x8000, 0x8000, 4);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -311,16 +322,16 @@ fn stalled_sender_resumes_on_unstall() {
     // The request goes out, then the *sender* stalls so the ack is
     // eaten; with retry_cnt=1 an un-suppressed timer would error out.
     post_write(&mut w, qp0, mr.rkey, b"parked", 0x8000, 0x8000, 5);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.schedule_at(SimTime::from_nanos(200), |w: &mut World, eng| {
-        let outs = w.nics[0].set_stalled(eng.now(), true, &mut w.mems[0]);
+        let outs = collect(|o| w.nics[0].set_stalled(eng.now(), true, &mut w.mems[0], o));
         route(0, outs, eng);
     });
     eng.schedule_at(
         SimTime::from_nanos(10 * TIMEOUT.as_nanos()),
         |w: &mut World, eng| {
-            let outs = w.nics[0].set_stalled(eng.now(), false, &mut w.mems[0]);
+            let outs = collect(|o| w.nics[0].set_stalled(eng.now(), false, &mut w.mems[0], o));
             route(0, outs, eng);
         },
     );
@@ -357,7 +368,7 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Break the WAIT engine.
-    let outs = w.nics[0].set_wait_stalled(eng.now(), true, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].set_wait_stalled(eng.now(), true, &mut w.mems[0], o));
     route(0, outs, &mut eng);
 
     // Chain on A: WAIT(cq_t >= 1) then an activated write of "chained".
@@ -386,7 +397,7 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp_a, chained, true)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
 
     // Plain write on B: still goes through and produces on cq_t.
@@ -404,7 +415,7 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp_b, plain, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp_b, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp_b, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -415,8 +426,238 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     assert_eq!(w.mems[1].read(0x8000, 7).unwrap(), &[0u8; 7]);
 
     // Repair the engine: the parked chain fires.
-    let outs = w.nics[0].set_wait_stalled(eng.now(), false, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].set_wait_stalled(eng.now(), false, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x8000, 7).unwrap(), b"chained");
+}
+
+// ----- output order -------------------------------------------------------
+//
+// Outputs become events in the order an entry point produces them, and the
+// engine breaks same-instant ties by that order, so the sequences below are
+// simulated behaviour. They were recorded before the NIC moved to a
+// caller-owned output sink and must not change.
+
+/// One output as `what(whom)@time`.
+fn shape(o: &NicOutput) -> String {
+    match o {
+        NicOutput::Transmit {
+            at,
+            dst_nic,
+            packet,
+        } => {
+            let kind = match &packet.kind {
+                PacketKind::Write { wr_id, .. } => format!("Write wr{wr_id}"),
+                PacketKind::Send { wr_id, .. } => format!("Send wr{wr_id}"),
+                PacketKind::Ack { wr_id, .. } => format!("Ack wr{wr_id}"),
+                other => format!("{other:?}"),
+            };
+            format!("Transmit({kind} -> nic{dst_nic})@{}", at.as_nanos())
+        }
+        NicOutput::Complete { at, cq, cqe } => {
+            format!("Complete(cq{cq} wr{})@{}", cqe.wr_id, at.as_nanos())
+        }
+        NicOutput::DoLocal { at, qpn, .. } => format!("DoLocal(qp{qpn})@{}", at.as_nanos()),
+        NicOutput::CqEvent { cq } => format!("CqEvent(cq{cq})"),
+        NicOutput::ArmTimer { at, qpn, gen } => {
+            format!("ArmTimer(qp{qpn} gen{gen})@{}", at.as_nanos())
+        }
+        NicOutput::CancelTimer { qpn } => format!("CancelTimer(qp{qpn})"),
+    }
+}
+
+fn shapes(outs: &[NicOutput]) -> Vec<String> {
+    outs.iter().map(shape).collect()
+}
+
+/// The packets among `outs`, in order.
+fn packets(outs: Vec<NicOutput>) -> Vec<hl_rnic::Packet> {
+    outs.into_iter()
+        .filter_map(|o| match o {
+            NicOutput::Transmit { packet, .. } => Some(packet),
+            _ => None,
+        })
+        .collect()
+}
+
+/// On a reliable QP whose first ACK was lost, the second ACK produces:
+/// the synthesized completion of the first request (CQE, then the CQ
+/// event, then the WAITer it resumes), then the timer re-arm, then the
+/// second request's own completion. The third ACK cancels the timer
+/// before its own completion.
+#[test]
+fn output_order_cum_ack_then_timer_then_own_completion() {
+    let mut w = world(2);
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    // A loopback QP on nic 0 whose WAITs watch the send CQ: every
+    // completion delivered there resumes it for one NOP, which makes the
+    // position of each delivery visible in the output order.
+    let lcq = w.nics[0].create_cq();
+    let watch = w.nics[0].create_qp(lcq, lcq, 0x3000, 8);
+    for wr_id in [100, 101, 102] {
+        let wait = Wqe {
+            opcode: Opcode::Wait,
+            flags: flags::HW_OWNED,
+            raddr: Wqe::wait_params(scq0, 1),
+            activate_n: 1,
+            ..Default::default()
+        };
+        let nop = Wqe {
+            opcode: Opcode::Nop,
+            flags: flags::SIGNALED,
+            wr_id,
+            ..Default::default()
+        };
+        w.nics[0]
+            .post_send(&mut w.mems[0], watch, wait, false)
+            .unwrap();
+        w.nics[0]
+            .post_send(&mut w.mems[0], watch, nop, true)
+            .unwrap();
+    }
+    let parked = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, watch, &mut w.mems[0], o));
+    assert!(parked.is_empty());
+    w.nics[0].arm_cq(scq0);
+
+    post_write(&mut w, qp0, mr.rkey, b"one", 0x8000, 0x8000, 1);
+    post_write(&mut w, qp0, mr.rkey, b"two", 0x8010, 0x8010, 2);
+    post_write(&mut w, qp0, mr.rkey, b"three", 0x8020, 0x8020, 3);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, qp0, &mut w.mems[0], o));
+    assert_eq!(
+        shapes(&outs),
+        [
+            "ArmTimer(qp0 gen1)@20750",
+            "Transmit(Write wr1 -> nic1)@750",
+            "Transmit(Write wr2 -> nic1)@1200",
+            "Transmit(Write wr3 -> nic1)@1650",
+        ]
+    );
+    let writes = packets(outs);
+
+    let t = SimTime::from_nanos(2_000);
+    let mut acks = Vec::new();
+    for pkt in writes {
+        let outs = collect(|o| w.nics[1].on_packet(t, pkt, &mut w.mems[1], o));
+        acks.extend(packets(outs));
+    }
+    assert_eq!(acks.len(), 3);
+    let mut acks = acks.into_iter();
+    drop(acks.next()); // the first ACK is lost
+
+    let t = SimTime::from_nanos(4_000);
+    let outs = collect(|o| w.nics[0].on_packet(t, acks.next().unwrap(), &mut w.mems[0], o));
+    assert_eq!(
+        shapes(&outs),
+        [
+            "CqEvent(cq0)",
+            "Complete(cq2 wr100)@5000",
+            "ArmTimer(qp0 gen2)@24550",
+            "Complete(cq2 wr101)@5450",
+        ]
+    );
+    let outs = collect(|o| w.nics[0].on_packet(t, acks.next().unwrap(), &mut w.mems[0], o));
+    assert_eq!(
+        shapes(&outs),
+        ["CancelTimer(qp0)", "Complete(cq2 wr102)@5900"]
+    );
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        vec![(1, CqeStatus::Ok), (2, CqeStatus::Ok), (3, CqeStatus::Ok)]
+    );
+}
+
+/// A SEND that satisfies a parked WAIT produces: the RECV's CQ event,
+/// then the WAITing QP's forwarded WRITE and SEND, then the ACK to the
+/// sender.
+#[test]
+fn output_order_recv_event_then_forwards_then_ack() {
+    let mut w = world(3);
+    let cq = |w: &mut World, n: usize| w.nics[n].create_cq();
+    let (scq0, rcq0) = (cq(&mut w, 0), cq(&mut w, 0));
+    let (scq1, rcq1, fcq1) = (cq(&mut w, 1), cq(&mut w, 1), cq(&mut w, 1));
+    let (scq2, rcq2) = (cq(&mut w, 2), cq(&mut w, 2));
+    let qp01 = w.nics[0].create_qp(scq0, rcq0, 0x1000, 8);
+    let qp10 = w.nics[1].create_qp(scq1, rcq1, 0x1000, 8);
+    let qp12 = w.nics[1].create_qp(fcq1, fcq1, 0x2000, 8);
+    let qp21 = w.nics[2].create_qp(scq2, rcq2, 0x1000, 8);
+    w.nics[0].connect(qp01, 1, qp10);
+    w.nics[1].connect(qp10, 0, qp01);
+    w.nics[1].connect(qp12, 2, qp21);
+    w.nics[2].connect(qp21, 1, qp12);
+    let mr = w.nics[2].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    // nic 1 forwards: WAIT(recv CQ of the inbound QP) · WRITE · SEND.
+    w.nics[1].post_recv(
+        qp10,
+        RecvWqe {
+            wr_id: 50,
+            scatter: vec![],
+        },
+    );
+    let wait = Wqe {
+        opcode: Opcode::Wait,
+        flags: flags::HW_OWNED,
+        raddr: Wqe::wait_params(rcq1, 1),
+        activate_n: 2,
+        ..Default::default()
+    };
+    let write = Wqe {
+        opcode: Opcode::Write,
+        len: 8,
+        laddr: 0x9000,
+        raddr: 0x8000,
+        rkey: mr.rkey,
+        wr_id: 61,
+        ..Default::default()
+    };
+    let send = Wqe {
+        opcode: Opcode::Send,
+        len: 4,
+        laddr: 0x9000,
+        wr_id: 62,
+        ..Default::default()
+    };
+    w.nics[1]
+        .post_send(&mut w.mems[1], qp12, wait, false)
+        .unwrap();
+    w.nics[1]
+        .post_send(&mut w.mems[1], qp12, write, true)
+        .unwrap();
+    w.nics[1]
+        .post_send(&mut w.mems[1], qp12, send, true)
+        .unwrap();
+    let parked = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, qp12, &mut w.mems[1], o));
+    assert!(parked.is_empty());
+    w.nics[1].arm_cq(rcq1);
+
+    w.mems[0].write(0x8000, b"meta").unwrap();
+    let wqe = Wqe {
+        opcode: Opcode::Send,
+        flags: flags::SIGNALED,
+        len: 4,
+        laddr: 0x8000,
+        wr_id: 9,
+        ..Default::default()
+    };
+    w.nics[0]
+        .post_send(&mut w.mems[0], qp01, wqe, false)
+        .unwrap();
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, qp01, &mut w.mems[0], o));
+    assert_eq!(shapes(&outs), ["Transmit(Send wr9 -> nic1)@750"]);
+    let pkt = packets(outs).pop().unwrap();
+
+    let t = SimTime::from_nanos(1_000);
+    let outs = collect(|o| w.nics[1].on_packet(t, pkt, &mut w.mems[1], o));
+    assert_eq!(
+        shapes(&outs),
+        [
+            "CqEvent(cq1)",
+            "Transmit(Write wr61 -> nic2)@2000",
+            "Transmit(Send wr62 -> nic2)@2450",
+            "Transmit(Ack wr9 -> nic0)@1550",
+        ]
+    );
 }

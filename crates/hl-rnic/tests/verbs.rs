@@ -3,6 +3,9 @@
 //! WAIT + remote-WQE-manipulation forwarding chain that HyperLoop's
 //! group primitives are built from.
 
+mod common;
+
+use common::collect;
 use hl_nvm::NvmArena;
 use hl_rnic::{
     field_offset, flags, Access, Cqe, CqeKind, CqeStatus, Nic, NicOutput, Opcode, RecvWqe,
@@ -50,26 +53,31 @@ fn route(nic_idx: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                 packet,
             } => {
                 eng.schedule_at(at + LINK_LATENCY, move |w: &mut World, eng| {
-                    let outs = w.nics[dst_nic as usize].on_packet(
-                        eng.now(),
-                        packet,
-                        &mut w.mems[dst_nic as usize],
-                    );
+                    let outs = collect(|o| {
+                        w.nics[dst_nic as usize].on_packet(
+                            eng.now(),
+                            packet,
+                            &mut w.mems[dst_nic as usize],
+                            o,
+                        )
+                    });
                     route(dst_nic as usize, outs, eng);
                 });
             }
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
                     w.completions.push((eng.now(), nic_idx, cq, cqe));
-                    let outs =
-                        w.nics[nic_idx].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic_idx]);
+                    let outs = collect(|o| {
+                        w.nics[nic_idx].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic_idx], o)
+                    });
                     route(nic_idx, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs =
-                        w.nics[nic_idx].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic_idx]);
+                    let outs = collect(|o| {
+                        w.nics[nic_idx].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic_idx], o)
+                    });
                     route(nic_idx, outs, eng);
                 });
             }
@@ -80,7 +88,9 @@ fn route(nic_idx: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
             }
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic_idx].on_timer(eng.now(), qpn, gen, &mut w.mems[nic_idx]);
+                    let outs = collect(|o| {
+                        w.nics[nic_idx].on_timer(eng.now(), qpn, gen, &mut w.mems[nic_idx], o)
+                    });
                     route(nic_idx, outs, eng);
                 });
             }
@@ -151,7 +161,7 @@ fn write_lands_remotely_and_completes() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -186,7 +196,7 @@ fn write_without_permission_gets_error_cqe() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -233,7 +243,7 @@ fn send_scatters_into_multiple_targets() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -264,7 +274,7 @@ fn send_without_recv_is_rnr() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 0, p.scq_a);
@@ -307,7 +317,7 @@ fn read_fetches_and_fences() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, write, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -349,7 +359,7 @@ fn flush_makes_remote_data_durable() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, flush, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -385,7 +395,7 @@ fn cas_swaps_exactly_once() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, cas, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read_u64(0x1008).unwrap(), 77);
@@ -396,7 +406,7 @@ fn cas_swaps_exactly_once() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, cas2, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read_u64(0x1008).unwrap(), 77); // unchanged
@@ -423,7 +433,7 @@ fn deferred_wqe_waits_for_ownership() {
     let idx = w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, true)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     // Nothing executed: software still owns the descriptor.
@@ -431,7 +441,7 @@ fn deferred_wqe_waits_for_ownership() {
 
     // Grant ownership (the modified driver's late hand-off) and kick.
     w.nics[0].grant_ownership(&mut w.mems[0], p.qp_a, idx);
-    let outs = w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x1000, 8).unwrap(), b"deferred");
@@ -462,7 +472,7 @@ fn wrong_peer_is_refused() {
     w.nics[2]
         .post_send(&mut w.mems[2], rogue, wqe, false)
         .unwrap();
-    let outs = w.nics[2].ring_doorbell(SimTime::ZERO, rogue, &mut w.mems[2]);
+    let outs = collect(|o| w.nics[2].ring_doorbell(SimTime::ZERO, rogue, &mut w.mems[2], o));
     route(2, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x1000, 4).unwrap(), &[0; 4]);
@@ -511,7 +521,7 @@ fn cq_event_fires_when_armed() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.cq_events.len(), 1);
@@ -569,7 +579,7 @@ fn wait_chain_forwards_without_cpu() {
         .post_send(&mut w.mems[1], p12.qp_a, blank_write, true)
         .unwrap();
     // Doorbell arms the WAIT; it parks (nothing received yet).
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, p12.qp_a, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, p12.qp_a, &mut w.mems[1], o));
     route(1, outs, &mut eng);
 
     // The pre-posted RECV scatters incoming metadata INTO the blank
@@ -631,7 +641,7 @@ fn wait_chain_forwards_without_cpu() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, meta_send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
 
     eng.run(&mut w);
@@ -684,7 +694,7 @@ fn wait_triggers_local_copy() {
     let copy_idx = w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, copy, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], o));
     route(1, outs, &mut eng);
 
     let copy_slot = 0x30000 + (copy_idx % 16) * WQE_SIZE;
@@ -731,7 +741,7 @@ fn wait_triggers_local_copy() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -769,7 +779,7 @@ fn wait_count_semantics() {
     w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, nop, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], o));
     route(1, outs, &mut eng);
 
     for i in 0..2 {
@@ -792,7 +802,7 @@ fn wait_count_semantics() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert!(
@@ -804,7 +814,7 @@ fn wait_count_semantics() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 1, lcq);
@@ -848,7 +858,7 @@ fn cas_to_nop_conversion_keeps_chain_alive() {
     let cas_idx = w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, cas, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], o));
     route(1, outs, &mut eng);
 
     // RECV scatter rewrites the CAS opcode byte to NOP (execute map says
@@ -877,7 +887,7 @@ fn cas_to_nop_conversion_keeps_chain_alive() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -917,7 +927,7 @@ fn wait_activation_wraps_the_ring() {
             .post_send(&mut w.mems[1], loop_qp, nop, false)
             .unwrap();
     }
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], o));
     route(1, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(poll(&mut w, 1, lcq).len(), 3);
@@ -945,7 +955,7 @@ fn wait_activation_wraps_the_ring() {
             .post_send(&mut w.mems[1], loop_qp, nop, true)
             .unwrap();
     }
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let outs = collect(|o| w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], o));
     route(1, outs, &mut eng);
     eng.run(&mut w);
     assert!(poll(&mut w, 1, lcq).is_empty(), "parked before trigger");
@@ -968,7 +978,7 @@ fn wait_activation_wraps_the_ring() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -1012,7 +1022,7 @@ fn local_gather_fault_errors_qp_instead_of_panicking() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, trailing, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -1034,7 +1044,7 @@ fn local_gather_fault_errors_qp_instead_of_panicking() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, late, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 0, p.scq_a);
@@ -1060,7 +1070,7 @@ fn send_on_unconnected_qp_errors_qp_instead_of_panicking() {
         ..Default::default()
     };
     w.nics[0].post_send(&mut w.mems[0], qp, wqe, false).unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[0]);
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[0], o));
     route(0, outs, &mut eng);
     eng.run(&mut w);
 

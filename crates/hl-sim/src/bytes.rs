@@ -1,12 +1,14 @@
 //! Shared, immutable, reference-counted byte buffer for the zero-copy
 //! datapath.
 //!
-//! A gWRITE payload is gathered out of the source arena exactly once;
-//! from then on every place that used to `clone()` a `Vec<u8>` — the
-//! packet handed to the fabric, the requester's unacked retransmit
-//! list, the responder's duplicate-replay cache — clones a [`Bytes`],
-//! which bumps a refcount instead of copying the payload. The single
-//! real copy left on the receive side is the DMA into simulated NVM.
+//! A gWRITE payload is gathered out of the source arena exactly once —
+//! one allocation holding the reference count and the bytes together,
+//! one copy straight from the arena slice; from then on every place
+//! that used to `clone()` a `Vec<u8>` — the packet handed to the fabric,
+//! the requester's unacked retransmit list, the responder's
+//! duplicate-replay cache — clones a [`Bytes`], which bumps a refcount
+//! instead of copying the payload. The single real copy left on the
+//! receive side is the DMA into simulated NVM.
 //!
 //! Backed by `Rc`, not `Arc`: each simulation is single-threaded by
 //! construction (the determinism contract), and the parallel campaign
@@ -20,7 +22,8 @@ use std::rc::Rc;
 /// Cheaply clonable view of an immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    buf: Rc<Vec<u8>>,
+    /// `None` is the empty buffer: it owns no allocation at all.
+    buf: Option<Rc<[u8]>>,
     off: usize,
     len: usize,
 }
@@ -31,19 +34,18 @@ impl Bytes {
         Self::default()
     }
 
-    /// Take ownership of `v` without copying it.
+    /// Take ownership of `v`'s bytes (moved into the shared allocation).
     pub fn from_vec(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            buf: Rc::new(v),
-            off: 0,
-            len,
-        }
+        Self::copy_from_slice(&v)
     }
 
-    /// Copy `s` into a fresh buffer.
+    /// Copy `s` into a fresh buffer: one allocation, one copy.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Self::from_vec(s.to_vec())
+        Bytes {
+            buf: (!s.is_empty()).then(|| Rc::from(s)),
+            off: 0,
+            len: s.len(),
+        }
     }
 
     /// Length of the view in bytes.
@@ -58,7 +60,10 @@ impl Bytes {
 
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        match &self.buf {
+            Some(buf) => &buf[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 
     /// A sub-view of `self` sharing the same allocation. Panics when
@@ -73,9 +78,9 @@ impl Bytes {
     }
 
     /// How many `Bytes` handles share this allocation (diagnostics and
-    /// copy-count tests).
+    /// copy-count tests); 0 for the empty buffer, which has none.
     pub fn ref_count(&self) -> usize {
-        Rc::strong_count(&self.buf)
+        self.buf.as_ref().map_or(0, Rc::strong_count)
     }
 }
 
@@ -106,7 +111,7 @@ impl From<&[u8]> for Bytes {
 
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(a: [u8; N]) -> Self {
-        Self::from_vec(a.to_vec())
+        Self::copy_from_slice(&a)
     }
 }
 

@@ -149,8 +149,17 @@ impl RngStream {
         median * (sigma * n).exp()
     }
 
-    /// Standard normal via Box–Muller (one value per call; simple and
-    /// deterministic, throughput is irrelevant here).
+    /// Standard normal via Box–Muller, one value per call.
+    ///
+    /// Not free: every NIC jitter draw comes through here, and `ln`,
+    /// `cos` and `lognormal`'s `exp` together are ~15 % of host time on
+    /// the `gwrite_chain` benchmark. It is left alone because any other
+    /// sampler — a table, a ziggurat, even keeping Box–Muller's second
+    /// value — maps the same uniform draws to different factors and so
+    /// moves every simulated nanosecond; that is a change with its own
+    /// claim, not a refactor. For the same reason simulated bytes depend
+    /// on the platform's libm: two machines agree exactly only if their
+    /// `ln`/`cos`/`exp` round identically.
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = self.f64_open();
         let u2 = self.f64();

@@ -243,8 +243,7 @@ impl HyperLoopClient {
         // Local apply on the client's copy.
         let src = inner.client_rep.at(src_off);
         let dst = inner.client_rep.at(dst_off);
-        let bytes = w.host(ch).mem.read_vec(src, len as usize).unwrap();
-        w.host(ch).mem.write(dst, &bytes).unwrap();
+        w.host(ch).mem.copy_within(src, dst, len as usize).unwrap();
         if flush {
             w.host(ch).mem.flush(dst, len as usize).unwrap();
         }
@@ -397,8 +396,8 @@ fn dispatch_ack(group: &GroupRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut En
     let ring = &inner.client_rings[p.prim.idx()];
     let ack_addr = ring.ack_buf.at((p.slot % slots) * 8 * g as u64);
     let ack_qp = ring.ack_qp;
-    let bytes = w.host(ch).mem.read_vec(ack_addr, 8 * g).unwrap();
-    let results = metadata::parse_results(&bytes, g);
+    let ack = w.hosts[ch.0].mem.read(ack_addr, 8 * g).unwrap();
+    let results = metadata::parse_results(ack, g);
     // gCAS: merge the client's locally computed result (member 0) from
     // the staged message header (the ACK carries it too, since the tail
     // forwards the staged copy, so nothing to do).
@@ -417,23 +416,18 @@ fn dispatch_ack(group: &GroupRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut En
     let op = if cqe.op != 0 { cqe.op } else { p.op };
     w.telemetry.end_op(eng.now(), op, ch.0);
     if w.telemetry.enabled() {
-        let kind = match p.prim {
-            Primitive::GWrite => "gWRITE-ring",
-            Primitive::GMemcpy => "gMEMCPY",
-            Primitive::GCas => "gCAS",
+        let label = match p.prim {
+            Primitive::GWrite => "prim=gWRITE-ring",
+            Primitive::GMemcpy => "prim=gMEMCPY",
+            Primitive::GCas => "prim=gCAS",
         };
-        w.telemetry.metrics.histogram_record(
-            "hyperloop_op_latency_ns",
-            &format!("prim={kind}"),
-            latency.as_nanos(),
-        );
+        w.telemetry
+            .metrics
+            .histogram_record("hyperloop_op_latency_ns", label, latency.as_nanos());
         let now = eng.now();
-        w.telemetry.series.record(
-            now,
-            "hyperloop_op_latency_ns",
-            &format!("prim={kind}"),
-            latency.as_nanos(),
-        );
+        w.telemetry
+            .series
+            .record(now, "hyperloop_op_latency_ns", label, latency.as_nanos());
     }
     if let Some(done) = p.done {
         done(

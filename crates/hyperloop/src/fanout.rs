@@ -362,13 +362,17 @@ impl FanoutBuilder {
             };
             for qp in qps {
                 let h = &mut w.hosts[ph2.0];
-                let outs = h.nic.ring_doorbell(SimTime::ZERO, qp, &mut h.mem);
+                let mut outs = Vec::new();
+                h.nic
+                    .ring_doorbell(SimTime::ZERO, qp, &mut h.mem, &mut outs);
                 debug_assert!(outs.is_empty());
             }
             for b in 0..inner.backups.len() {
                 let (bh, qp) = (inner.backups[b].host, inner.backups[b].qp_ack);
                 let h = &mut w.hosts[bh.0];
-                let outs = h.nic.ring_doorbell(SimTime::ZERO, qp, &mut h.mem);
+                let mut outs = Vec::new();
+                h.nic
+                    .ring_doorbell(SimTime::ZERO, qp, &mut h.mem, &mut outs);
                 debug_assert!(outs.is_empty());
             }
         }
@@ -739,10 +743,7 @@ impl hl_cluster::Process for FanoutReplenisher {
                     kicks.extend(inner.backups.iter().map(|b| (b.host, b.qp_ack)));
                     drop(inner);
                     for (h, qp) in kicks {
-                        let now = ctx.now();
-                        let host = &mut ctx.world.hosts[h.0];
-                        let outs = host.nic.ring_doorbell(now, qp, &mut host.mem);
-                        hl_cluster::route_nic(h, outs, ctx.world, ctx.eng);
+                        ctx.world.ring_doorbell(h, qp, ctx.eng);
                     }
                 }
                 ctx.set_timer(period, 1, SimDuration::from_nanos(500));

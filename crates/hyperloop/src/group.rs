@@ -536,12 +536,14 @@ impl GroupBuilder {
                     let ring = &inner.rep_rings[i][prim.idx()];
                     let (qn, ql) = (ring.qp_next, ring.qp_local);
                     let h = &mut w.hosts[rh.0];
-                    let outs = h.nic.ring_doorbell(SimTime::ZERO, qn, &mut h.mem);
-                    debug_assert!(outs.is_empty(), "arming must only park WAITs");
+                    let mut outs = Vec::new();
+                    h.nic
+                        .ring_doorbell(SimTime::ZERO, qn, &mut h.mem, &mut outs);
                     if let Some(ql) = ql {
-                        let outs = h.nic.ring_doorbell(SimTime::ZERO, ql, &mut h.mem);
-                        debug_assert!(outs.is_empty());
+                        h.nic
+                            .ring_doorbell(SimTime::ZERO, ql, &mut h.mem, &mut outs);
                     }
+                    debug_assert!(outs.is_empty(), "arming must only park WAITs");
                 }
             }
         }

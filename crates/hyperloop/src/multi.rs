@@ -340,7 +340,9 @@ impl MultiBuilder {
             };
             for (h, qp) in kicks {
                 let host = &mut w.hosts[h.0];
-                let outs = host.nic.ring_doorbell(SimTime::ZERO, qp, &mut host.mem);
+                let mut outs = Vec::new();
+                host.nic
+                    .ring_doorbell(SimTime::ZERO, qp, &mut host.mem, &mut outs);
                 debug_assert!(outs.is_empty());
             }
         }
@@ -732,10 +734,7 @@ impl hl_cluster::Process for MultiReplenisher {
                         (v, inner.replicas[0].slots_posted)
                     };
                     for (h, qp) in kicks {
-                        let now = ctx.now();
-                        let host = &mut ctx.world.hosts[h.0];
-                        let outs = host.nic.ring_doorbell(now, qp, &mut host.mem);
-                        hl_cluster::route_nic(h, outs, ctx.world, ctx.eng);
+                        ctx.world.ring_doorbell(h, qp, ctx.eng);
                     }
                     let rc = self.inner.clone();
                     ctx.eng

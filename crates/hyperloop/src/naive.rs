@@ -416,8 +416,8 @@ fn ack_dispatch(rc: &NaiveRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut Engin
     let slots = inner.cfg.ring_slots as u64;
     let ack_addr = inner.ack_buf.at((cqe.imm as u64 % slots) * 8 * g as u64);
     let ack_qp = inner.ack_qp;
-    let bytes = w.host(ch).mem.read_vec(ack_addr, 8 * g).unwrap();
-    let results = crate::metadata::parse_results(&bytes, g);
+    let ack = w.hosts[ch.0].mem.read(ack_addr, 8 * g).unwrap();
+    let results = crate::metadata::parse_results(ack, g);
     w.host(ch).post_recv(
         ack_qp,
         RecvWqe {
@@ -604,8 +604,7 @@ impl NaiveClient {
             let src = inner.client_rep.at(src_off);
             let dst = inner.client_rep.at(dst_off);
             drop(inner);
-            let bytes = w.host(ch).mem.read_vec(src, len as usize).unwrap();
-            w.host(ch).mem.write(dst, &bytes).unwrap();
+            w.host(ch).mem.copy_within(src, dst, len as usize).unwrap();
             if flush {
                 w.host(ch).mem.flush(dst, len as usize).unwrap();
             }
@@ -769,8 +768,8 @@ impl NaiveReplica {
                 }
             1 => {
                 // gMEMCPY: CPU memcpy + persist.
-                let bytes = mem.read_vec(my_rep.at(aux), len as usize).unwrap();
-                mem.write(my_rep.at(offset), &bytes).unwrap();
+                mem.copy_within(my_rep.at(aux), my_rep.at(offset), len as usize)
+                    .unwrap();
                 if flush {
                     mem.flush(my_rep.at(offset), len as usize).unwrap();
                 }
