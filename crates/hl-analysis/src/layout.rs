@@ -4,8 +4,8 @@
 //! client's metadata SEND is scattered straight into the byte layout of
 //! pre-posted WQEs, so the descriptor offsets duplicated across
 //! hl-rnic (`wqe.rs`), hyperloop (`metadata.rs`, `naive.rs`) and the
-//! scatter tables in `group.rs` are load-bearing wire format, with
-//! nothing but convention keeping them overlap-free. This pass parses
+//! patch tables of the slot programs in `program.rs` are load-bearing
+//! wire format, with nothing but convention keeping them overlap-free. This pass parses
 //! the actual `const` items out of those files, reconstructs each
 //! descriptor's field map against a built-in width schema, and fails
 //! on:
@@ -20,8 +20,9 @@
 //!   scatter binding two different logical fields together
 //!   (`layout-mismatch`);
 //! * **missing** — a schema'd constant that no longer parses out of the
-//!   source, so renames cannot silently drop coverage
-//!   (`layout-missing`);
+//!   source, or a patch whose width, source or destination the pass
+//!   cannot resolve, so renames and new table rows cannot silently drop
+//!   coverage (`layout-missing`);
 //! * **usage drift** — a `d[K as usize..K as usize + N]` access whose
 //!   `N` disagrees with the field's declared width (`layout-mismatch`).
 //!
@@ -93,14 +94,15 @@ pub struct DescSpec {
     pub check_usage_widths: bool,
 }
 
-/// A scatter-table cross-check: `se(<src const expr>, <len>, <dst> +
+/// A scatter-table cross-check: `pat(<src const expr>, <len>,
 /// <dst_mod>::<CONST>)` call sites in `file` bind source-descriptor
-/// fields to destination-descriptor fields.
+/// fields to destination-descriptor fields. Every call site must
+/// resolve on all three arguments.
 #[derive(Debug, Clone)]
 pub struct ScatterSpec {
     /// File containing the scatter builder.
     pub file: String,
-    /// Name of the helper whose calls are parsed (e.g. `se`).
+    /// Name of the helper whose calls are parsed (e.g. `pat`).
     pub callee: String,
     /// Descriptors the source offsets may come from.
     pub src_descs: Vec<String>,
@@ -187,6 +189,13 @@ pub fn builtin_schema() -> Schema {
                 check_usage_widths: true,
             },
             DescSpec {
+                name: "meta-select".into(),
+                file: "crates/hyperloop/src/metadata.rs".into(),
+                size: SizeRef::Const("ENTRY".into()),
+                fields: vec![f(Some("select"), "OP", 1, Some("opcode"))],
+                check_usage_widths: false,
+            },
+            DescSpec {
                 name: "naive-desc".into(),
                 file: "crates/hyperloop/src/naive.rs".into(),
                 // The fixed header: the per-member results array starts
@@ -206,10 +215,17 @@ pub fn builtin_schema() -> Schema {
                 check_usage_widths: true,
             },
         ],
+        // Every topology's slot program — chain, fan-out, multi-client —
+        // is a table in this one file, built by this one callee.
         scatters: vec![ScatterSpec {
-            file: "crates/hyperloop/src/group.rs".into(),
-            callee: "se".into(),
-            src_descs: vec!["meta-header".into(), "meta-wrec".into(), "meta-crec".into()],
+            file: "crates/hyperloop/src/program.rs".into(),
+            callee: "pat".into(),
+            src_descs: vec![
+                "meta-header".into(),
+                "meta-wrec".into(),
+                "meta-crec".into(),
+                "meta-select".into(),
+            ],
             dst_desc: "wqe".into(),
             dst_module: "field_offset".into(),
         }],
@@ -416,7 +432,8 @@ fn call_args<'a>(toks: &'a [Tok], callee: &str) -> Vec<(u32, Vec<&'a [Tok]>)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].is_ident(callee) && i + 1 < toks.len() && toks[i + 1].is_punct('(') {
+        let is_def = i > 0 && toks[i - 1].is_ident("fn");
+        if toks[i].is_ident(callee) && !is_def && i + 1 < toks.len() && toks[i + 1].is_punct('(') {
             let line = toks[i].line;
             let mut depth = 1;
             let mut j = i + 2;
@@ -448,8 +465,8 @@ fn call_args<'a>(toks: &'a [Tok], callee: &str) -> Vec<(u32, Vec<&'a [Tok]>)> {
     out
 }
 
-/// Extract the last `mod :: NAME` path (or a bare literal) from an
-/// argument's tokens.
+/// Extract the last `mod :: NAME` path (or a bare literal, or a bare
+/// `NAME`) from an argument's tokens.
 enum ArgRef {
     Path {
         module: Option<String>,
@@ -479,6 +496,20 @@ fn arg_ref(arg: &[Tok]) -> ArgRef {
         if let Some(v) = parse_int(&arg[0].text) {
             return ArgRef::Lit(v);
         }
+    }
+    // A bare `CONST` imported by name.
+    let is_const = |t: &&Tok| {
+        t.kind == TokKind::Ident
+            && t.text.len() > 1
+            && t.text
+                .chars()
+                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+    };
+    if let Some(t) = arg.iter().rev().find(is_const) {
+        return ArgRef::Path {
+            module: None,
+            name: t.text.clone(),
+        };
     }
     ArgRef::Opaque
 }
@@ -577,12 +608,29 @@ pub fn verify(root: &Path, schema: &Schema) -> std::io::Result<Vec<Finding>> {
             .filter_map(|n| resolved.get(n))
             .collect();
         for (line, args) in call_args(&toks, &sc.callee) {
+            let unresolved = |what: &str| {
+                mkfinding(
+                    &sc.file,
+                    line,
+                    "layout-missing",
+                    format!(
+                        "`{}(..)` patch: {what}; the layout verifier cannot check this row",
+                        sc.callee
+                    ),
+                )
+            };
             if args.len() != 3 {
+                out.push(unresolved(
+                    "expected (source offset, width, destination field)",
+                ));
                 continue;
             }
             let width = match arg_ref(args[1]) {
                 ArgRef::Lit(v) => v,
-                _ => continue,
+                _ => {
+                    out.push(unresolved("the width is not an integer literal"));
+                    continue;
+                }
             };
             // Destination: last `<dst_module> :: CONST` in arg 3.
             let dst_field = match arg_ref(args[2]) {
@@ -593,6 +641,12 @@ pub fn verify(root: &Path, schema: &Schema) -> std::io::Result<Vec<Finding>> {
                 }
                 _ => None,
             };
+            if dst_field.is_none() {
+                out.push(unresolved(&format!(
+                    "the destination is not a `{}::CONST` of descriptor `{}`",
+                    sc.dst_module, sc.dst_desc
+                )));
+            }
             if let Some(df) = dst_field {
                 if df.spec.width != width {
                     out.push(mkfinding(
@@ -624,6 +678,11 @@ pub fn verify(root: &Path, schema: &Schema) -> std::io::Result<Vec<Finding>> {
                 }),
                 ArgRef::Opaque => None,
             };
+            if src_field.is_none() {
+                out.push(unresolved(
+                    "the source offset names no field of the source descriptors",
+                ));
+            }
             if let Some((sd, sf)) = src_field {
                 if sf.spec.width != width {
                     out.push(mkfinding(
@@ -662,6 +721,18 @@ pub fn verify(root: &Path, schema: &Schema) -> std::io::Result<Vec<Finding>> {
 
     out.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
     Ok(out)
+}
+
+/// How many patch rows the scatter cross-checks of `schema` parse (each
+/// one is either verified or reported by [`verify`]).
+pub fn scatter_sites(root: &Path, schema: &Schema) -> std::io::Result<usize> {
+    let mut n = 0;
+    for sc in &schema.scatters {
+        let text = std::fs::read_to_string(root.join(&sc.file))?;
+        let (toks, _) = lex(&text);
+        n += call_args(&toks, &sc.callee).len();
+    }
+    Ok(n)
 }
 
 /// Markdown table of the resolved descriptors, for CI job summaries.

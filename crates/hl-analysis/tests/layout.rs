@@ -3,7 +3,9 @@
 //! fixtures in `tests/fixtures/layout/`, and the real workspace schema
 //! verifies clean.
 
-use hl_analysis::layout::{builtin_schema, verify, DescSpec, FieldSpec, Schema, SizeRef};
+use hl_analysis::layout::{
+    builtin_schema, scatter_sites, verify, DescSpec, FieldSpec, ScatterSpec, Schema, SizeRef,
+};
 use std::path::PathBuf;
 
 fn manifest_dir() -> PathBuf {
@@ -104,6 +106,61 @@ fn cross_crate_offset_mismatch_is_detected() {
     );
 }
 
+fn patch_fixture(src_width: u64, callee: &str) -> Schema {
+    let file = "tests/fixtures/layout/patch_width.rs";
+    Schema {
+        descs: vec![
+            desc(
+                "fix-wqe",
+                file,
+                vec![FieldSpec::new(Some("field_offset"), "LADDR", 8, None)],
+            ),
+            desc(
+                "fix-rec",
+                file,
+                vec![FieldSpec::new(Some("rec"), "SRC", src_width, None)],
+            ),
+        ],
+        scatters: vec![ScatterSpec {
+            file: file.into(),
+            callee: callee.into(),
+            src_descs: vec!["fix-rec".into()],
+            dst_desc: "fix-wqe".into(),
+            dst_module: "field_offset".into(),
+        }],
+    }
+}
+
+/// A slot-program patch that moves 4 bytes into an 8-byte WQE field.
+#[test]
+fn short_patch_into_wide_field_is_detected() {
+    let findings = verify(&manifest_dir(), &patch_fixture(4, "pat")).unwrap();
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert_eq!(findings[0].rule, "layout-mismatch");
+    assert!(
+        findings[0]
+            .message
+            .contains("writes 4 bytes into `field_offset::LADDR` which is 8 bytes wide"),
+        "both widths named: {}",
+        findings[0].message
+    );
+}
+
+/// A patch row the pass cannot resolve is a finding, not a skipped row:
+/// here the source offset names a field of no source descriptor.
+#[test]
+fn unresolvable_patch_is_detected() {
+    let mut schema = patch_fixture(4, "pat");
+    schema.scatters[0].src_descs.clear();
+    let findings = verify(&manifest_dir(), &schema).unwrap();
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "layout-missing" && f.message.contains("source offset")),
+        "{findings:#?}"
+    );
+}
+
 /// A renamed/missing const is an error, not silent loss of coverage.
 #[test]
 fn missing_const_is_detected() {
@@ -151,4 +208,12 @@ fn builtin_schema_is_fully_resolved() {
     // layout-missing rule (tested above) implies every const resolved.
     let findings = verify(root, &schema).unwrap();
     assert!(findings.is_empty(), "{findings:#?}");
+    // Likewise the patch rows: the chain's (gWRITE mid and tail, gMEMCPY,
+    // gCAS), fan-out's and multi-client's all live in `program.rs`, and a
+    // clean verify means every one of them resolved.
+    let rows = scatter_sites(root, &schema).unwrap();
+    assert!(
+        rows >= 20,
+        "only {rows} patch rows parsed out of program.rs"
+    );
 }

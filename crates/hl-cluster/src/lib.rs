@@ -264,6 +264,8 @@ pub struct World {
     /// `Vec` per poll. Taken out of the world during the drain, so a
     /// reentrant drain simply grows a transient empty `Vec`.
     cqe_scratch: Vec<Cqe>,
+    /// Next value of [`World::fresh_id`].
+    next_id: u32,
 }
 
 /// High-frequency datapath events, dispatched through the engine's
@@ -412,6 +414,15 @@ impl World {
     /// Host accessor.
     pub fn host(&mut self, h: HostId) -> &mut Host {
         &mut self.hosts[h.0]
+    }
+
+    /// A number no earlier call on this world returned. Group builders
+    /// put it in the region names they allocate, which must be unique
+    /// per host [`Layout`].
+    pub fn fresh_id(&mut self) -> u32 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
     }
 
     /// Number of hosts.
@@ -744,6 +755,7 @@ impl ClusterBuilder {
             nic_out_spare: Vec::new(),
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
+            next_id: 0,
         };
         (world, Engine::new())
     }

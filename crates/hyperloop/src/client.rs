@@ -18,8 +18,9 @@
 
 use crate::group::{Backpressure, GroupRef, OnDone, OpResult};
 use crate::metadata::{self, MetaMsg, Primitive};
+use crate::wire::{self, AckRing, OneSided};
 use hl_cluster::World;
-use hl_rnic::{CqeKind, CqeStatus, Opcode, RecvWqe, Wqe};
+use hl_rnic::Opcode;
 use hl_sim::telemetry::Stage;
 use hl_sim::{Engine, OpKind, SimTime};
 
@@ -35,7 +36,7 @@ impl HyperLoopClient {
         let ch = group.borrow().cfg.client;
         for prim in Primitive::ALL {
             let rc = group.clone();
-            let ack_rcq = group.borrow().client_rings[prim.idx()].ack_rcq;
+            let ack_rcq = group.borrow().client_rings[prim.idx()].ack.rcq;
             w.subscribe_cq_callback(ch, ack_rcq, move |cqe, w, eng| {
                 dispatch_ack(&rc, cqe, w, eng);
             });
@@ -66,14 +67,11 @@ impl HyperLoopClient {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let mut inner = self.group.borrow_mut();
-        inner.take_credit(Primitive::GWrite)?;
+        let slot = inner.take_credit(Primitive::GWrite)?;
         let seq = inner.alloc_seq();
-        let slot = inner.alloc_slot(Primitive::GWrite);
         let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
-        let slots = inner.cfg.ring_slots as u64;
-        let msg_len = inner.msg_len;
 
         // 1. Local apply (the client is the head member).
         let local = inner.client_rep.at(offset);
@@ -95,47 +93,15 @@ impl HyperLoopClient {
             let fop = if flush { Opcode::Flush } else { Opcode::Nop };
             msg.set_wrec(i, data.len() as u32, src, dst, fop, dst, data.len() as u32);
         }
-        let staging = inner.client_rings[Primitive::GWrite.idx()]
-            .staging
-            .at((slot % slots) * msg_len);
-        w.host(ch).mem.write(staging, msg.bytes()).unwrap();
 
         // 3. Post WRITE [FLUSH] SEND toward replica 0.
-        let qp_out = inner.client_rings[Primitive::GWrite.idx()].qp_out;
-        let r0 = inner.replica_rep[0].at(offset);
-        let rkey0 = inner.rep_rkeys[0];
-        let host = &mut w.hosts[ch.0];
-        host.post_send(
-            qp_out,
-            Wqe {
-                opcode: Opcode::Write,
-                len: data.len() as u32,
-                laddr: local,
-                raddr: r0,
-                rkey: rkey0,
-                wr_id: seq as u64,
-                op,
-                ..Default::default()
-            },
-            false,
-        )
-        .expect("client SQ sized for inflight ops");
-        if flush {
-            host.post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Flush,
-                    len: data.len() as u32,
-                    raddr: r0,
-                    rkey: rkey0,
-                    wr_id: seq as u64,
-                    op,
-                    ..Default::default()
-                },
-                false,
-            )
-            .unwrap();
-        }
+        let data = OneSided {
+            write_from: Some(local),
+            flush,
+            raddr: inner.replica_rep[0].at(offset),
+            rkey: inner.rep_rkeys[0],
+            len: data.len() as u32,
+        };
         self.finish_issue(
             &mut inner,
             w,
@@ -143,7 +109,8 @@ impl HyperLoopClient {
             Primitive::GWrite,
             seq,
             slot,
-            staging,
+            Some(data),
+            &msg,
             op,
             done,
         )
@@ -160,14 +127,11 @@ impl HyperLoopClient {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let mut inner = self.group.borrow_mut();
-        inner.take_credit(Primitive::GWrite)?;
+        let slot = inner.take_credit(Primitive::GWrite)?;
         let seq = inner.alloc_seq();
-        let slot = inner.alloc_slot(Primitive::GWrite);
         let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
-        let slots = inner.cfg.ring_slots as u64;
-        let msg_len = inner.msg_len;
 
         let local = inner.client_rep.at(offset);
         w.host(ch).mem.flush(local, len as usize).unwrap();
@@ -181,29 +145,14 @@ impl HyperLoopClient {
             // Zero-byte write + real flush of the downstream range.
             msg.set_wrec(i, 0, src, dst, Opcode::Flush, dst, len);
         }
-        let staging = inner.client_rings[Primitive::GWrite.idx()]
-            .staging
-            .at((slot % slots) * msg_len);
-        w.host(ch).mem.write(staging, msg.bytes()).unwrap();
 
-        let qp_out = inner.client_rings[Primitive::GWrite.idx()].qp_out;
-        let r0 = inner.replica_rep[0].at(offset);
-        let rkey0 = inner.rep_rkeys[0];
-        w.hosts[ch.0]
-            .post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Flush,
-                    len,
-                    raddr: r0,
-                    rkey: rkey0,
-                    wr_id: seq as u64,
-                    op,
-                    ..Default::default()
-                },
-                false,
-            )
-            .expect("client SQ sized");
+        let data = OneSided {
+            write_from: None,
+            flush: true,
+            raddr: inner.replica_rep[0].at(offset),
+            rkey: inner.rep_rkeys[0],
+            len,
+        };
         self.finish_issue(
             &mut inner,
             w,
@@ -211,7 +160,8 @@ impl HyperLoopClient {
             Primitive::GWrite,
             seq,
             slot,
-            staging,
+            Some(data),
+            &msg,
             op,
             done,
         )
@@ -231,14 +181,11 @@ impl HyperLoopClient {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let mut inner = self.group.borrow_mut();
-        inner.take_credit(Primitive::GMemcpy)?;
+        let slot = inner.take_credit(Primitive::GMemcpy)?;
         let seq = inner.alloc_seq();
-        let slot = inner.alloc_slot(Primitive::GMemcpy);
         let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
-        let slots = inner.cfg.ring_slots as u64;
-        let msg_len = inner.msg_len;
 
         // Local apply on the client's copy.
         let src = inner.client_rep.at(src_off);
@@ -261,10 +208,6 @@ impl HyperLoopClient {
             };
             msg.set_wrec(i, len, src, dst, fop, dst, len);
         }
-        let staging = inner.client_rings[Primitive::GMemcpy.idx()]
-            .staging
-            .at((slot % slots) * msg_len);
-        w.host(ch).mem.write(staging, msg.bytes()).unwrap();
         self.finish_issue(
             &mut inner,
             w,
@@ -272,7 +215,8 @@ impl HyperLoopClient {
             Primitive::GMemcpy,
             seq,
             slot,
-            staging,
+            None,
+            &msg,
             op,
             done,
         )
@@ -293,14 +237,11 @@ impl HyperLoopClient {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let mut inner = self.group.borrow_mut();
-        inner.take_credit(Primitive::GCas)?;
+        let slot = inner.take_credit(Primitive::GCas)?;
         let seq = inner.alloc_seq();
-        let slot = inner.alloc_slot(Primitive::GCas);
         let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
-        let slots = inner.cfg.ring_slots as u64;
-        let msg_len = inner.msg_len;
 
         let op = w.telemetry.begin_op(eng.now(), OpKind::GCas, ch.0);
         let mut msg = MetaMsg::new(g, seq);
@@ -318,17 +259,11 @@ impl HyperLoopClient {
             // The replica CASes its original value into its own slot of
             // the staged message so the forwarded copy accumulates the
             // result map.
-            let result = inner.rep_rings[i][Primitive::GCas.idx()]
-                .staging
-                .at((slot % slots) * msg_len)
+            let result = inner.rings.programs[i][Primitive::GCas.idx()].staging_slot(slot)
                 + metadata::results_off()
                 + member as u64 * 8;
             msg.set_crec(i, execute, target, cmp, swp, result);
         }
-        let staging = inner.client_rings[Primitive::GCas.idx()]
-            .staging
-            .at((slot % slots) * msg_len);
-        w.host(ch).mem.write(staging, msg.bytes()).unwrap();
         self.finish_issue(
             &mut inner,
             w,
@@ -336,14 +271,16 @@ impl HyperLoopClient {
             Primitive::GCas,
             seq,
             slot,
-            staging,
+            None,
+            &msg,
             op,
             done,
         )
     }
 
-    /// Common tail of every issue path: record the pending op, post the
-    /// metadata SEND and ring the doorbell.
+    /// Common tail of every issue path: stage the metadata message, post
+    /// the operation's `[WRITE] [FLUSH] SEND`, record it pending and ring
+    /// the doorbell.
     #[allow(clippy::too_many_arguments)]
     fn finish_issue(
         &self,
@@ -353,27 +290,30 @@ impl HyperLoopClient {
         prim: Primitive,
         seq: u32,
         slot: u64,
-        staging: u64,
+        data: Option<OneSided>,
+        msg: &MetaMsg,
         op: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let ch = inner.cfg.client;
-        let qp_out = inner.client_rings[prim.idx()].qp_out;
-        let msg_len = inner.msg_len;
-        w.hosts[ch.0]
-            .post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Send,
-                    len: msg_len as u32,
-                    laddr: staging,
-                    wr_id: seq as u64,
-                    op,
-                    ..Default::default()
-                },
-                false,
-            )
-            .expect("client SQ sized");
+        let ring = &inner.client_rings[prim.idx()];
+        let qp_out = ring.out.qpn;
+        let staging = ring
+            .staging
+            .at((slot % inner.cfg.ring_slots as u64) * inner.msg_len);
+        w.host(ch)
+            .mem
+            .write(staging, msg.bytes())
+            .expect("staging ring in arena");
+        wire::post_op(
+            &mut w.hosts[ch.0],
+            qp_out,
+            seq,
+            op,
+            data,
+            staging,
+            inner.msg_len,
+        );
         inner.register_pending(seq, prim, slot, eng.now(), op, done);
         w.telemetry
             .stage(eng.now(), op, Stage::ClientPost, ch.0, qp_out);
@@ -383,32 +323,20 @@ impl HyperLoopClient {
 }
 
 fn dispatch_ack(group: &GroupRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut Engine<World>) {
-    if cqe.kind != CqeKind::RecvImm || cqe.status != CqeStatus::Ok {
+    if !AckRing::is_ack(&cqe) {
         return;
     }
     let mut inner = group.borrow_mut();
     let Some(p) = inner.complete_pending(cqe.imm) else {
         return;
     };
-    let g = inner.g;
     let ch = inner.cfg.client;
     let slots = inner.cfg.ring_slots as u64;
-    let ring = &inner.client_rings[p.prim.idx()];
-    let ack_addr = ring.ack_buf.at((p.slot % slots) * 8 * g as u64);
-    let ack_qp = ring.ack_qp;
-    let ack = w.hosts[ch.0].mem.read(ack_addr, 8 * g).unwrap();
-    let results = metadata::parse_results(ack, g);
-    // gCAS: merge the client's locally computed result (member 0) from
-    // the staged message header (the ACK carries it too, since the tail
-    // forwards the staged copy, so nothing to do).
-    // Repost the consumed ACK receive.
-    w.host(ch).post_recv(
-        ack_qp,
-        RecvWqe {
-            wr_id: p.slot + slots,
-            scatter: vec![],
-        },
-    );
+    // gCAS: the client's own result (member 0) is in the ACK too, since
+    // the tail forwards the staged copy the client pre-filled.
+    let results = inner.client_rings[p.prim.idx()]
+        .ack
+        .complete(w, p.slot, p.slot + slots);
     let latency = eng.now().duration_since(p.issued_at);
     drop(inner);
     // The ACK WRITE_IMM carried the op id end to end; fall back to the

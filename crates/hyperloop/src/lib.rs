@@ -11,8 +11,12 @@
 //!   [`HyperLoopClient::gmemcpy`], [`HyperLoopClient::gcas`] and
 //!   [`HyperLoopClient::gflush`]; completions arrive as callbacks with
 //!   latency and gCAS result maps.
-//! * [`replica::Replenisher`] re-posts consumed slots off the critical
-//!   path.
+//! * `program` holds every topology's pre-posted WQE bundle as a table
+//!   of steps and patches, and the one poster that turns a table into
+//!   WQEs and scatter entries; `wire` holds QP creation and the client's
+//!   ACK ring.
+//! * [`replica::start_replenishers`] starts the processes that re-post
+//!   consumed slots off the critical path.
 //! * [`naive`] is the paper's Naïve-RDMA baseline (event-driven and
 //!   polling replicas) behind the same client surface.
 //! * [`api`] provides the storage-facing layer from paper §5:
@@ -50,11 +54,13 @@ pub mod metadata;
 pub mod migrate;
 pub mod multi;
 pub mod naive;
+mod program;
 mod reconfig;
 pub mod recovery;
 pub mod replica;
 pub mod router;
 pub mod slo;
+mod wire;
 
 pub use client::HyperLoopClient;
 pub use deadline::{Backend, DeadlinePolicy, GroupOp, OnOutcome, OpError, RetryClient, RetryStats};

@@ -107,6 +107,18 @@ pub mod mrec {
     pub const ACK_RKEY: u64 = 41;
 }
 
+/// The multi-client chain's select section, appended to the base
+/// message: one entry per client, in client order. The issuing client
+/// writes `WriteImm` into its own entry and `Nop` into the others, and
+/// the tail's RECV scatters entry `c` over the opcode of the WRITE_IMM
+/// pre-posted toward client `c`.
+pub mod select {
+    /// Bytes per client entry.
+    pub const ENTRY: u64 = 1;
+    /// The opcode byte within an entry.
+    pub const OP: u64 = 0;
+}
+
 /// Field offsets within a gCAS record.
 pub mod crec {
     /// CAS opcode byte: `LocalCas` to execute, `Nop` to skip (execute map).

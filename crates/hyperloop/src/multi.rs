@@ -10,7 +10,8 @@
 //!
 //! * every slot's forwarding program is client-agnostic (the metadata
 //!   records carry absolute addresses, so whichever client's operation
-//!   lands in slot *k* programs slot *k*'s WQEs);
+//!   lands in slot *k* programs slot *k*'s WQEs) — it is the chain's
+//!   gWRITE program, `program::chain`;
 //! * the tail pre-posts one WRITE_IMM *per client* per slot, and the
 //!   issuing client's metadata selects its own (opcode byte stays
 //!   `WriteImm`) while turning the others into NOPs — the same
@@ -18,14 +19,15 @@
 //!   all per-client queues trigger off the shared upstream recv CQ.
 
 use crate::group::{OnDone, OpResult};
-use crate::metadata::{self, MetaMsg};
+use crate::metadata::{self, select, MetaMsg, Primitive};
+use crate::program::{self, Downstream, Recv, SlotProgram};
+use crate::replica::{self, Offload, Rings};
+use crate::wire::{self, AckRing, AckTarget, OneSided, Qp};
 use crate::Backpressure;
 use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
-use hl_rnic::{
-    field_offset, flags, Access, CqeKind, CqeStatus, Opcode, RecvWqe, ScatterEntry, Wqe, WQE_SIZE,
-};
+use hl_rnic::{Access, Opcode};
 use hl_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -61,38 +63,14 @@ impl Default for MultiConfig {
 struct ClientState {
     host: HostId,
     /// Out QP toward replica 0.
-    qp_out: u32,
-    /// ACK receive QP (from the tail).
-    ack_qp: u32,
-    ack_rcq: u32,
+    out: Qp,
     /// Metadata staging ring.
     staging: Region,
-    /// ACK landing buffer + rkey.
-    ack_buf: Region,
-    ack_rkey: u32,
+    ack: AckRing,
     /// This client's copy of the data (it is a chain member too).
     rep: Region,
     pending: BTreeMap<u32, (SimTime, Option<OnDone>)>,
     next_seq: u32,
-    /// Tail-side ACK queue for this client.
-    tail_ack_qp: u32,
-}
-
-struct ReplicaState {
-    host: HostId,
-    /// Receive CQ fed by the upstream (SRQ-backed on replica 0).
-    prev_rcq: u32,
-    /// SRQ id on replica 0 (None elsewhere).
-    srq: Option<u32>,
-    /// Per-client inbound QPs on replica 0; single QP elsewhere.
-    qp_prev: Vec<u32>,
-    /// Downstream QP (forwarding), unused on the tail.
-    qp_next: u32,
-    /// Metadata staging ring.
-    staging: Region,
-    rep: Region,
-    rep_rkey: u32,
-    slots_posted: u64,
 }
 
 /// Shared state of a multi-client chain.
@@ -100,17 +78,24 @@ pub struct MultiInner {
     cfg: MultiConfig,
     /// Chain group size (replicas + 1 — the issuing client is the head).
     g: usize,
-    /// Base metadata length; the select section of `m` bytes follows.
+    /// Base metadata length; the select section of one entry per client
+    /// follows.
     base_msg_len: u64,
     msg_len: u64,
     clients: Vec<ClientState>,
-    replicas: Vec<ReplicaState>,
-    /// Total operations issued across all clients (slot consumption).
-    issued_total: u64,
-    /// Credit: slots the replicas have reported as posted.
-    posted_seen: u64,
+    /// Each replica's copy and its rkey.
+    reps: Vec<(Region, u32)>,
+    /// One program per replica (operations of all clients share the one
+    /// ring), and the clients' common credits against them.
+    rings: Rings,
     /// Completed operations (all clients).
     pub acked: u64,
+}
+
+impl Offload for MultiInner {
+    fn rings(&mut self) -> &mut Rings {
+        &mut self.rings
+    }
 }
 
 /// Shared handle to the chain.
@@ -119,13 +104,6 @@ pub type MultiRef = Rc<RefCell<MultiInner>>;
 /// Builds the multi-client chain.
 pub struct MultiBuilder {
     cfg: MultiConfig,
-    gid: u32,
-}
-
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl MultiBuilder {
@@ -136,351 +114,119 @@ impl MultiBuilder {
             cfg.clients.len() <= 16,
             "select section sized for <= 16 clients"
         );
-        MultiBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        MultiBuilder { cfg }
     }
 
     /// Allocate, wire and pre-post.
     pub fn build(self, w: &mut World) -> MultiRef {
         let cfg = self.cfg;
-        let gid = self.gid;
         let slots = cfg.ring_slots;
-        let m = cfg.clients.len();
         let n = cfg.replicas.len();
         let g = n + 1;
         let base_msg_len = metadata::msg_len(g);
-        let msg_len = base_msg_len + m as u64;
+        let msg_len = base_msg_len + cfg.clients.len() as u64 * select::ENTRY;
 
-        // --- clients ------------------------------------------------------
-        let mut clients = Vec::new();
-        for (c, &chh) in cfg.clients.iter().enumerate() {
-            let rep = w
-                .host(chh)
-                .layout
-                .alloc(&format!("mc{gid}.c{c}.rep"), cfg.rep_bytes, 64);
-            let staging =
-                w.host(chh)
-                    .layout
-                    .alloc(&format!("mc{gid}.c{c}.tx"), slots as u64 * msg_len, 64);
-            let ack_buf =
-                w.host(chh)
-                    .layout
-                    .alloc(&format!("mc{gid}.c{c}.ack"), slots as u64 * 8, 64);
-            let ack_mr =
-                w.host(chh)
-                    .nic
-                    .register_mr(ack_buf.addr, ack_buf.len, Access::REMOTE_WRITE);
-            let out_sq = w.host(chh).layout.alloc(
-                &format!("mc{gid}.c{c}.out_sq"),
-                3 * slots as u64 * WQE_SIZE,
-                64,
-            );
-            let oscq = w.host(chh).nic.create_cq();
-            let orcq = w.host(chh).nic.create_cq();
-            let qp_out = w
-                .host(chh)
-                .nic
-                .create_qp(oscq, orcq, out_sq.addr, 3 * slots);
-            let ack_sq =
-                w.host(chh)
-                    .layout
-                    .alloc(&format!("mc{gid}.c{c}.ack_sq"), 4 * WQE_SIZE, 64);
-            let ascq = w.host(chh).nic.create_cq();
-            let arcq = w.host(chh).nic.create_cq();
-            let ack_qp = w.host(chh).nic.create_qp(ascq, arcq, ack_sq.addr, 4);
-            for k in 0..slots as u64 {
-                w.host(chh).post_recv(
-                    ack_qp,
-                    RecvWqe {
-                        wr_id: k,
-                        scatter: vec![],
-                    },
-                );
-            }
-            clients.push(ClientState {
-                host: chh,
-                qp_out,
-                ack_qp,
-                ack_rcq: arcq,
-                staging,
-                ack_buf,
-                ack_rkey: ack_mr.rkey,
-                rep,
+        let clients: Vec<ClientState> = cfg
+            .clients
+            .iter()
+            .map(|&host| ClientState {
+                host,
+                rep: wire::region(w, host, "rep", cfg.rep_bytes),
+                staging: wire::region(w, host, "tx", slots as u64 * msg_len),
+                out: wire::op_qp(w, host, slots),
+                ack: AckRing::new(w, host, slots, 0),
                 pending: BTreeMap::new(),
                 next_seq: 0,
-                tail_ack_qp: u32::MAX, // wired below
-            });
-        }
+            })
+            .collect();
 
-        // --- replicas -------------------------------------------------------
-        let mut replicas: Vec<ReplicaState> = Vec::new();
-        for (i, &rh) in cfg.replicas.iter().enumerate() {
-            let is_head = i == 0;
-            let is_tail = i == n - 1;
-            let rep = w
-                .host(rh)
-                .layout
-                .alloc(&format!("mc{gid}.r{i}.rep"), cfg.rep_bytes, 64);
-            let mr = w.host(rh).nic.register_mr(
-                rep.addr,
-                rep.len,
-                Access::REMOTE_WRITE | Access::REMOTE_READ,
-            );
-            let staging = w.host(rh).layout.alloc(
-                &format!("mc{gid}.r{i}.staging"),
-                slots as u64 * msg_len,
-                64,
-            );
-            let prev_scq = w.host(rh).nic.create_cq();
-            let prev_rcq = w.host(rh).nic.create_cq();
+        let reps: Vec<(Region, u32)> = cfg
+            .replicas
+            .iter()
+            .map(|&rh| {
+                let rep = wire::region(w, rh, "rep", cfg.rep_bytes);
+                let access = Access::REMOTE_WRITE | Access::REMOTE_READ;
+                let rkey = w.host(rh).nic.register_mr(rep.addr, rep.len, access).rkey;
+                (rep, rkey)
+            })
+            .collect();
 
+        let mut programs = Vec::new();
+        let mut upstream: Option<(HostId, u32)> = None; // previous replica's forwarding queue
+        for (r, &rh) in cfg.replicas.iter().enumerate() {
             // Inbound side: replica 0 gets one SRQ-attached QP per
-            // client; the rest get a single QP from upstream.
-            let (srq, qp_prev) = if is_head {
-                let srq = w.host(rh).nic.create_srq();
-                let mut qps = Vec::new();
-                for (c, cl) in clients.iter().enumerate() {
-                    let sqr = w.host(rh).layout.alloc(
-                        &format!("mc{gid}.r{i}.in{c}_sq"),
-                        4 * WQE_SIZE,
-                        64,
-                    );
-                    let qp = w.host(rh).nic.create_qp(prev_scq, prev_rcq, sqr.addr, 4);
-                    w.host(rh).nic.attach_srq(qp, srq);
-                    w.connect_qps(cl.host, cl.qp_out, rh, qp);
-                    qps.push(qp);
+            // client, all completing into one CQ; the rest get a single
+            // QP from upstream.
+            let (recv, rcq) = match upstream {
+                None => {
+                    let srq = w.host(rh).nic.create_srq();
+                    let rcq = wire::cq(w, rh);
+                    for cl in &clients {
+                        let q = wire::recv_qp_into(w, rh, rcq);
+                        w.host(rh).nic.attach_srq(q.qpn, srq);
+                        w.connect_qps(cl.host, cl.out.qpn, rh, q.qpn);
+                    }
+                    (Recv::Srq(srq), rcq)
                 }
-                (Some(srq), qps)
-            } else {
-                let sqr = w
-                    .host(rh)
-                    .layout
-                    .alloc(&format!("mc{gid}.r{i}.in_sq"), 4 * WQE_SIZE, 64);
-                let qp = w.host(rh).nic.create_qp(prev_scq, prev_rcq, sqr.addr, 4);
-                // Upstream wiring: previous replica's qp_next -> this qp.
-                let prev = &replicas[i - 1];
-                w.connect_qps(prev.host, prev.qp_next, rh, qp);
-                (None, vec![qp])
+                Some((prev_host, prev_qp)) => {
+                    let q = wire::recv_qp(w, rh);
+                    w.connect_qps(prev_host, prev_qp, rh, q.qpn);
+                    (Recv::Qp(q.qpn), q.rcq)
+                }
             };
-
-            // Downstream side: forwarding qp_next (non-tail) — the tail
-            // instead gets per-client ack QPs, wired after this loop.
-            let next_sq = w.host(rh).layout.alloc(
-                &format!("mc{gid}.r{i}.next_sq"),
-                4 * slots as u64 * WQE_SIZE,
-                64,
-            );
-            let nscq = w.host(rh).nic.create_cq();
-            let nrcq = w.host(rh).nic.create_cq();
-            let qp_next = w
-                .host(rh)
-                .nic
-                .create_qp(nscq, nrcq, next_sq.addr, 4 * slots);
-            let _ = is_tail;
-            replicas.push(ReplicaState {
-                host: rh,
-                prev_rcq,
-                srq,
-                qp_prev,
-                qp_next,
-                staging,
-                rep,
-                rep_rkey: mr.rkey,
-                slots_posted: 0,
-            });
+            // Outbound side: the chain's forwarding slot, or on the tail
+            // one ACK queue per client.
+            let (steps, queues) = if r < n - 1 {
+                let steps = program::chain(
+                    Primitive::GWrite,
+                    g,
+                    msg_len,
+                    metadata::rec_off(g, r),
+                    rcq,
+                    Downstream::Replica {
+                        rkey: reps[r + 1].1,
+                    },
+                );
+                let next = wire::qp(w, rh, program::sq_wqes(&steps, 0, slots));
+                upstream = Some((rh, next.qpn));
+                (steps, vec![next])
+            } else {
+                let acks: Vec<AckTarget> = clients.iter().map(|cl| cl.ack.target()).collect();
+                let steps = program::multi_tail(rcq, base_msg_len, &acks);
+                let queues = (0..clients.len())
+                    .map(|c| {
+                        let q = wire::qp(w, rh, program::sq_wqes(&steps, c, slots));
+                        w.connect_qps(rh, q.qpn, clients[c].host, clients[c].ack.qp);
+                        q
+                    })
+                    .collect();
+                (steps, queues)
+            };
+            let staging = wire::region(w, rh, "staging", slots as u64 * msg_len);
+            programs.push(vec![SlotProgram::new(
+                rh,
+                queues,
+                recv,
+                Some((staging, msg_len)),
+                vec![],
+                steps,
+                slots,
+            )]);
         }
 
-        // Tail: per-client ACK queues.
-        let tail = n - 1;
-        let th = cfg.replicas[tail];
-        for (c, cl) in clients.iter_mut().enumerate() {
-            let sqr = w.host(th).layout.alloc(
-                &format!("mc{gid}.tail.ack{c}_sq"),
-                2 * slots as u64 * WQE_SIZE,
-                64,
-            );
-            let scq = w.host(th).nic.create_cq();
-            let rcq = w.host(th).nic.create_cq();
-            let qp = w.host(th).nic.create_qp(scq, rcq, sqr.addr, 2 * slots);
-            w.connect_qps(th, qp, cl.host, cl.ack_qp);
-            cl.tail_ack_qp = qp;
-        }
-
-        let inner = MultiInner {
+        Rc::new(RefCell::new(MultiInner {
             g,
             base_msg_len,
             msg_len,
             clients,
-            replicas,
-            issued_total: 0,
-            posted_seen: slots as u64,
+            reps,
+            // All clients draw on one ring, so only its depth bounds how
+            // many operations are in flight.
+            rings: Rings::prepost(programs, slots, slots, cfg.replenish_period, w),
             acked: 0,
             cfg,
-        };
-        let rc: MultiRef = Rc::new(RefCell::new(inner));
-        {
-            let mut inner = rc.borrow_mut();
-            for _ in 0..slots {
-                for r in 0..n {
-                    post_multi_slot(&mut inner, w, r);
-                }
-            }
-            // Arm all WAIT queues.
-            let kicks: Vec<(HostId, u32)> = {
-                let mut v: Vec<(HostId, u32)> = inner
-                    .replicas
-                    .iter()
-                    .take(n - 1)
-                    .map(|r| (r.host, r.qp_next))
-                    .collect();
-                v.extend(inner.clients.iter().map(|c| (th, c.tail_ack_qp)));
-                v
-            };
-            for (h, qp) in kicks {
-                let host = &mut w.hosts[h.0];
-                let mut outs = Vec::new();
-                host.nic
-                    .ring_doorbell(SimTime::ZERO, qp, &mut host.mem, &mut outs);
-                debug_assert!(outs.is_empty());
-            }
-        }
-        rc
+        }))
     }
-}
-
-/// Pre-post one slot on replica `r`.
-fn post_multi_slot(inner: &mut MultiInner, w: &mut World, r: usize) {
-    let n = inner.cfg.replicas.len();
-    let m = inner.cfg.clients.len();
-    let g = inner.g;
-    let is_tail = r == n - 1;
-    let slots = inner.cfg.ring_slots as u64;
-    let slot = inner.replicas[r].slots_posted;
-    let rh = inner.replicas[r].host;
-    let msg_len = inner.msg_len;
-    let staging_slot = inner.replicas[r].staging.at((slot % slots) * msg_len);
-    let rec = metadata::rec_off(g, r);
-    let prev_rcq = inner.replicas[r].prev_rcq;
-    let select_off = inner.base_msg_len;
-
-    let se = |msg_off: u64, len: u64, addr: u64| ScatterEntry {
-        msg_off: msg_off as u32,
-        len: len as u32,
-        addr,
-    };
-    let mut scatter: Vec<ScatterEntry> = vec![ScatterEntry {
-        msg_off: 0,
-        len: msg_len as u32,
-        addr: staging_slot,
-    }];
-
-    if !is_tail {
-        // Forwarding slot (consume-mode WAIT: single waiter per rcq).
-        let next_rkey = inner.replicas[r + 1].rep_rkey;
-        let qp_next = inner.replicas[r].qp_next;
-        let host = &mut w.hosts[rh.0];
-        let wait = Wqe {
-            opcode: Opcode::Wait,
-            flags: flags::HW_OWNED,
-            raddr: Wqe::wait_params(prev_rcq, 1),
-            activate_n: 3,
-            wr_id: slot,
-            ..Default::default()
-        };
-        host.post_send(qp_next, wait, false).unwrap();
-        let write = Wqe {
-            opcode: Opcode::Write,
-            rkey: next_rkey,
-            wr_id: slot,
-            ..Default::default()
-        };
-        let widx = host.post_send(qp_next, write, true).unwrap();
-        let flush = Wqe {
-            opcode: Opcode::Flush,
-            rkey: next_rkey,
-            wr_id: slot,
-            ..Default::default()
-        };
-        let fidx = host.post_send(qp_next, flush, true).unwrap();
-        let send = Wqe {
-            opcode: Opcode::Send,
-            len: msg_len as u32,
-            laddr: staging_slot,
-            wr_id: slot,
-            ..Default::default()
-        };
-        host.post_send(qp_next, send, true).unwrap();
-        let waddr = host.nic.sq_slot_addr(qp_next, widx);
-        let faddr = host.nic.sq_slot_addr(qp_next, fidx);
-        scatter.extend([
-            se(rec + metadata::wrec::LEN, 4, waddr + field_offset::LEN),
-            se(rec + metadata::wrec::SRC, 8, waddr + field_offset::LADDR),
-            se(rec + metadata::wrec::DST, 8, waddr + field_offset::RADDR),
-            se(rec + metadata::wrec::FOP, 1, faddr + field_offset::OPCODE),
-            se(rec + metadata::wrec::FADDR, 8, faddr + field_offset::RADDR),
-            se(rec + metadata::wrec::FLEN, 4, faddr + field_offset::LEN),
-        ]);
-    } else {
-        // Tail slot: one (WAIT, WRITE_IMM) pair per client; threshold
-        // WAITs let every per-client queue trigger off the shared
-        // upstream CQ, and the select byte picks exactly one WRITE_IMM.
-        for c in 0..m {
-            let (qp, ack_addr, ack_rkey) = {
-                let cl = &inner.clients[c];
-                (
-                    cl.tail_ack_qp,
-                    cl.ack_buf.at((slot % slots) * 8),
-                    cl.ack_rkey,
-                )
-            };
-            let host = &mut w.hosts[rh.0];
-            let wait = Wqe {
-                opcode: Opcode::Wait,
-                flags: flags::HW_OWNED | flags::WAIT_THRESHOLD,
-                raddr: Wqe::wait_params(prev_rcq, (slot + 1) as u32),
-                activate_n: 1,
-                wr_id: slot,
-                ..Default::default()
-            };
-            host.post_send(qp, wait, false).unwrap();
-            let wimm = Wqe {
-                opcode: Opcode::WriteImm,
-                len: 0,
-                raddr: ack_addr,
-                rkey: ack_rkey,
-                wr_id: slot,
-                ..Default::default()
-            };
-            let idx = host.post_send(qp, wimm, true).unwrap();
-            let waddr = host.nic.sq_slot_addr(qp, idx);
-            scatter.push(se(0, 4, waddr + field_offset::IMM));
-            scatter.push(se(select_off + c as u64, 1, waddr + field_offset::OPCODE));
-        }
-    }
-
-    // Receive side: SRQ on the head, plain RQ elsewhere.
-    let srq = inner.replicas[r].srq;
-    let qp0 = inner.replicas[r].qp_prev[0];
-    let host = &mut w.hosts[rh.0];
-    match srq {
-        Some(s) => host.nic.post_srq_recv(
-            s,
-            RecvWqe {
-                wr_id: slot,
-                scatter,
-            },
-        ),
-        None => host.post_recv(
-            qp0,
-            RecvWqe {
-                wr_id: slot,
-                scatter,
-            },
-        ),
-    }
-    inner.replicas[r].slots_posted += 1;
 }
 
 /// A handle for one of the chain's clients.
@@ -497,11 +243,11 @@ impl MultiClient {
     pub fn new(inner: MultiRef, idx: usize, w: &mut World) -> Self {
         let (host, ack_rcq) = {
             let i = inner.borrow();
-            (i.clients[idx].host, i.clients[idx].ack_rcq)
+            (i.clients[idx].host, i.clients[idx].ack.rcq)
         };
         let rc = inner.clone();
         w.subscribe_cq_callback(host, ack_rcq, move |cqe, w, eng| {
-            if cqe.kind != CqeKind::RecvImm || cqe.status != CqeStatus::Ok {
+            if !AckRing::is_ack(&cqe) {
                 return;
             }
             let mut i = rc.borrow_mut();
@@ -509,15 +255,10 @@ impl MultiClient {
                 return;
             };
             i.acked += 1;
-            let ack_qp = i.clients[idx].ack_qp;
-            let host = i.clients[idx].host;
-            w.hosts[host.0].post_recv(
-                ack_qp,
-                RecvWqe {
-                    wr_id: cqe.imm as u64,
-                    scatter: vec![],
-                },
-            );
+            i.rings.credits.complete(0);
+            let results = i.clients[idx]
+                .ack
+                .complete(w, cqe.imm as u64, cqe.imm as u64);
             let latency = eng.now().duration_since(issued_at);
             drop(i);
             if let Some(done) = done {
@@ -526,7 +267,7 @@ impl MultiClient {
                     eng,
                     OpResult {
                         seq: cqe.imm,
-                        results: vec![],
+                        results,
                         latency,
                     },
                 );
@@ -542,12 +283,12 @@ impl MultiClient {
 
     /// Address of `offset` in replica `r`'s copy.
     pub fn replica_addr(&self, r: usize, offset: u64) -> u64 {
-        self.inner.borrow().replicas[r].rep.at(offset)
+        self.inner.borrow().reps[r].0.at(offset)
     }
 
     /// Host of replica `r`.
     pub fn replica_host(&self, r: usize) -> HostId {
-        self.inner.borrow().replicas[r].host
+        self.inner.borrow().cfg.replicas[r]
     }
 
     /// Multi-client gWRITE: this client's data lands durably on every
@@ -563,18 +304,12 @@ impl MultiClient {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         let mut i = self.inner.borrow_mut();
-        if i.issued_total >= i.posted_seen {
-            return Err(Backpressure);
-        }
-        i.issued_total += 1;
-        let m = i.cfg.clients.len();
-        let n = i.cfg.replicas.len();
-        let g = i.g;
+        i.rings.credits.take(0)?;
+        let n = i.reps.len();
         let msg_len = i.msg_len;
-        let base_msg_len = i.base_msg_len;
         let slots = i.cfg.ring_slots as u64;
         let seq = i.clients[self.idx].next_seq;
-        i.clients[self.idx].next_seq = i.clients[self.idx].next_seq.wrapping_add(1);
+        i.clients[self.idx].next_seq = seq.wrapping_add(1);
         let ch = i.clients[self.idx].host;
 
         // Local apply on this client's own copy.
@@ -587,75 +322,40 @@ impl MultiClient {
         // Metadata: forwarding records for replicas 0..n-1 (replica j
         // writes from its copy into replica j+1's), then the select
         // section picking this client's tail WRITE_IMM.
-        let mut msg = MetaMsg::new(g, seq);
+        let mut msg = MetaMsg::new(i.g, seq);
         for j in 0..n.saturating_sub(1) {
-            let src = i.replicas[j].rep.at(offset);
-            let dst = i.replicas[j + 1].rep.at(offset);
+            let src = i.reps[j].0.at(offset);
+            let dst = i.reps[j + 1].0.at(offset);
             let fop = if flush { Opcode::Flush } else { Opcode::Nop };
             msg.set_wrec(j, data.len() as u32, src, dst, fop, dst, data.len() as u32);
         }
         let mut bytes = msg.bytes().to_vec();
-        bytes.resize(msg_len as usize, 0);
-        for c in 0..m {
-            bytes[(base_msg_len + c as u64) as usize] = if c == self.idx {
-                Opcode::WriteImm as u8
-            } else {
-                Opcode::Nop as u8
-            };
-        }
+        bytes.resize(msg_len as usize, Opcode::Nop as u8);
+        let mine = i.base_msg_len + self.idx as u64 * select::ENTRY + select::OP;
+        bytes[mine as usize] = Opcode::WriteImm as u8;
         let staging = i.clients[self.idx]
             .staging
             .at((seq as u64 % slots) * msg_len);
         w.host(ch).mem.write(staging, &bytes).unwrap();
 
         // Post WRITE [FLUSH] SEND toward replica 0.
-        let qp_out = i.clients[self.idx].qp_out;
-        let r0 = i.replicas[0].rep.at(offset);
-        let rkey0 = i.replicas[0].rep_rkey;
-        w.hosts[ch.0]
-            .post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Write,
-                    len: data.len() as u32,
-                    laddr: local,
-                    raddr: r0,
-                    rkey: rkey0,
-                    wr_id: seq as u64,
-                    ..Default::default()
-                },
-                false,
-            )
-            .expect("client SQ sized");
-        if flush {
-            w.hosts[ch.0]
-                .post_send(
-                    qp_out,
-                    Wqe {
-                        opcode: Opcode::Flush,
-                        len: data.len() as u32,
-                        raddr: r0,
-                        rkey: rkey0,
-                        wr_id: seq as u64,
-                        ..Default::default()
-                    },
-                    false,
-                )
-                .expect("client SQ sized");
-        }
-        w.hosts[ch.0]
-            .post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Send,
-                    len: msg_len as u32,
-                    laddr: staging,
-                    wr_id: seq as u64,
-                    ..Default::default()
-                },
-                false,
-            )
-            .expect("client SQ sized");
+        let to_head = OneSided {
+            write_from: Some(local),
+            flush,
+            raddr: i.reps[0].0.at(offset),
+            rkey: i.reps[0].1,
+            len: data.len() as u32,
+        };
+        let qp_out = i.clients[self.idx].out.qpn;
+        wire::post_op(
+            &mut w.hosts[ch.0],
+            qp_out,
+            seq,
+            0,
+            Some(to_head),
+            staging,
+            msg_len,
+        );
         i.clients[self.idx]
             .pending
             .insert(seq, (eng.now(), Some(done)));
@@ -665,103 +365,11 @@ impl MultiClient {
     }
 }
 
-/// Replenisher for the multi-client chain (runs on replica 0's host;
-/// reposts every replica's slots and reports credit to the clients).
-pub struct MultiReplenisher {
-    inner: MultiRef,
-}
-
-impl MultiReplenisher {
-    /// Create.
-    pub fn new(inner: MultiRef) -> Self {
-        MultiReplenisher { inner }
-    }
-}
-
-impl hl_cluster::Process for MultiReplenisher {
-    fn on_event(&mut self, ev: hl_cluster::ProcEvent, ctx: &mut hl_cluster::Ctx<'_>) {
-        use hl_cluster::ProcEvent;
-        let period = self.inner.borrow().cfg.replenish_period;
-        match ev {
-            ProcEvent::Started | ProcEvent::WorkDone { .. } => {
-                ctx.set_timer(period, 1, SimDuration::from_nanos(500));
-            }
-            ProcEvent::Timer { .. } => {
-                let deficit = {
-                    let inner = self.inner.borrow();
-                    let n = inner.cfg.replicas.len();
-                    let m = inner.cfg.clients.len();
-                    let slots = inner.cfg.ring_slots as u64;
-                    // Consumption: min over every ring's execution head.
-                    let mut consumed = u64::MAX;
-                    for (r, rep) in inner.replicas.iter().enumerate() {
-                        let nic = &ctx.world.hosts[rep.host.0].nic;
-                        if r < n - 1 {
-                            let (h, _, _) = nic.sq_state(rep.qp_next);
-                            consumed = consumed.min(h / 4);
-                        }
-                    }
-                    let tail_host = inner.replicas[n - 1].host;
-                    for cl in &inner.clients {
-                        let (h, _, _) = ctx.world.hosts[tail_host.0].nic.sq_state(cl.tail_ack_qp);
-                        consumed = consumed.min(h / 2);
-                    }
-                    let _ = m;
-                    (consumed + slots).saturating_sub(inner.replicas[0].slots_posted)
-                };
-                if deficit > 0 {
-                    {
-                        let mut inner = self.inner.borrow_mut();
-                        let n = inner.cfg.replicas.len();
-                        for _ in 0..deficit {
-                            for r in 0..n {
-                                post_multi_slot(&mut inner, ctx.world, r);
-                            }
-                        }
-                    }
-                    // Kick queues and report credit.
-                    let (kicks, posted) = {
-                        let inner = self.inner.borrow();
-                        let n = inner.cfg.replicas.len();
-                        let tail_host = inner.replicas[n - 1].host;
-                        let mut v: Vec<(HostId, u32)> = inner
-                            .replicas
-                            .iter()
-                            .take(n - 1)
-                            .map(|r| (r.host, r.qp_next))
-                            .collect();
-                        v.extend(inner.clients.iter().map(|c| (tail_host, c.tail_ack_qp)));
-                        (v, inner.replicas[0].slots_posted)
-                    };
-                    for (h, qp) in kicks {
-                        ctx.world.ring_doorbell(h, qp, ctx.eng);
-                    }
-                    let rc = self.inner.clone();
-                    ctx.eng
-                        .schedule(SimDuration::from_micros(2), move |_w, _e| {
-                            rc.borrow_mut().posted_seen = posted;
-                        });
-                }
-                ctx.set_timer(period, 1, SimDuration::from_nanos(500));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Start the replenisher on replica 0's host.
+/// Start the replenishers: one per replica.
 pub fn start_replenisher(
     inner: &MultiRef,
     w: &mut World,
     eng: &mut Engine<World>,
-) -> hl_cluster::ProcAddr {
-    let host = inner.borrow().replicas[0].host;
-    w.start_process(
-        host,
-        "multi-replenish",
-        None,
-        Box::new(MultiReplenisher::new(inner.clone())),
-        SimDuration::from_micros(1),
-        eng,
-    )
+) -> Vec<hl_cluster::ProcAddr> {
+    replica::start(inner, "multi-replenish-r", w, eng)
 }

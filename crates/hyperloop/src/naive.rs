@@ -14,10 +14,11 @@
 //!   multi-tenant loser in Figure 11).
 
 use crate::group::{Backpressure, OnDone, OpResult};
+use crate::wire::{self, AckRing, OneSided};
 use hl_cluster::{Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
 use hl_nvm::Region;
-use hl_rnic::{Access, CqeKind, CqeStatus, Opcode, RecvWqe, ScatterEntry, Wqe, WQE_SIZE};
+use hl_rnic::{Access, CqeKind, CqeStatus, Opcode, RecvWqe, ScatterEntry, Wqe};
 use hl_sim::telemetry::Stage;
 use hl_sim::{Engine, OpKind, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -125,6 +126,25 @@ struct RepSide {
     recvs_posted: u64,
 }
 
+impl RepSide {
+    /// Post the next RECV, landing in its cell of the rx buffer.
+    fn post_recv(&mut self, w: &mut World, dlen: u64, slots: u64) {
+        let k = self.recvs_posted;
+        self.recvs_posted += 1;
+        w.hosts[self.host.0].post_recv(
+            self.qp_prev,
+            RecvWqe {
+                wr_id: k,
+                scatter: vec![ScatterEntry {
+                    msg_off: 0,
+                    len: dlen as u32,
+                    addr: self.rxbuf.at((k % slots) * dlen),
+                }],
+            },
+        );
+    }
+}
+
 struct PendingOp {
     issued_at: SimTime,
     op: u32,
@@ -143,10 +163,8 @@ pub struct NaiveInner {
     pub replica_rep: Vec<Region>,
     rep_rkeys: Vec<u32>,
     qp_out: u32,
-    ack_qp: u32,
-    ack_rcq: u32,
     tx_staging: Region,
-    ack_buf: Region,
+    ack: AckRing,
     reps: Vec<RepSide>,
     pending: BTreeMap<u32, PendingOp>,
     next_seq: u32,
@@ -176,39 +194,25 @@ impl NaiveInner {
 /// Builds the naïve chain and starts replica processes.
 pub struct NaiveBuilder {
     cfg: NaiveConfig,
-    gid: u32,
-}
-
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl NaiveBuilder {
     /// Start from a config.
     pub fn new(cfg: NaiveConfig) -> Self {
         assert!(!cfg.replicas.is_empty());
-        NaiveBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        NaiveBuilder { cfg }
     }
 
     /// Allocate, wire, pre-post, and start the replica processes.
     pub fn build(self, w: &mut World, eng: &mut Engine<World>) -> NaiveClient {
         let cfg = self.cfg;
-        let gid = self.gid;
         let n = cfg.replicas.len();
         let g = n + 1;
         let dlen = desc_len(g);
         let slots = cfg.ring_slots;
         let ch = cfg.client;
 
-        let client_rep = w
-            .host(ch)
-            .layout
-            .alloc(&format!("nv{gid}.rep"), cfg.rep_bytes, 64);
+        let client_rep = wire::region(w, ch, "rep", cfg.rep_bytes);
         w.host(ch)
             .nic
             .register_mr(client_rep.addr, client_rep.len, Access::REMOTE_READ);
@@ -216,10 +220,7 @@ impl NaiveBuilder {
         let mut replica_rep = Vec::new();
         let mut rep_rkeys = Vec::new();
         for &rh in &cfg.replicas {
-            let r = w
-                .host(rh)
-                .layout
-                .alloc(&format!("nv{gid}.rep"), cfg.rep_bytes, 64);
+            let r = wire::region(w, rh, "rep", cfg.rep_bytes);
             let mr = w.host(rh).nic.register_mr(
                 r.addr,
                 r.len,
@@ -230,114 +231,37 @@ impl NaiveBuilder {
         }
 
         // Client side.
-        let out_sq =
-            w.host(ch)
-                .layout
-                .alloc(&format!("nv{gid}.out_sq"), 4 * slots as u64 * WQE_SIZE, 64);
-        let tx_staging = w
-            .host(ch)
-            .layout
-            .alloc(&format!("nv{gid}.tx"), slots as u64 * dlen, 64);
-        let ack_buf =
-            w.host(ch)
-                .layout
-                .alloc(&format!("nv{gid}.ack"), slots as u64 * 8 * g as u64, 64);
-        let ack_mr = w
-            .host(ch)
-            .nic
-            .register_mr(ack_buf.addr, ack_buf.len, Access::REMOTE_WRITE);
-        let out_scq = w.host(ch).nic.create_cq();
-        let out_rcq = w.host(ch).nic.create_cq();
-        let qp_out = w
-            .host(ch)
-            .nic
-            .create_qp(out_scq, out_rcq, out_sq.addr, 4 * slots);
-        let ack_sq = w
-            .host(ch)
-            .layout
-            .alloc(&format!("nv{gid}.ack_sq"), 4 * WQE_SIZE, 64);
-        let ack_scq = w.host(ch).nic.create_cq();
-        let ack_rcq = w.host(ch).nic.create_cq();
-        let ack_qp = w.host(ch).nic.create_qp(ack_scq, ack_rcq, ack_sq.addr, 4);
-        for k in 0..slots as u64 {
-            w.host(ch).post_recv(
-                ack_qp,
-                RecvWqe {
-                    wr_id: k,
-                    scatter: vec![],
-                },
-            );
-        }
+        let qp_out = wire::op_qp(w, ch, slots).qpn;
+        let tx_staging = wire::region(w, ch, "tx", slots as u64 * dlen);
+        let ack = AckRing::new(w, ch, slots, g);
 
         // Replicas.
         let mut reps = Vec::new();
-        let mut prev_qp = qp_out;
-        let mut prev_host = ch;
+        let mut upstream = (ch, qp_out);
         for (i, &rh) in cfg.replicas.iter().enumerate() {
-            let is_tail = i == n - 1;
-            let prev_sq = w
-                .host(rh)
-                .layout
-                .alloc(&format!("nv{gid}.prev_sq"), 4 * WQE_SIZE, 64);
-            let next_sq = w.host(rh).layout.alloc(
-                &format!("nv{gid}.next_sq"),
-                4 * slots as u64 * WQE_SIZE,
-                64,
-            );
-            let rxbuf = w
-                .host(rh)
-                .layout
-                .alloc(&format!("nv{gid}.rx"), slots as u64 * dlen, 64);
-            let txbuf = w
-                .host(rh)
-                .layout
-                .alloc(&format!("nv{gid}.txf"), slots as u64 * dlen, 64);
-            let prev_scq = w.host(rh).nic.create_cq();
-            let prev_rcq = w.host(rh).nic.create_cq();
-            let qp_prev = w
-                .host(rh)
-                .nic
-                .create_qp(prev_scq, prev_rcq, prev_sq.addr, 4);
-            let next_scq = w.host(rh).nic.create_cq();
-            let next_rcq = w.host(rh).nic.create_cq();
-            let qp_next = w
-                .host(rh)
-                .nic
-                .create_qp(next_scq, next_rcq, next_sq.addr, 4 * slots);
-            w.connect_qps(prev_host, prev_qp, rh, qp_prev);
-            // Pre-post receives into the rx buffer.
-            for k in 0..slots as u64 {
-                let addr = rxbuf.at((k % slots as u64) * dlen);
-                w.host(rh).post_recv(
-                    qp_prev,
-                    RecvWqe {
-                        wr_id: k,
-                        scatter: vec![ScatterEntry {
-                            msg_off: 0,
-                            len: dlen as u32,
-                            addr,
-                        }],
-                    },
-                );
-            }
-            reps.push(RepSide {
+            let prev = wire::recv_qp(w, rh);
+            let qp_next = wire::op_qp(w, rh, slots).qpn;
+            let rxbuf = wire::region(w, rh, "rx", slots as u64 * dlen);
+            let txbuf = wire::region(w, rh, "txf", slots as u64 * dlen);
+            w.connect_qps(upstream.0, upstream.1, rh, prev.qpn);
+            let mut rep = RepSide {
                 host: rh,
-                qp_prev,
-                prev_rcq,
+                qp_prev: prev.qpn,
+                prev_rcq: prev.rcq,
                 qp_next,
                 rxbuf,
                 txbuf,
-                next_rkey: if is_tail {
-                    ack_mr.rkey
-                } else {
-                    rep_rkeys[i + 1]
-                },
-                recvs_posted: slots as u64,
-            });
-            prev_qp = qp_next;
-            prev_host = rh;
+                next_rkey: rep_rkeys.get(i + 1).copied().unwrap_or(ack.rkey),
+                recvs_posted: 0,
+            };
+            // Pre-post receives into the rx buffer.
+            for _ in 0..slots {
+                rep.post_recv(w, dlen, slots as u64);
+            }
+            reps.push(rep);
+            upstream = (rh, qp_next);
         }
-        w.connect_qps(prev_host, prev_qp, ch, ack_qp);
+        w.connect_qps(upstream.0, upstream.1, ch, ack.qp);
 
         let inner: NaiveRef = Rc::new(RefCell::new(NaiveInner {
             g,
@@ -346,10 +270,8 @@ impl NaiveBuilder {
             replica_rep,
             rep_rkeys,
             qp_out,
-            ack_qp,
-            ack_rcq,
             tx_staging,
-            ack_buf,
+            ack,
             reps,
             pending: BTreeMap::new(),
             next_seq: 0,
@@ -392,7 +314,7 @@ impl NaiveBuilder {
         // Client ACK dispatcher (zero-CPU driver, as with HyperLoop — the
         // client machine is dedicated in the paper's microbenchmarks).
         let rc = inner.clone();
-        let ack_rcq_c = inner.borrow().ack_rcq;
+        let ack_rcq_c = inner.borrow().ack.rcq;
         w.subscribe_cq_callback(ch, ack_rcq_c, move |cqe, w, eng| {
             ack_dispatch(&rc, cqe, w, eng);
         });
@@ -402,7 +324,7 @@ impl NaiveBuilder {
 }
 
 fn ack_dispatch(rc: &NaiveRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut Engine<World>) {
-    if cqe.kind != CqeKind::RecvImm || cqe.status != CqeStatus::Ok {
+    if !AckRing::is_ack(&cqe) {
         return;
     }
     let mut inner = rc.borrow_mut();
@@ -411,20 +333,8 @@ fn ack_dispatch(rc: &NaiveRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut Engin
     };
     inner.inflight -= 1;
     inner.stats.acked += 1;
-    let g = inner.g;
     let ch = inner.cfg.client;
-    let slots = inner.cfg.ring_slots as u64;
-    let ack_addr = inner.ack_buf.at((cqe.imm as u64 % slots) * 8 * g as u64);
-    let ack_qp = inner.ack_qp;
-    let ack = w.hosts[ch.0].mem.read(ack_addr, 8 * g).unwrap();
-    let results = crate::metadata::parse_results(ack, g);
-    w.host(ch).post_recv(
-        ack_qp,
-        RecvWqe {
-            wr_id: cqe.imm as u64,
-            scatter: vec![],
-        },
-    );
+    let results = inner.ack.complete(w, cqe.imm as u64, cqe.imm as u64);
     let latency = eng.now().duration_since(p.issued_at);
     let mode = inner.cfg.mode;
     drop(inner);
@@ -500,41 +410,14 @@ impl NaiveClient {
         w.host(ch).mem.write(staging, &desc).unwrap();
 
         let qp_out = inner.qp_out;
-        if let Some((offset, len)) = data {
-            let laddr = inner.client_rep.at(offset);
-            let raddr = inner.replica_rep[0].at(offset);
-            let rkey = inner.rep_rkeys[0];
-            w.hosts[ch.0]
-                .post_send(
-                    qp_out,
-                    Wqe {
-                        opcode: Opcode::Write,
-                        len,
-                        laddr,
-                        raddr,
-                        rkey,
-                        wr_id: seq as u64,
-                        op,
-                        ..Default::default()
-                    },
-                    false,
-                )
-                .expect("client SQ sized");
-        }
-        w.hosts[ch.0]
-            .post_send(
-                qp_out,
-                Wqe {
-                    opcode: Opcode::Send,
-                    len: dlen as u32,
-                    laddr: staging,
-                    wr_id: seq as u64,
-                    op,
-                    ..Default::default()
-                },
-                false,
-            )
-            .expect("client SQ sized");
+        let data = data.map(|(offset, len)| OneSided {
+            write_from: Some(inner.client_rep.at(offset)),
+            flush: false,
+            raddr: inner.replica_rep[0].at(offset),
+            rkey: inner.rep_rkeys[0],
+            len,
+        });
+        wire::post_op(&mut w.hosts[ch.0], qp_out, seq, op, data, staging, dlen);
         inner.pending.insert(
             seq,
             PendingOp {
@@ -793,10 +676,8 @@ impl NaiveReplica {
         mem.write(tx_addr, &desc_out).unwrap();
         let qp_next = inner.reps[i].qp_next;
         let next_rkey = inner.reps[i].next_rkey;
-        let qp_prev = inner.reps[i].qp_prev;
-        let rxbuf = inner.reps[i].rxbuf.clone();
         if is_tail {
-            let ack_slot = inner.ack_buf.at((seq as u64 % slots) * 8 * g as u64);
+            let ack_slot = inner.ack.slot_addr(seq as u64);
             ctx.world.hosts[rh.0]
                 .post_send(
                     qp_next,
@@ -850,19 +731,7 @@ impl NaiveReplica {
                 .expect("SQ sized");
         }
         // Re-post the consumed RECV.
-        let new_slot = inner.reps[i].recvs_posted;
-        inner.reps[i].recvs_posted += 1;
-        ctx.world.hosts[rh.0].post_recv(
-            qp_prev,
-            RecvWqe {
-                wr_id: new_slot,
-                scatter: vec![ScatterEntry {
-                    msg_off: 0,
-                    len: dlen as u32,
-                    addr: rxbuf.at((new_slot % slots) * dlen),
-                }],
-            },
-        );
+        inner.reps[i].post_recv(ctx.world, dlen, slots);
         drop(inner);
         let now = ctx.now();
         ctx.world

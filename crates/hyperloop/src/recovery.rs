@@ -11,10 +11,10 @@
 use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::metadata::Primitive;
 use crate::reconfig::{self, Plan};
-use crate::HyperLoopClient;
+use crate::{wire, HyperLoopClient};
 use hl_cluster::{deliver, Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
-use hl_rnic::{Cqe, CqeStatus, Opcode, Wqe, WQE_SIZE};
+use hl_rnic::{Cqe, CqeStatus, Opcode, Wqe};
 use hl_sim::{Engine, SimDuration};
 
 /// One-shot continuation used by the recovery helpers.
@@ -211,6 +211,9 @@ pub fn start_heartbeats(
     )
 }
 
+/// Send-queue depth of the catch-up copy's QP pair (one READ in flight).
+const COPY_SQ: u32 = 8;
+
 /// Copy `[src_addr, +len)` on `src` into `[dst_addr, +len)` on `dst`
 /// with chunked RDMA READs issued from `dst` — the catch-up phase a new
 /// chain member runs before joining. Calls `done` when the copy is
@@ -230,22 +233,12 @@ pub fn catch_up(
     done: OnRecovered,
 ) {
     // A throwaway QP pair for the copy.
-    static CUP: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-    let uid = CUP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let sq_d = w
-        .host(dst)
-        .layout
-        .alloc(&format!("catchup{uid}.sq"), 8 * WQE_SIZE, 64);
-    let sq_s = w
-        .host(src)
-        .layout
-        .alloc(&format!("catchup{uid}.sq"), 8 * WQE_SIZE, 64);
-    let scq_d = w.host(dst).nic.create_cq();
-    let rcq_d = w.host(dst).nic.create_cq();
-    let qp_d = w.host(dst).nic.create_qp(scq_d, rcq_d, sq_d.addr, 8);
-    let scq_s = w.host(src).nic.create_cq();
-    let rcq_s = w.host(src).nic.create_cq();
-    let qp_s = w.host(src).nic.create_qp(scq_s, rcq_s, sq_s.addr, 8);
+    let wire::Qp {
+        qpn: qp_d,
+        scq: scq_d,
+        ..
+    } = wire::qp(w, dst, COPY_SQ);
+    let qp_s = wire::qp(w, src, COPY_SQ).qpn;
     w.connect_qps(dst, qp_d, src, qp_s);
     // Catch-up often runs while the fabric is still unhealthy (that is
     // why the chain is being rebuilt); a lost READ on a fire-and-forget
@@ -389,7 +382,7 @@ pub fn watch_transport_errors(group: &GroupRef, w: &mut World, on_error: OnTrans
         let g = group.borrow();
         (
             g.cfg.client,
-            Primitive::ALL.map(|p| g.client_rings[p.idx()].out_scq),
+            Primitive::ALL.map(|p| g.client_rings[p.idx()].out.scq),
         )
     };
     let cb = std::rc::Rc::new(std::cell::RefCell::new(on_error));

@@ -120,9 +120,10 @@ fn replica_cpus_stay_idle_with_multiple_clients() {
         eng.run_while(&mut w, move |_| *probe.borrow() < want);
     }
     let now = eng.now();
+    // Every replica runs the replenisher of its own slots, nothing else.
     for h in 2..5 {
         let util = w.hosts[h].cpu.host_utilization(now);
-        assert!(util < 0.02, "replica host {h} util {util}");
+        assert!(0.0 < util && util < 0.02, "replica host {h} util {util}");
     }
 }
 

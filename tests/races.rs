@@ -7,14 +7,20 @@
 //! host, and they carry different bytes — exactly the silent-corruption
 //! race the WQE-ownership & DMA detector exists to flag. One seed, one
 //! deterministic detection.
+//!
+//! The fan-out and multi-client extensions run here too: their crate
+//! has no `check-ownership` feature of its own, so this package (which
+//! declares it) is where their slot programs meet the detector.
 
 #![cfg(feature = "check-ownership")]
 
-use hyperloop_repro::cluster::ClusterBuilder;
+use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
-use hyperloop_repro::hyperloop::recovery;
+use hyperloop_repro::hyperloop::fanout::{self, FanoutBuilder, FanoutClient, FanoutConfig};
+use hyperloop_repro::hyperloop::multi::{self, MultiBuilder, MultiClient, MultiConfig};
+use hyperloop_repro::hyperloop::{recovery, Backpressure, OnDone};
 use hyperloop_repro::rnic::{flags, Access, Opcode, Wqe};
-use hyperloop_repro::sim::{SimDuration, SimTime};
+use hyperloop_repro::sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -152,5 +158,83 @@ fn healthy_write_traffic_reports_no_races() {
         w.hosts[1].mem.read_vec(region.addr, 64).unwrap(),
         vec![0x42; 64]
     );
+    assert!(w.race_report().is_empty(), "got: {:?}", w.race_report());
+}
+
+/// Issue `total` pipelined writes through `issue`, waiting 50 µs of
+/// simulated time whenever the ring refuses, and run until all are
+/// ACKed.
+fn pipeline(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    total: u32,
+    issue: impl Fn(&mut World, &mut Engine<World>, u32, OnDone) -> Result<u32, Backpressure>,
+) {
+    let acked = Rc::new(RefCell::new(0u32));
+    let mut k = 0;
+    while k < total {
+        let a = acked.clone();
+        match issue(w, eng, k, Box::new(move |_, _, _| *a.borrow_mut() += 1)) {
+            Ok(_) => k += 1,
+            Err(Backpressure) => {
+                let woke = Rc::new(RefCell::new(false));
+                let flag = woke.clone();
+                eng.schedule(SimDuration::from_micros(50), move |_, _| {
+                    *flag.borrow_mut() = true
+                });
+                eng.run_while(w, move |_| !*woke.borrow());
+            }
+        }
+    }
+    let a = acked.clone();
+    assert!(eng.run_while(w, move |_| *a.borrow() < total));
+}
+
+const RING: u32 = 16;
+
+/// The fan-out programs use deferred ownership (WAIT-granted WQEs) and
+/// scatter-into-WQE on the primary, and are replenished by a process
+/// per host while traffic flows: four ring depths of pipelined writes
+/// must leave the ownership & DMA detector silent.
+#[test]
+fn fanout_pipelined_writes_report_no_races() {
+    let (mut w, mut eng) = ClusterBuilder::new(4).arena_size(4 << 20).seed(23).build();
+    let group = FanoutBuilder::new(FanoutConfig {
+        client: HostId(0),
+        primary: HostId(1),
+        backups: vec![HostId(2), HostId(3)],
+        rep_bytes: 256 << 10,
+        ring_slots: RING,
+        ..Default::default()
+    })
+    .build(&mut w);
+    fanout::start_replenisher(&group, &mut w, &mut eng);
+    let client = FanoutClient::new(group, &mut w);
+    pipeline(&mut w, &mut eng, 4 * RING, |w, eng, k, done| {
+        client.gwrite(w, eng, k as u64 * 256, &[k as u8; 200], done)
+    });
+    assert!(w.race_report().is_empty(), "got: {:?}", w.race_report());
+}
+
+/// The same for the multi-client chain: two clients through one SRQ
+/// head, the per-client select byte rewriting the tail's opcodes.
+#[test]
+fn multi_client_pipelined_writes_report_no_races() {
+    let (mut w, mut eng) = ClusterBuilder::new(5).arena_size(4 << 20).seed(29).build();
+    let chain = MultiBuilder::new(MultiConfig {
+        clients: vec![HostId(0), HostId(1)],
+        replicas: vec![HostId(2), HostId(3), HostId(4)],
+        rep_bytes: 256 << 10,
+        ring_slots: RING,
+        ..Default::default()
+    })
+    .build(&mut w);
+    multi::start_replenisher(&chain, &mut w, &mut eng);
+    let clients: Vec<MultiClient> = (0..2)
+        .map(|c| MultiClient::new(chain.clone(), c, &mut w))
+        .collect();
+    pipeline(&mut w, &mut eng, 4 * RING, |w, eng, k, done| {
+        clients[k as usize % 2].gwrite(w, eng, k as u64 * 256, &[k as u8; 200], k % 3 == 0, done)
+    });
     assert!(w.race_report().is_empty(), "got: {:?}", w.race_report());
 }
