@@ -27,6 +27,7 @@
 //! | `panic-in-handler` | `panic!`/`unwrap`/`expect` inside NIC packet/doorbell handlers |
 //! | `rand-raw` | raw `rand::` paths outside the named-RNG-stream API |
 //! | `wire-truncation` | bare `as` truncation of wire-format fields |
+//! | `libm-in-datapath` | `.ln()`/`.exp()`/`.cos()`/`.sin()`/`.powf()` in non-test code of the per-event crates ([`DATAPATH_CRATES`]); a host-cost rule, never a taint source |
 //! | `taint` | entry point transitively reaching any source above |
 //! | `taint-panic` | NIC handler transitively reaching an unsuppressed panic site |
 //!
@@ -75,6 +76,19 @@ pub const SIM_CRATES: &[&str] = &[
     "hl-cluster",
     "hyperloop",
     "hl-store",
+];
+
+/// The crates whose code runs once per simulated event, WQE or packet:
+/// the scope of `libm-in-datapath`. `hl-nvm` and `hl-store` are left
+/// out (byte copies and per-operation application code, no float
+/// math to police).
+pub const DATAPATH_CRATES: &[&str] = &[
+    "hl-sim",
+    "hl-rnic",
+    "hl-fabric",
+    "hl-cpu",
+    "hl-cluster",
+    "hyperloop",
 ];
 
 /// Lint every sim-core crate under workspace `root`: lexical rules on

@@ -46,6 +46,10 @@ pub const RULES: &[(&str, &str)] = &[
         "wire-truncation",
         "`as` cast narrows a wire-format field (psn/raddr/op/...) below its declared width, silently dropping bytes",
     ),
+    (
+        "libm-in-datapath",
+        "transcendental float call (.ln/.exp/.cos/.sin/.powf) in non-test datapath code; sample from a table built at set-up",
+    ),
 ];
 
 /// Wire-format field names and their declared byte widths (WQE,
@@ -92,6 +96,10 @@ const TIME_CTORS: &[&str] = &["from_nanos", "from_micros", "from_millis", "from_
 /// Float-producing method calls that taint a timestamp argument.
 const FLOATY_METHODS: &[&str] = &["round", "ceil", "floor", "powf", "sqrt", "exp", "ln"];
 
+/// `f64` methods that compile to a libm call, checked by
+/// `libm-in-datapath`.
+const LIBM_METHODS: &[&str] = &["ln", "exp", "cos", "sin", "powf"];
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -125,6 +133,7 @@ pub fn check_source(file: &str, src: &str) -> Vec<Finding> {
     rule_panic_in_handler(file, &toks, &mut findings);
     rule_rand_raw(file, &toks, &mut findings);
     rule_wire_truncation(file, &toks, &mut findings);
+    rule_libm_in_datapath(file, &toks, &mut findings);
     let ranges = allow_ranges(&toks, &allows);
     findings.retain(|f| {
         !ranges
@@ -452,6 +461,70 @@ fn rule_wire_truncation(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
     }
 }
 
+/// `libm-in-datapath`: `.ln()`, `.exp()`, `.cos()`, `.sin()` or
+/// `.powf()` outside `#[cfg(test)]` items. Each is tens of nanoseconds
+/// of host time and makes the simulated bytes depend on the platform's
+/// libm; the 18 such draws per gWRITE were a fifth of the simulator's
+/// cost before the jitter table. Set-up code and rare paths carry an
+/// allow with the reason. Which crates count as datapath is the
+/// caller's business ([`crate::DATAPATH_CRATES`]).
+fn rule_libm_in_datapath(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
+    let mut i = 0;
+    while i < toks.len() {
+        if let Some(after) = skip_cfg_test_item(toks, i) {
+            i = after;
+            continue;
+        }
+        if toks[i].is_punct('.')
+            && i + 2 < toks.len()
+            && toks[i + 1].kind == TokKind::Ident
+            && LIBM_METHODS.contains(&toks[i + 1].text.as_str())
+            && toks[i + 2].is_punct('(')
+        {
+            out.push(Finding {
+                rule: "libm-in-datapath",
+                file: file.to_string(),
+                line: toks[i + 1].line,
+                message: format!(
+                    "`.{}()` is a libm call per use; tabulate it at set-up or allow it with the reason",
+                    toks[i + 1].text
+                ),
+            });
+        }
+        i += 1;
+    }
+}
+
+/// If `toks[i..]` starts with `#[cfg(test)]`, the index just past the
+/// item it gates (through its closing `}` or terminating `;`).
+fn skip_cfg_test_item(toks: &[Tok], i: usize) -> Option<usize> {
+    let attr = toks.get(i..i + 7)?;
+    let is_attr = attr[0].is_punct('#')
+        && attr[1].is_punct('[')
+        && attr[2].is_ident("cfg")
+        && attr[3].is_punct('(')
+        && attr[4].is_ident("test")
+        && attr[5].is_punct(')')
+        && attr[6].is_punct(']');
+    if !is_attr {
+        return None;
+    }
+    let mut depth: i64 = 0;
+    for (j, t) in toks.iter().enumerate().skip(i + 7) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+            if depth == 0 && t.is_punct('}') {
+                return Some(j + 1);
+            }
+        } else if t.is_punct(';') && depth == 0 {
+            return Some(j + 1);
+        }
+    }
+    Some(toks.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +593,26 @@ mod tests {
         assert!(rules_fired("let x = imm as u64; let y = len as u32;").is_empty());
         // Unrelated identifiers pass.
         assert!(rules_fired("let x = count as u8;").is_empty());
+    }
+
+    #[test]
+    fn libm_calls_outside_test_items() {
+        assert_eq!(
+            rules_fired("fn f(x: f64) -> f64 { (x.ln() * 2.0).exp() }"),
+            ["libm-in-datapath", "libm-in-datapath"]
+        );
+        // Not libm: integer powers, sqrt (an instruction), a field or a
+        // free function that happens to be called `exp`.
+        assert!(
+            rules_fired("fn f(x: f64) -> f64 { x.powi(2).sqrt() + s.exp + exp(x) }").is_empty()
+        );
+        // `#[cfg(test)]` gates exactly one item, mod or fn.
+        let gated = "#[cfg(test)]\nmod tests { fn r(x: f64) -> f64 { x.cos() } }\n#[cfg(test)]\nfn h(x: f64) -> f64 { x.sin() }\nfn live(x: f64) -> f64 { x.powf(1.5) }";
+        assert_eq!(rules_fired(gated), ["libm-in-datapath"]);
+        assert!(
+            rules_fired("let y = x.ln(); // rare path -- hl-lint: allow(libm-in-datapath)")
+                .is_empty()
+        );
     }
 
     #[test]

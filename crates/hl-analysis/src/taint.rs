@@ -279,6 +279,14 @@ pub fn build_model(root: &Path, crates: &[CrateInfo]) -> std::io::Result<Model> 
 
             // Attribute findings to the innermost containing fn.
             for finding in findings {
+                if finding.rule == "libm-in-datapath" {
+                    // A host-cost rule scoped to the per-event crates:
+                    // reported where it stands, never a taint source.
+                    if crate::DATAPATH_CRATES.contains(&c.name.as_str()) {
+                        m.direct.push(finding);
+                    }
+                    continue;
+                }
                 let holder = innermost_fn(&syms.fns, finding.line).map(|i| fn_base + i);
                 if c.sim {
                     m.direct.push(finding.clone());

@@ -39,6 +39,7 @@ fixture_tests! {
     panic_in_handler_fixture: "panic_in_handler.rs" => "panic-in-handler",
     rand_raw_fixture: "rand_raw.rs" => "rand-raw",
     wire_truncation_fixture: "wire_truncation.rs" => "wire-truncation",
+    libm_in_datapath_fixture: "libm_in_datapath.rs" => "libm-in-datapath",
 }
 
 /// Every rule name used by a fixture is registered in [`hl_analysis::RULES`]
@@ -55,6 +56,7 @@ fn fixture_rules_are_registered() {
         "panic-in-handler",
         "rand-raw",
         "wire-truncation",
+        "libm-in-datapath",
     ] {
         assert!(registered.contains(&rule), "{rule} not in RULES");
     }

@@ -102,6 +102,10 @@ fn main() {
         .expect("write results/timeseries_excursion.json");
 
     let mut json = String::from("{\n");
+    json.push_str(&format!(
+        "  \"baseline\": \"{}\",\n",
+        hl_bench::SIM_CLOCK_BASELINE
+    ));
     json.push_str(&format!("  \"ops\": {},\n", cfg.ops));
     json.push_str(&format!(
         "  \"classes\": [{}],\n",

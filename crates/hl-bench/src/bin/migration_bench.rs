@@ -82,6 +82,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"BENCH_10\",\n",
+            "  \"baseline\": \"{}\",\n",
             "  \"ops\": {},\n",
             "  \"seed\": {},\n",
             "  \"migration\": {{\n",
@@ -105,6 +106,7 @@ fn main() {
             "  }}\n",
             "}}\n",
         ),
+        hl_bench::SIM_CLOCK_BASELINE,
         cfg.ops,
         cfg.seed,
         mig.migrated,

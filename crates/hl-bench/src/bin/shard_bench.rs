@@ -96,6 +96,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
+            "  \"baseline\": \"{}\",\n",
             "  \"ops_per_shard\": {},\n",
             "  \"points\": [{}],\n",
             "  \"agg_kops\": [{}],\n",
@@ -103,6 +104,7 @@ fn main() {
             "  \"byte_identical\": {}\n",
             "}}\n"
         ),
+        hl_bench::SIM_CLOCK_BASELINE,
         ops,
         counts
             .iter()

@@ -331,7 +331,18 @@ pub fn run_gray_point(
         });
     }
 
-    eng.run_until(&mut w, SimTime::from_nanos(2_000_000_000));
+    // Every point runs to the same 2 s horizon so that rows compare; one
+    // whose ops have not all settled by then keeps going a second at a
+    // time. lossy_link/hyperloop sits on that edge at 200 ops (p50
+    // ~39 ms of 3 ms go-back-N timeouts × 200 / 4 ≈ 1.9–2.1 s depending
+    // on which packets the seed drops; ROADMAP item 4).
+    for horizon_s in 2..=10 {
+        eng.run_until(&mut w, SimTime::from_nanos(horizon_s * 1_000_000_000));
+        let p = pump.borrow();
+        if p.hist.count() + p.failed as u64 == cfg.ops as u64 {
+            break;
+        }
+    }
     if let Some(m) = &monitor {
         m.stop();
     }

@@ -20,6 +20,13 @@
 
 #![warn(missing_docs)]
 
+/// Which recording of the simulated clock the stored sim-time artefacts
+/// (`BENCH_6.json`, `BENCH_10.json`, `SHARD_BENCH.json`, `results/*`)
+/// belong to; written into the JSON ones. Change it only in a PR that
+/// means to move simulated time and regenerates them all.
+pub const SIM_CLOCK_BASELINE: &str =
+    "re-baselined at PR 15 (sampler change, distribution-equivalent)";
+
 pub mod apps;
 pub mod campaign;
 pub mod gray;

@@ -61,7 +61,8 @@ use crate::track::{OwnershipTracker, Violation};
 use crate::wqe::{flags, Opcode, Wqe, WQE_SIZE};
 use hl_nvm::NvmArena;
 use hl_sim::config::NicProfile;
-use hl_sim::{Bytes, RngStream, SimDuration, SimTime};
+use hl_sim::{Bytes, JitterTable, RngStream, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Things the cluster layer must do on the NIC's behalf.
 #[derive(Debug)]
@@ -233,6 +234,9 @@ pub struct Nic {
     resumed: Vec<u32>,
     inflight: Vec<Option<Inflight>>,
     rng: RngStream,
+    /// Sampler for `profile.jitter_sigma`, shared by every NIC with the
+    /// same sigma; `None` when sigma is 0 (see [`Nic::jit`]).
+    jitter: Option<Arc<JitterTable>>,
     counters: NicCounters,
     /// Whole-NIC fault: inbound packets dropped, send engine halted.
     stalled: bool,
@@ -253,6 +257,8 @@ impl Nic {
     pub fn new(id: u32, profile: NicProfile, rng: RngStream) -> Self {
         Nic {
             id,
+            jitter: (profile.jitter_sigma != 0.0)
+                .then(|| JitterTable::shared(profile.jitter_sigma)),
             profile,
             mrs: MrTable::new(),
             qps: Vec::new(),
@@ -339,22 +345,27 @@ impl Nic {
     }
 
     /// Jittered duration: multiplies by a log-normal factor with median
-    /// 1, plus a rare exponential memory-bus contention hit.
+    /// 1 (one `u64` of the NIC's stream through the shared
+    /// [`JitterTable`]), plus a rare exponential memory-bus contention
+    /// hit. With `jitter_sigma == 0.0` the duration is returned as is
+    /// and nothing is drawn — contention included, whatever
+    /// `contention_prob` says: a zero-sigma profile is an exactly
+    /// repeatable NIC.
     fn jit(&mut self, d: SimDuration) -> SimDuration {
-        if self.profile.jitter_sigma == 0.0 {
+        let Some(table) = &self.jitter else {
             return d;
-        }
-        let f = self.rng.lognormal(1.0, self.profile.jitter_sigma);
-        let mut ns = d.as_nanos() as f64 * f;
+        };
+        let mut ns = d.as_nanos() as f64 * table.factor(self.rng.u64());
         if self.profile.contention_prob > 0.0 && self.rng.chance(self.profile.contention_prob) {
             ns += self
                 .rng
                 .exponential(self.profile.contention_mean.as_nanos() as f64);
         }
         // Audited: the float factor is drawn from the seeded per-NIC
-        // RngStream and rounded once (no accumulation across events), so
-        // the same seed replays the same nanosecond.
-        SimDuration::from_nanos(ns.round() as u64) // hl-lint: allow(float-time)
+        // RngStream and rounded once, half up, by the integer cast (no
+        // accumulation across events), so the same seed replays the same
+        // nanosecond.
+        SimDuration::from_nanos((ns + 0.5) as u64) // hl-lint: allow(float-time)
     }
 
     // ----- setup ---------------------------------------------------------
@@ -1954,3 +1965,55 @@ impl std::fmt::Display for RingFull {
 }
 
 impl std::error::Error for RingFull {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hl_sim::RngFactory;
+
+    fn nic_and_stream(profile: NicProfile) -> (Nic, RngStream) {
+        let rng = RngFactory::new(3).stream("nic");
+        (Nic::new(0, profile, rng.clone()), rng)
+    }
+
+    /// `jitter_sigma == 0.0` switches every NIC draw off, the contention
+    /// trial included: durations come back unchanged and the stream does
+    /// not advance.
+    #[test]
+    fn zero_sigma_draws_nothing() {
+        let (mut nic, mut untouched) = nic_and_stream(NicProfile {
+            jitter_sigma: 0.0,
+            contention_prob: 1.0,
+            ..Default::default()
+        });
+        for ns in [0, 1, 450, 1_000_000] {
+            let d = SimDuration::from_nanos(ns);
+            assert_eq!(nic.jit(d), d);
+        }
+        assert_eq!(nic.rng.u64(), untouched.u64());
+    }
+
+    /// A jittered duration costs one `u64` for the factor and one for
+    /// the contention trial; with contention off, exactly one.
+    #[test]
+    fn jitter_draw_count_is_fixed() {
+        for (contention_prob, per_call) in [(0.0, 1), (1e-9, 2)] {
+            let (mut nic, mut mirror) = nic_and_stream(NicProfile {
+                contention_prob,
+                ..Default::default()
+            });
+            let d = SimDuration::from_nanos(450);
+            for _ in 0..1_000 {
+                let ns = nic.jit(d).as_nanos();
+                assert!(
+                    (225..900).contains(&ns),
+                    "{ns} ns is not 450 ns ± 8 %-sigma"
+                );
+                for _ in 0..per_call {
+                    mirror.u64();
+                }
+            }
+            assert_eq!(nic.rng.u64(), mirror.u64());
+        }
+    }
+}

@@ -37,8 +37,13 @@ pub struct NicProfile {
     pub rx_process: SimDuration,
     /// PCIe DMA bandwidth for local memory copies (bytes/sec).
     pub dma_bw_bytes: u64,
-    /// Median of multiplicative log-normal jitter on NIC operations.
-    /// Latency is multiplied by `lognormal(1.0, jitter_sigma)`.
+    /// Sigma of the multiplicative log-normal jitter on NIC operations:
+    /// each WQE, DMA, cache flush and received packet takes its nominal
+    /// time × `lognormal(median 1, jitter_sigma)`, sampled through
+    /// [`crate::JitterTable`]. `0.0` turns *all* NIC randomness off —
+    /// no factor is drawn and no contention trial either, whatever
+    /// `contention_prob` says — so a zero-sigma profile is exactly
+    /// repeatable (the hl-rnic verb tests rely on it).
     pub jitter_sigma: f64,
     /// Doorbell (MMIO write) latency from CPU to NIC.
     pub doorbell: SimDuration,
@@ -47,7 +52,8 @@ pub struct NicProfile {
     pub cache_flush: SimDuration,
     /// Probability that a NIC operation hits memory-bus / PCIe
     /// contention (co-located tenants hammer the same memory
-    /// controller the NIC DMAs through).
+    /// controller the NIC DMAs through). Tried once per jittered
+    /// operation, so it has no effect while `jitter_sigma == 0.0`.
     pub contention_prob: f64,
     /// Mean of the exponential extra delay on a contention hit.
     pub contention_mean: SimDuration,
@@ -124,9 +130,7 @@ impl Default for CpuProfile {
 impl NetProfile {
     /// Serialization (wire transfer) time for `bytes`.
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
-        let bits = bytes as u128 * 8;
-        let ns = bits * 1_000_000_000 / self.bandwidth_bps as u128;
-        SimDuration::from_nanos(ns as u64)
+        SimDuration::from_nanos(mul_div(bytes as u64, 8_000_000_000, self.bandwidth_bps))
     }
 
     /// One-way latency for a message of `bytes`: serialization + propagation.
@@ -138,8 +142,19 @@ impl NetProfile {
 impl NicProfile {
     /// DMA time for a local copy of `bytes`.
     pub fn dma_time(&self, bytes: usize) -> SimDuration {
-        let ns = bytes as u128 * 1_000_000_000 / self.dma_bw_bytes as u128;
-        SimDuration::from_nanos(ns as u64)
+        SimDuration::from_nanos(mul_div(bytes as u64, 1_000_000_000, self.dma_bw_bytes))
+    }
+}
+
+/// `a * b / d` without intermediate overflow. Every packet and DMA
+/// pays this, so the product stays in `u64` whenever it fits (always,
+/// below 2 GiB per message) and only otherwise takes the `u128`
+/// division, which is a library call; both give the same quotient.
+#[inline]
+fn mul_div(a: u64, b: u64, d: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(prod) => prod / d,
+        None => (a as u128 * b as u128 / d as u128) as u64,
     }
 }
 
@@ -153,6 +168,42 @@ mod tests {
         // 56 Gbps = 7 GB/s → 7 bytes/ns → 7000 bytes in 1000 ns.
         assert_eq!(net.transfer_time(7000).as_nanos(), 1000);
         assert_eq!(net.transfer_time(0).as_nanos(), 0);
+    }
+
+    /// The `u64` fast path and the `u128` formula agree on sizes and
+    /// bandwidths either side of `bytes · 8 · 10⁹ = 2⁶⁴` (2.3 GB).
+    #[test]
+    fn transfer_time_fast_path_matches_wide_formula() {
+        let threshold = (u64::MAX / 8_000_000_000) as usize;
+        let mut sizes = vec![0, 1, 64, 1024, 4096, 7000, 1 << 20, 1 << 30];
+        sizes.extend([threshold - 1, threshold, threshold + 1, threshold + 2]);
+        sizes.extend([2 * threshold, 1 << 40, usize::MAX >> 4]);
+        let (mut narrow, mut wide_path) = (false, false);
+        for &bytes in &sizes {
+            for bw in [
+                1u64,
+                7,
+                1_000_000_000,
+                10_000_000_000,
+                56_000_000_000,
+                400_000_000_000,
+            ] {
+                let net = NetProfile {
+                    bandwidth_bps: bw,
+                    ..Default::default()
+                };
+                let wide = bytes as u128 * 8 * 1_000_000_000 / bw as u128;
+                assert_eq!(
+                    net.transfer_time(bytes).as_nanos(),
+                    wide as u64,
+                    "{bytes} B at {bw} bps"
+                );
+                let overflows = (bytes as u64).checked_mul(8_000_000_000).is_none();
+                wide_path |= overflows;
+                narrow |= !overflows;
+            }
+        }
+        assert!(narrow && wide_path, "grid covers both paths");
     }
 
     #[test]

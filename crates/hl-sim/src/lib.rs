@@ -25,7 +25,7 @@ mod trace;
 
 pub use bytes::Bytes;
 pub use engine::{Engine, EventCtx, EventToken, Handler, NoEvent};
-pub use rng::{RngFactory, RngStream};
+pub use rng::{JitterTable, RngFactory, RngStream};
 pub use sketch::Sketch;
 pub use stats::{Counters, Histogram, Summary};
 pub use telemetry::{

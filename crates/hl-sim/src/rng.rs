@@ -11,6 +11,8 @@
 //! exact draw sequence is pinned by this file alone and the workspace
 //! builds fully offline.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 /// Factory for named deterministic RNG streams.
 #[derive(Debug, Clone)]
 pub struct RngFactory {
@@ -138,37 +140,164 @@ impl RngStream {
     }
 
     /// Exponentially distributed draw with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        -mean * self.f64_open().ln()
-    }
-
-    /// Log-normal draw specified by the *median* and sigma of the
-    /// underlying normal. Handy for long-tailed hardware jitter.
-    pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
-        let n = self.standard_normal();
-        median * (sigma * n).exp()
-    }
-
-    /// Standard normal via Box–Muller, one value per call.
     ///
-    /// Not free: every NIC jitter draw comes through here, and `ln`,
-    /// `cos` and `lognormal`'s `exp` together are ~15 % of host time on
-    /// the `gwrite_chain` benchmark. It is left alone because any other
-    /// sampler — a table, a ziggurat, even keeping Box–Muller's second
-    /// value — maps the same uniform draws to different factors and so
-    /// moves every simulated nanosecond; that is a change with its own
-    /// claim, not a refactor. For the same reason simulated bytes depend
-    /// on the platform's libm: two machines agree exactly only if their
-    /// `ln`/`cos`/`exp` round identically.
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1 = self.f64_open();
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    /// One libm `ln` per draw: the only caller on the NIC datapath is the
+    /// memory-bus contention tail (`NicProfile::contention_prob`, 0.5 %
+    /// of jittered operations).
+    pub fn exponential(&mut self, mean: f64) -> f64 {
+        -mean * self.f64_open().ln() // hl-lint: allow(libm-in-datapath)
     }
 
     /// Raw `u64` draw (for seeding sub-generators).
     pub fn u64(&mut self) -> u64 {
         self.next_u64()
+    }
+}
+
+/// Inverse-CDF table for the multiplicative NIC jitter factor
+/// `lognormal(median 1, sigma)`, i.e. `exp(sigma · Φ⁻¹(p))` with `p`
+/// uniform.
+///
+/// The map from one raw `u64` to a factor is [`JitterTable::factor`]:
+/// the top 10 bits pick one of 1024 equal-probability bins, the low 54 bits interpolate linearly between the bin's two
+/// knots. The chord's relative error in the `k`-th bin from either end
+/// is about `sigma / (8·|z|·k²)`, independent of the bin width, so the
+/// 8 outermost bins at each end (1.6 % of draws) evaluate `exp(sigma · Φ⁻¹(p))` directly instead: that keeps
+/// the whole map within 1e-4 of the exact quantile function for
+/// `sigma ≤ 0.1` and leaves the tail untruncated (the extreme factor is
+/// the quantile at `p = 2⁻⁵³`, ±8.2 sigma).
+///
+/// libm (`exp`, `ln`) is used to build the knots and in the exact bins,
+/// nowhere else, so the factor of an interpolated draw depends on the
+/// platform's libm only through the knot values.
+pub struct JitterTable {
+    sigma: f64,
+    /// `knots[i] = exp(sigma · Φ⁻¹(i / BINS))`; bin `i` spans
+    /// `knots[i]..knots[i + 1]`.
+    knots: [f64; Self::BINS + 1],
+}
+
+/// The knots are a function of sigma; a `Nic` dump should not print 1025
+/// of them.
+impl std::fmt::Debug for JitterTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JitterTable")
+            .field("sigma", &self.sigma)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Tables built so far, one per distinct sigma, for the life of the
+/// process. A table is a pure function of its sigma, so sharing cannot
+/// couple two worlds; it exists so that the NICs of a world (and of
+/// every world of a sharded run) read one 8 KiB table, not one each.
+static JITTER_TABLES: Mutex<Vec<Arc<JitterTable>>> = Mutex::new(Vec::new());
+
+impl JitterTable {
+    const BIN_BITS: u32 = 10;
+    /// Equal-probability bins.
+    const BINS: usize = 1 << Self::BIN_BITS;
+    /// Bins at each end of the range that take the exact path.
+    const EXACT_BINS: usize = 8;
+    const FRAC_BITS: u32 = 64 - Self::BIN_BITS;
+
+    /// The shared table for `sigma`, built on first use.
+    pub fn shared(sigma: f64) -> Arc<JitterTable> {
+        let mut tables = JITTER_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.iter().find(|t| t.sigma.to_bits() == sigma.to_bits()) {
+            return t.clone();
+        }
+        let t = Arc::new(JitterTable {
+            sigma,
+            knots: std::array::from_fn(|i| Self::quantile(sigma, i as f64 / Self::BINS as f64)),
+        });
+        tables.push(t.clone());
+        t
+    }
+
+    /// The quantile function being tabulated. libm `exp` (and `ln`
+    /// inside `normal_quantile`): runs 1025 times per distinct sigma at
+    /// set-up and on the 1.6 % of draws that land in an exact bin.
+    fn quantile(sigma: f64, p: f64) -> f64 {
+        (sigma * normal_quantile(p)).exp() // hl-lint: allow(libm-in-datapath)
+    }
+
+    /// The factor a raw 64-bit draw maps to; non-decreasing in `u`.
+    #[inline]
+    pub fn factor(&self, u: u64) -> f64 {
+        let bin = (u >> Self::FRAC_BITS) as usize;
+        if !(Self::EXACT_BINS..Self::BINS - Self::EXACT_BINS).contains(&bin) {
+            return self.exact(u);
+        }
+        let frac =
+            (u & ((1 << Self::FRAC_BITS) - 1)) as f64 * (1.0 / (1u64 << Self::FRAC_BITS) as f64);
+        let lo = self.knots[bin];
+        lo + frac * (self.knots[bin + 1] - lo)
+    }
+
+    /// Exact path of the outermost bins. `p` is the centre of the draw's
+    /// 2⁻⁵² cell, so it is never 0 or 1 and the factor is finite.
+    #[cold]
+    fn exact(&self, u: u64) -> f64 {
+        let p = ((u >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64);
+        Self::quantile(self.sigma, p)
+    }
+}
+
+/// Standard normal quantile `Φ⁻¹(p)` (Acklam's rational approximation,
+/// relative error below 1.2e-9 over the whole open interval); `∓∞` at
+/// `p ≤ 0` / `p ≥ 1`.
+fn normal_quantile(p: f64) -> f64 {
+    const A: [f64; 6] = [
+        -3.969683028665376e+01,
+        2.209460984245205e+02,
+        -2.759285104469687e+02,
+        1.38357751867269e+02,
+        -3.066479806614716e+01,
+        2.506628277459239e+00,
+    ];
+    const B: [f64; 5] = [
+        -5.447609879822406e+01,
+        1.615858368580409e+02,
+        -1.556989798598866e+02,
+        6.680131188771972e+01,
+        -1.328068155288572e+01,
+    ];
+    const C: [f64; 6] = [
+        -7.784894002430293e-03,
+        -3.223964580411365e-01,
+        -2.400758277161838e+00,
+        -2.549732539343734e+00,
+        4.374664141464968e+00,
+        2.938163982698783e+00,
+    ];
+    const D: [f64; 4] = [
+        7.784695709041462e-03,
+        3.224671290700398e-01,
+        2.445134137142996e+00,
+        3.754408661907416e+00,
+    ];
+    const P_LOW: f64 = 0.02425;
+    // Horner evaluation, highest coefficient first.
+    let poly = |c: &[f64], x: f64| c.iter().fold(0.0, |acc, &k| acc * x + k);
+    // Lower-tail formula in terms of the tail mass `t`; reached only
+    // through `JitterTable::quantile`.
+    let tail = |t: f64| {
+        let q = (-2.0 * t.ln()).sqrt(); // hl-lint: allow(libm-in-datapath)
+        poly(&C, q) / (poly(&D, q) * q + 1.0)
+    };
+    if p <= 0.0 {
+        f64::NEG_INFINITY
+    } else if p >= 1.0 {
+        f64::INFINITY
+    } else if p < P_LOW {
+        tail(p)
+    } else if p > 1.0 - P_LOW {
+        -tail(1.0 - p)
+    } else {
+        let q = p - 0.5;
+        let r = q * q;
+        poly(&A, r) * q / (poly(&B, r) * r + 1.0)
     }
 }
 
@@ -269,13 +398,114 @@ mod tests {
         assert!((mean - 5.0).abs() < 0.2, "mean {mean}");
     }
 
+    const SIGMA: f64 = 0.08; // NicProfile::default().jitter_sigma
+
+    /// Box–Muller log-normal with median 1: the sampler the table
+    /// replaced (two uniforms, `ln`, `sqrt`, `cos`, `exp` per draw), kept
+    /// as the independent reference for it.
+    fn box_muller_lognormal(r: &mut RngStream, sigma: f64) -> f64 {
+        let (u1, u2) = (r.f64_open(), r.f64());
+        let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (sigma * n).exp()
+    }
+
     #[test]
-    fn lognormal_median_is_plausible() {
-        let mut r = RngFactory::new(9).stream("logn");
-        let mut v: Vec<f64> = (0..10_001).map(|_| r.lognormal(10.0, 0.5)).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = v[5_000];
-        assert!((median - 10.0).abs() < 1.0, "median {median}");
+    fn normal_quantile_spot_values() {
+        assert_eq!(normal_quantile(0.5), 0.0);
+        for (p, z) in [
+            (0.975, 1.959964),
+            (1e-6, -4.753424),
+            (0.001, -3.090232),
+            (0.02425, -1.972961), // seam between tail and central formulas
+            (0.8413447460685429, 1.0),
+        ] {
+            assert!((normal_quantile(p) - z).abs() < 5e-7, "Φ⁻¹({p})");
+            assert!((normal_quantile(1.0 - p) + z).abs() < 5e-7, "Φ⁻¹(1-{p})");
+        }
+        assert_eq!(normal_quantile(0.0), f64::NEG_INFINITY);
+        assert_eq!(normal_quantile(1.0), f64::INFINITY);
+    }
+
+    /// The sampler as a map `u64 → factor`: non-decreasing everywhere,
+    /// within 1e-4 of the exact quantile function on [1e-6, 1 − 1e-6],
+    /// finite at both ends of the range.
+    #[test]
+    fn jitter_map_is_monotone_and_accurate() {
+        let table = JitterTable::shared(SIGMA);
+        let frac_bits = JitterTable::FRAC_BITS;
+        // 2^17 evenly spaced draws, both neighbours of every bin edge,
+        // and a finer sweep of the exact bins at each end.
+        let mut grid: Vec<u64> = (0..1u64 << 17).map(|i| i << 47).collect();
+        for bin in 1..JitterTable::BINS as u64 {
+            grid.extend([(bin << frac_bits) - 1, bin << frac_bits]);
+        }
+        let exact_span = (JitterTable::EXACT_BINS as u64) << frac_bits;
+        for i in 0..1u64 << 14 {
+            let u = i * (exact_span >> 14);
+            grid.extend([u, !u]);
+        }
+        grid.extend([0, 1, u64::MAX - 1, u64::MAX]);
+        grid.sort_unstable();
+        assert!(grid.len() >= 100_000);
+
+        let (mut prev, mut checked, mut worst) = (0.0f64, 0u32, 0.0f64);
+        for &u in &grid {
+            let f = table.factor(u);
+            assert!(f.is_finite() && f > 0.0, "factor({u:#x}) = {f}");
+            assert!(f >= prev, "factor({u:#x}) = {f} < {prev}");
+            prev = f;
+            let p = (u as f64 + 0.5) / 2f64.powi(64);
+            if (1e-6..=1.0 - 1e-6).contains(&p) {
+                let want = JitterTable::quantile(SIGMA, p);
+                worst = worst.max((f / want - 1.0).abs());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 100_000);
+        assert!(worst < 1e-4, "worst relative error {worst:e}");
+        // The extremes are the ±8.2-sigma quantiles, mirror images.
+        let (lo, hi) = (table.factor(0), table.factor(u64::MAX));
+        assert!(
+            (lo * hi - 1.0).abs() < 1e-9 && hi > 1.9 && hi < 2.0,
+            "{lo} {hi}"
+        );
+    }
+
+    #[test]
+    fn jitter_matches_box_muller_reference() {
+        let table = JitterTable::shared(SIGMA);
+        let n = 400_000;
+        let mut r = RngFactory::new(9).stream("table");
+        let mut got: Vec<f64> = (0..n).map(|_| table.factor(r.u64())).collect();
+        let mut r = RngFactory::new(9).stream("reference");
+        let mut want: Vec<f64> = (0..n)
+            .map(|_| box_muller_lognormal(&mut r, SIGMA))
+            .collect();
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        assert!((mean(&got) - mean(&want)).abs() < 1e-3);
+        got.sort_by(f64::total_cmp);
+        want.sort_by(f64::total_cmp);
+        for q in [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999] {
+            let i = (q * n as f64) as usize;
+            assert!(
+                (got[i] / want[i] - 1.0).abs() < 5e-3,
+                "quantile {q}: table {} reference {}",
+                got[i],
+                want[i]
+            );
+        }
+    }
+
+    #[test]
+    fn jitter_tables_are_shared_per_sigma() {
+        assert!(Arc::ptr_eq(
+            &JitterTable::shared(SIGMA),
+            &JitterTable::shared(SIGMA)
+        ));
+        assert!(!Arc::ptr_eq(
+            &JitterTable::shared(SIGMA),
+            &JitterTable::shared(0.25)
+        ));
     }
 
     #[test]

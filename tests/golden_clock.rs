@@ -9,11 +9,15 @@
 //! The pinned tuple is `(events executed, final sim ns, Σ latency ns,
 //! FNV-1a of every member's replicated region)`.
 //!
-//! The literals were recorded at the commit *before* the slot-program
-//! refactor (PR 14) and must only change in a PR that means to move the
-//! simulated clock and says so. Fan-out and multi-client pin only the
-//! ack count and member-region hashes: their replenisher timing is
-//! allowed to change.
+//! The literals must only change in a PR that means to move the
+//! simulated clock and says so. They have been recorded twice: at
+//! df4d68d, the commit before the slot-program refactor (PR 14), and
+//! again at PR 15, which replaced the NIC's Box–Muller jitter sampler
+//! with the inverse-CDF table (same distribution, different factor per
+//! draw, so every jittered nanosecond moved; event counts by ≤ 6, final
+//! time and Σ latency by < 1 %, member bytes not at all). Fan-out and
+//! multi-client pin only the ack count and member-region hashes: their
+//! replenisher timing is allowed to change.
 
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
@@ -302,9 +306,12 @@ fn multi_client_state_is_pinned() {
     assert_eq!(h, GOLD_MULTI_HASH);
 }
 
-// Recorded at df4d68d (the parent of the slot-program refactor).
-const GOLD_CHAIN: (u64, u64, u64, u64) = (24250, 4966724, 19360776, 11900267322293170469);
-const GOLD_NAIVE_EVENT: (u64, u64, u64, u64) = (20988, 2945985, 23254611, 11900267322293170469);
-const GOLD_NAIVE_POLLING: (u64, u64, u64, u64) = (20485, 2384885, 18754701, 11900267322293170469);
+// Recorded at PR 15 (table-driven jitter sampler). Before it, from
+// df4d68d: chain (24250, 4966724, 19360776), naive event
+// (20988, 2945985, 23254611), naive polling (20485, 2384885, 18754701),
+// same hash.
+const GOLD_CHAIN: (u64, u64, u64, u64) = (24253, 4962206, 19212525, 11900267322293170469);
+const GOLD_NAIVE_EVENT: (u64, u64, u64, u64) = (20994, 2957170, 23332466, 11900267322293170469);
+const GOLD_NAIVE_POLLING: (u64, u64, u64, u64) = (20488, 2386876, 18761887, 11900267322293170469);
 const GOLD_FANOUT_HASH: u64 = 5640311401086956325;
 const GOLD_MULTI_HASH: u64 = 13221269270169709349;
