@@ -5,10 +5,25 @@
 //! durable medium. Ranges are half-open `[start, end)`.
 
 /// A set of non-overlapping, non-adjacent, sorted half-open ranges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct RangeSet {
     ranges: Vec<(u64, u64)>,
+    /// Index of the range the last [`insert`](Self::insert) landed in.
+    /// A hint, never trusted: `insert` re-checks whatever range sits at
+    /// this index now, so a stale or out-of-range value costs one failed
+    /// comparison and nothing else. Not part of the set's value.
+    last: usize,
 }
+
+/// Two sets are equal when they cover the same bytes; where the last
+/// insert landed is not part of that.
+impl PartialEq for RangeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.ranges == other.ranges
+    }
+}
+
+impl Eq for RangeSet {}
 
 impl RangeSet {
     /// Empty set.
@@ -36,15 +51,19 @@ impl RangeSet {
         if start >= end {
             return;
         }
+        // Rewrites of bytes that are already dirty are the common case
+        // (rings, staging buffers, hot records), and consecutive ones
+        // mostly fall in the same range: try the one the last insert
+        // landed in before searching. Nothing to merge either way.
+        if self.covers_at(self.last, start, end) {
+            return;
+        }
         // Find insertion window: all ranges overlapping or adjacent to
         // [start, end) get merged.
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        // Rewrites of bytes that are already dirty are the common case
-        // (rings, staging buffers, hot records): nothing to merge.
-        if let Some(&(s, e)) = self.ranges.get(lo) {
-            if s <= start && end <= e {
-                return;
-            }
+        self.last = lo;
+        if self.covers_at(lo, start, end) {
+            return;
         }
         let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s <= end);
         let mut new_start = start;
@@ -54,6 +73,13 @@ impl RangeSet {
             new_end = new_end.max(self.ranges[hi - 1].1);
         }
         self.ranges.splice(lo..hi, [(new_start, new_end)]);
+    }
+
+    /// Does the range at index `i`, if there is one, cover `[start, end)`?
+    fn covers_at(&self, i: usize, start: u64, end: u64) -> bool {
+        self.ranges
+            .get(i)
+            .is_some_and(|&(s, e)| s <= start && end <= e)
     }
 
     /// Remove `[start, end)` from the set, splitting ranges as needed.
@@ -102,9 +128,7 @@ impl RangeSet {
             return true;
         }
         let i = self.ranges.partition_point(|&(_, e)| e <= start);
-        self.ranges
-            .get(i)
-            .is_some_and(|&(s, e)| s <= start && end <= e)
+        self.covers_at(i, start, end)
     }
 
     /// Intersection of the set with `[start, end)`, as concrete ranges.
@@ -272,7 +296,33 @@ mod tests {
             (true, 20, 30),  // heal: merges five pieces into one
             (false, 12, 38), // split, leaving one byte-pair on each side
             (false, 0, 64),
+            // The last-insert memo is a hint that removals never fix up.
+            (true, 0, 5),
+            (true, 10, 20),
+            (true, 30, 40),  // memo: index 2
+            (false, 0, 5),   // [30, 40) is index 1 now, the memo past the end
+            (true, 32, 38),  // covered, found by search; memo: index 1
+            (true, 12, 18),  // covered by index 0: the memo names the wrong range
+            (true, 19, 31),  // not covered by the memoised range: bridges both
+            (false, 14, 16), // split under the memo
+            (true, 20, 25),  // covered by the right half, memo on the left one
+            (true, 14, 16),  // heal
         ]);
+    }
+
+    /// Where the last insert landed is not part of a set's value.
+    #[test]
+    fn equality_ignores_the_insert_memo() {
+        let mut a = RangeSet::new();
+        a.insert(10, 20);
+        a.insert(30, 40);
+        let mut b = RangeSet::new();
+        b.insert(30, 40);
+        b.insert(10, 20);
+        assert_ne!(a.last, b.last);
+        assert_eq!(a, b);
+        b.insert(20, 21);
+        assert_ne!(a, b);
     }
 
     proptest! {

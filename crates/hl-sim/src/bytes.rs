@@ -34,7 +34,12 @@ impl Bytes {
         Self::default()
     }
 
-    /// Take ownership of `v`'s bytes (moved into the shared allocation).
+    /// Copy `v`'s bytes into a fresh buffer and drop `v`: one allocation,
+    /// one copy, exactly [`copy_from_slice`](Self::copy_from_slice). This
+    /// is *not* a zero-copy hand-over — an `Rc<[u8]>` keeps its reference
+    /// count in the same allocation as the bytes, so a `Vec`'s buffer
+    /// cannot be adopted — it only saves the caller a borrow. The
+    /// `From<Vec<u8>>` impl is this function.
     pub fn from_vec(v: Vec<u8>) -> Self {
         Self::copy_from_slice(&v)
     }
@@ -98,6 +103,8 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies, like [`Bytes::from_vec`]: one allocation, one copy, and
+    /// the `Vec` is dropped.
     fn from(v: Vec<u8>) -> Self {
         Self::from_vec(v)
     }
