@@ -591,6 +591,14 @@ impl World {
         report
     }
 
+    /// Completions lost to CQ ring overruns on CQs that software polls or
+    /// subscribes to, summed over every NIC ([`Nic::polled_cq_overruns`]).
+    /// Overruns are legal only on the CQs no one but a WAIT watches; any
+    /// other is a modelled CQ error, so every correct run keeps this 0.
+    pub fn polled_cq_overruns(&self) -> u64 {
+        self.hosts.iter().map(|h| h.nic.polled_cq_overruns()).sum()
+    }
+
     /// Break or repair WAIT triggering on a host's NIC (fault injection:
     /// CORE-Direct offload malfunction; CPU-posted work still runs).
     pub fn set_nic_wait_stalled(&mut self, host: HostId, on: bool, eng: &mut Engine<World>) {
@@ -653,6 +661,7 @@ impl World {
             m.counter_set("nic_retransmits", &host, c.retransmits);
             m.counter_set("nic_timeouts", &host, c.timeouts);
             m.counter_set("nic_error_cqes", &host, c.error_cqes);
+            m.counter_set("nic_cq_overruns", &host, c.cq_overruns);
             m.counter_set("fabric_bytes_tx", &host, self.fabric.bytes_tx(HostId(i)));
             m.counter_set("fabric_msgs_tx", &host, self.fabric.msgs_tx(HostId(i)));
             for qpn in 0..h.nic.num_qps() as u32 {

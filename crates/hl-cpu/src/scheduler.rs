@@ -8,7 +8,9 @@
 //!
 //! The scheduling policy is a simplified CFS:
 //!
-//! * per-host runqueue ordered by **vruntime** (equal weights);
+//! * per-host runqueue ordered by **vruntime** (equal weights), kept
+//!   as an index of the runnable processes so that no scheduling event
+//!   scans every process of the host;
 //! * fixed **time slice**; a preempted or expired process keeps its
 //!   unfinished work and re-enters the runqueue;
 //! * **sleeper fairness**: a woken process's vruntime is floored at
@@ -25,7 +27,7 @@
 
 use hl_sim::config::CpuProfile;
 use hl_sim::{Histogram, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Process identifier within one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,6 +118,12 @@ pub struct HostCpu {
     profile: CpuProfile,
     cores: Vec<Core>,
     procs: Vec<Proc>,
+    /// The runqueue: every Runnable process as `(vruntime, pid)`, so its
+    /// order is the pick order — lowest vruntime, then lowest pid. A
+    /// process's vruntime only moves while it runs, never while queued.
+    runqueue: BTreeSet<(u64, usize)>,
+    /// Processes that are not Blocked (queued or running).
+    active: usize,
     /// Monotonic vruntime floor (sleeper fairness reference).
     min_vruntime: u64,
     /// Woken task preempts only if it leads the victim's vruntime by this.
@@ -145,6 +153,8 @@ impl HostCpu {
         HostCpu {
             cores,
             procs: Vec::new(),
+            runqueue: BTreeSet::new(),
+            active: 0,
             min_vruntime: 0,
             wakeup_granularity: profile.wakeup_granularity.as_nanos(),
             ctx_switches: 0,
@@ -171,12 +181,7 @@ impl HostCpu {
     /// switches rise — Figure 2's mechanism), floored at a minimum
     /// granularity. Jittered ±10% when a noise source is installed.
     fn slice_len(&mut self) -> SimDuration {
-        let runnable = self
-            .procs
-            .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .count()
-            .max(1);
+        let runnable = self.active.max(1);
         let cores = self.cores.len().max(1);
         let base = self.profile.time_slice.as_nanos() as f64;
         let min_gran = base / 10.0;
@@ -255,12 +260,7 @@ impl HostCpu {
         // (prev_cpu / waker-cpu affinity) sometimes enqueues behind
         // tasks already queued on a busy core instead of at the global
         // head — Linux runqueues are per-core and balancing is lazy.
-        let runnable = self
-            .procs
-            .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .count();
-        let overload = runnable.saturating_sub(self.cores.len());
+        let overload = self.active.saturating_sub(self.cores.len());
         if overload > 0 && self.profile.wake_penalty_slices > 0.0 {
             if let Some(rng) = &mut self.rng {
                 let p_bad = (overload as f64 / (32.0 * self.cores.len() as f64)).min(0.04);
@@ -273,8 +273,8 @@ impl HostCpu {
         }
         let p = &mut self.procs[pid.0];
         p.vruntime = p.vruntime.max(target);
-        p.state = RunState::Runnable;
-        p.runnable_since = now;
+        self.active += 1;
+        self.enqueue(now, pid);
 
         // Idle core available? (Re-dispatching on the core we just ran
         // on skips the wakeup IPI.)
@@ -313,9 +313,9 @@ impl HostCpu {
 
     fn pick_preemption_victim(&self, pid: ProcId) -> Option<usize> {
         let woken = &self.procs[pid.0];
-        let candidates: Box<dyn Iterator<Item = usize>> = match woken.pinned {
-            Some(c) => Box::new(std::iter::once(c)),
-            None => Box::new(0..self.cores.len()),
+        let candidates = match woken.pinned {
+            Some(c) => c..c + 1,
+            None => 0..self.cores.len(),
         };
         let mut best: Option<(usize, u64)> = None;
         for c in candidates {
@@ -340,12 +340,18 @@ impl HostCpu {
         // hl-lint: allow(panic-in-handler)
         let pid = self.cores[core].running.expect("preempting idle core");
         self.charge(now, core, pid);
-        let p = &mut self.procs[pid.0];
-        p.state = RunState::Runnable;
-        p.runnable_since = now;
+        self.enqueue(now, pid);
         self.cores[core].running = None;
         self.cores[core].gen += 1; // invalidate outstanding timer
         Vec::new()
+    }
+
+    /// Make `pid` Runnable as of `now` and queue it at its vruntime.
+    fn enqueue(&mut self, now: SimTime, pid: ProcId) {
+        let p = &mut self.procs[pid.0];
+        p.state = RunState::Runnable;
+        p.runnable_since = now;
+        self.runqueue.insert((p.vruntime, pid.0));
     }
 
     /// Account CPU consumed by `pid` on `core` since dispatch, shrinking
@@ -380,6 +386,8 @@ impl HostCpu {
         let start = now + ctx;
         let slice = self.slice_len();
         let p = &mut self.procs[pid.0];
+        let queued = self.runqueue.remove(&(p.vruntime, pid.0));
+        debug_assert!(queued, "dispatching an unqueued process");
         p.state = RunState::Running { core };
         p.dispatches += 1;
         self.sched_latency
@@ -454,52 +462,45 @@ impl HostCpu {
         // its slice expired (back to the runqueue).
         self.cores[core].running = None;
         self.cores[core].gen += 1;
-        {
-            let p = &mut self.procs[pid.0];
-            if has_work {
-                p.state = RunState::Runnable;
-                p.runnable_since = now;
-            } else {
-                p.state = RunState::Blocked;
-            }
+        if has_work {
+            self.enqueue(now, pid);
+        } else {
+            self.procs[pid.0].state = RunState::Blocked;
+            self.active -= 1;
         }
         out.extend(self.schedule_core(now, core));
         out
     }
 
-    /// Pick the lowest-vruntime runnable process allowed on `core`.
+    /// Pick the lowest-vruntime runnable process allowed on `core` (ties
+    /// to the lowest pid): the first one in runqueue order that is not
+    /// pinned elsewhere and, on an exclusive core, is pinned here.
     fn schedule_core(&mut self, now: SimTime, core: usize) -> Vec<CpuOutput> {
         debug_assert!(self.cores[core].running.is_none());
-        let mut best: Option<(ProcId, u64)> = None;
         let exclusive = self.cores[core].exclusive;
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.state != RunState::Runnable {
-                continue;
-            }
-            if p.pinned.is_some_and(|c| c != core) {
-                continue;
-            }
-            if exclusive && p.pinned != Some(core) {
-                continue;
-            }
-            if best.is_none_or(|(_, bv)| p.vruntime < bv) {
-                best = Some((ProcId(i), p.vruntime));
-            }
-        }
+        let best = self
+            .runqueue
+            .iter()
+            .find(|&&(_, i)| match self.procs[i].pinned {
+                Some(c) => c == core,
+                None => !exclusive,
+            });
         match best {
-            Some((pid, _)) => self.dispatch(now, core, pid),
+            Some(&(_, i)) => self.dispatch(now, core, ProcId(i)),
             None => Vec::new(),
         }
     }
 
+    /// Raise `min_vruntime` to the least vruntime of any process that is
+    /// not Blocked: the runqueue's front or one of the running ones.
     fn refresh_min_vruntime(&mut self) {
-        let active_min = self
-            .procs
+        let queued = self.runqueue.first().map(|&(v, _)| v);
+        let running = self
+            .cores
             .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .map(|p| p.vruntime)
-            .min();
-        if let Some(m) = active_min {
+            .filter_map(|c| c.running)
+            .map(|pid| self.procs[pid.0].vruntime);
+        if let Some(m) = queued.into_iter().chain(running).min() {
             self.min_vruntime = self.min_vruntime.max(m);
         }
     }

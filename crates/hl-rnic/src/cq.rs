@@ -2,6 +2,15 @@
 
 use std::collections::VecDeque;
 
+/// Hardware depth of every completion queue: the most CQEs a CQ stores.
+///
+/// A fixed ring, as on a real adapter, and not an option. It is at least
+/// 4 × the `ring_slots` of every chain the benchmark and tier-1 run, so
+/// a CQ that software drains never gets near it; the CQs that fill it
+/// are the replica CQs only WAITs watch, which count completions and are
+/// never polled (CORE-Direct's use of `IGNORE_OVERRUN`).
+pub const CQ_DEPTH: usize = 1024;
+
 /// Completion status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CqeStatus {
@@ -54,12 +63,18 @@ pub struct Cqe {
     pub op: u32,
 }
 
-/// A completion queue.
+/// A completion queue: a ring of [`CQ_DEPTH`] entries.
 ///
 /// Tracks a monotonic `produced` counter that WAIT WQEs compare against:
 /// a WAIT armed for `count` completions fires when `produced` advances
 /// `count` past the previous WAIT's consumption point — exactly the
-/// CORE-Direct semantics HyperLoop leans on.
+/// CORE-Direct semantics HyperLoop leans on. That accounting is by
+/// production, so it does not care what the ring still stores.
+///
+/// A push into a full ring overwrites the oldest stored CQE (an
+/// *overrun*). That is legal only on a CQ software never polls or arms;
+/// once one has been polled or armed, every CQE it lost is a modelled CQ
+/// error, reported by [`Nic::polled_cq_overruns`](crate::Nic::polled_cq_overruns).
 #[derive(Debug, Default)]
 pub struct Cq {
     entries: VecDeque<Cqe>,
@@ -69,6 +84,10 @@ pub struct Cq {
     wait_consumed: u64,
     /// One-shot event arm (ibv_req_notify_cq semantics).
     armed: bool,
+    /// CQEs overwritten because the ring was full.
+    overruns: u64,
+    /// Software has polled or armed this CQ at least once.
+    polled: bool,
 }
 
 impl Cq {
@@ -77,9 +96,19 @@ impl Cq {
         Self::default()
     }
 
-    /// Push a completion; returns `true` if the queue was armed (the
-    /// caller should deliver an event and the arm is cleared).
+    /// Is the ring full, so that the next push overwrites?
+    pub(crate) fn is_full(&self) -> bool {
+        self.entries.len() == CQ_DEPTH
+    }
+
+    /// Push a completion, overwriting the oldest stored one when the
+    /// ring is full; returns `true` if the queue was armed (the caller
+    /// should deliver an event and the arm is cleared).
     pub fn push(&mut self, cqe: Cqe) -> bool {
+        if self.is_full() {
+            self.entries.pop_front();
+            self.overruns += 1;
+        }
         self.entries.push_back(cqe);
         self.produced += 1;
         std::mem::take(&mut self.armed)
@@ -97,12 +126,14 @@ impl Cq {
     /// to whatever is already there. Lets hot drain loops reuse one
     /// scratch `Vec` instead of allocating per poll.
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<Cqe>) {
+        self.polled = true;
         let n = max.min(self.entries.len());
         out.extend(self.entries.drain(..n));
     }
 
     /// Arm the one-shot completion event.
     pub fn arm(&mut self) {
+        self.polled = true;
         self.armed = true;
     }
 
@@ -122,9 +153,31 @@ impl Cq {
         self.wait_consumed += count as u64;
     }
 
-    /// Entries currently available to poll.
+    /// Entries currently stored (available to poll), at most
+    /// [`CQ_DEPTH`].
     pub fn depth(&self) -> usize {
         self.entries.len()
+    }
+
+    /// CQEs overwritten because the ring was full, over all time.
+    pub fn overruns(&self) -> u64 {
+        self.overruns
+    }
+
+    /// Has software ever polled or armed this CQ?
+    pub fn is_polled(&self) -> bool {
+        self.polled
+    }
+
+    /// Overruns that lost a completion someone consumes: all of them
+    /// once the CQ has been polled or armed, none before. Non-zero is a
+    /// modelled CQ error (ibv `IBV_EVENT_CQ_ERR`).
+    pub(crate) fn polled_overruns(&self) -> u64 {
+        if self.polled {
+            self.overruns
+        } else {
+            0
+        }
     }
 }
 
@@ -189,5 +242,73 @@ mod tests {
         cq.poll(1);
         // The completion was produced even though it was polled away.
         assert!(cq.wait_satisfied(1));
+    }
+
+    /// A full ring overwrites its oldest entry; `produced` still counts
+    /// every push and the ring never stores more than its depth.
+    #[test]
+    fn overrun_keeps_produced_exact() {
+        let mut cq = Cq::new();
+        let n = 3 * CQ_DEPTH as u64 + 7;
+        for k in 0..n {
+            cq.push(cqe(k));
+        }
+        assert_eq!(cq.produced(), n);
+        assert_eq!(cq.depth(), CQ_DEPTH);
+        assert_eq!(cq.overruns(), n - CQ_DEPTH as u64);
+        // Unpolled: the overruns are legal.
+        assert_eq!(cq.polled_overruns(), 0);
+    }
+
+    /// A WAIT armed before the ring overruns fires at exactly the
+    /// production count it was armed for, however much was overwritten
+    /// in between, and the next WAIT counts from there.
+    #[test]
+    fn wait_across_an_overrun_fires_at_the_right_count() {
+        let mut cq = Cq::new();
+        let count = 2 * CQ_DEPTH as u32 + 5;
+        for _ in 0..count - 1 {
+            cq.push(cqe(0));
+            assert!(!cq.wait_satisfied(count));
+        }
+        assert!(cq.overruns() > 0);
+        cq.push(cqe(0));
+        assert!(cq.wait_satisfied(count));
+        assert!(!cq.wait_satisfied(count + 1));
+        cq.consume_for_wait(count);
+        assert!(!cq.wait_satisfied(1));
+        cq.push(cqe(0));
+        assert!(cq.wait_satisfied(1));
+    }
+
+    /// Polling a CQ that has overrun reports the lost completions as a
+    /// CQ error and still returns what the ring holds: the newest
+    /// `CQ_DEPTH` entries, oldest first.
+    #[test]
+    fn polling_an_overrun_cq_reports_the_error() {
+        let mut cq = Cq::new();
+        for k in 0..CQ_DEPTH as u64 + 3 {
+            cq.push(cqe(k));
+        }
+        assert_eq!(cq.polled_overruns(), 0);
+        let got = cq.poll(usize::MAX);
+        assert_eq!(cq.polled_overruns(), 3);
+        assert_eq!(got.len(), CQ_DEPTH);
+        assert_eq!(got[0].wr_id, 3);
+        assert_eq!(got[CQ_DEPTH - 1].wr_id, CQ_DEPTH as u64 + 2);
+    }
+
+    /// Arming counts as consuming: an overrun after a subscription is an
+    /// error even before the first poll.
+    #[test]
+    fn overrun_of_an_armed_cq_is_an_error() {
+        let mut cq = Cq::new();
+        cq.arm();
+        for k in 0..CQ_DEPTH as u64 {
+            cq.push(cqe(k));
+        }
+        assert_eq!(cq.polled_overruns(), 0);
+        cq.push(cqe(0));
+        assert_eq!(cq.polled_overruns(), 1);
     }
 }

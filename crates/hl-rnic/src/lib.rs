@@ -14,9 +14,9 @@
 //!    manipulation*.
 //!
 //! Plus the standard verbs: memory regions with rkey permission checks,
-//! RC send/write/read/atomics, completion queues with one-shot events,
-//! and the durability FLUSH (0-byte READ draining the NIC's volatile
-//! cache into NVM) from paper §4.2.
+//! RC send/write/read/atomics, completion queues (fixed [`CQ_DEPTH`]
+//! rings) with one-shot events, and the durability FLUSH (0-byte READ
+//! draining the NIC's volatile cache into NVM) from paper §4.2.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,7 @@ mod wqe;
 /// budgets measured without it do not hold with it.
 pub const RACE_DETECTOR: bool = cfg!(feature = "check-ownership");
 
-pub use cq::{Cq, Cqe, CqeKind, CqeStatus};
+pub use cq::{Cq, Cqe, CqeKind, CqeStatus, CQ_DEPTH};
 pub use mr::{Access, MemoryRegion, MrError, MrTable};
 pub use nic::{Nic, NicCounters, NicEvent, NicEventKind, NicOutput, RingFull};
 pub use packet::{NakReason, Packet, PacketKind, HEADER_BYTES};

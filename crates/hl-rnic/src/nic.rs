@@ -215,6 +215,10 @@ pub struct NicCounters {
     pub wait_parks: u64,
     /// WAIT WQEs that fired (unblocked and granted their successors).
     pub wait_fires: u64,
+    /// CQEs that overwrote the oldest entry of a full CQ ring. Legal on
+    /// the CQs only WAITs watch; see [`Nic::polled_cq_overruns`] for the
+    /// ones that are errors.
+    pub cq_overruns: u64,
 }
 
 /// One host's RDMA NIC.
@@ -661,9 +665,23 @@ impl Nic {
         self.cqs[cq as usize].arm();
     }
 
-    /// Entries currently pollable on a CQ.
-    pub fn cq_depth(&self, cq: u32) -> usize {
-        self.cqs[cq as usize].depth()
+    /// A CQ's state: stored (pollable) entries, production count,
+    /// overruns.
+    pub fn cq(&self, cq: u32) -> &Cq {
+        &self.cqs[cq as usize]
+    }
+
+    /// Number of CQs created on this NIC.
+    pub fn num_cqs(&self) -> usize {
+        self.cqs.len()
+    }
+
+    /// Completions lost to overruns on CQs that software polls or arms,
+    /// summed over this NIC: a modelled CQ error (ibv
+    /// `IBV_EVENT_CQ_ERR`), reported here rather than by a panic. Every
+    /// correct run keeps it at 0.
+    pub fn polled_cq_overruns(&self) -> u64 {
+        self.cqs.iter().map(Cq::polled_overruns).sum()
     }
 
     // ----- send engine ----------------------------------------------------
@@ -1296,7 +1314,13 @@ impl Nic {
         // ones for anyone polling this host, closing the overlap epoch.
         #[cfg(feature = "check-ownership")]
         self.tracker.completion_delivered();
-        if self.cqs[cq as usize].push(cqe) {
+        let ring = &mut self.cqs[cq as usize];
+        if ring.is_full() {
+            // The push overwrites the oldest stored CQE. WAIT counts by
+            // production, so only a poller could miss it.
+            self.counters.cq_overruns += 1;
+        }
+        if ring.push(cqe) {
             out.push(NicOutput::CqEvent { cq });
         }
         // Resume parked QPs in park order; advance re-parks them if

@@ -22,6 +22,9 @@
 //!    completes successfully.
 //! 4. **Reproducibility** — the same seed yields a byte-identical trace
 //!    (checked by `same_seed_reproduces_identical_trace`).
+//! 5. **Race-freedom** — under `check-ownership`, no WQE/DMA race.
+//! 6. **No lost completion** — no CQ that software polls or subscribes
+//!    to overran its ring (`World::polled_cq_overruns` is 0).
 //!
 //! A failing campaign prints its seed; re-run `run_campaign(seed)` to
 //! reproduce the exact event sequence.
@@ -298,6 +301,12 @@ fn assert_invariants(r: &CampaignResult, seed: u64) {
             report.join("\n")
         );
     }
+    // 6. No completion lost: overruns only hit CQs that nothing polls.
+    assert_eq!(
+        r.w.polled_cq_overruns(),
+        0,
+        "seed {seed}: a polled CQ overran"
+    );
     // 2. No acked-write loss: every ACKed record is byte-identical on
     // the client copy and every member of the final chain.
     let c = r.retry.client();

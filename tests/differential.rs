@@ -351,14 +351,16 @@ fn fresh_world(n_hosts: usize) -> (World, Engine<World>) {
     (w, eng)
 }
 
-#[cfg(feature = "check-ownership")]
-fn assert_race_free(w: &World, which: &str) {
-    let report = w.race_report();
-    assert!(report.is_empty(), "{which}: WQE/DMA races: {report:?}");
+/// A world ends sound: no completion lost to an overrun of a CQ that
+/// software polls, and (feature `check-ownership`) no WQE/DMA race.
+fn assert_world_sound(w: &World, which: &str) {
+    assert_eq!(w.polled_cq_overruns(), 0, "{which}: a polled CQ overran");
+    #[cfg(feature = "check-ownership")]
+    {
+        let report = w.race_report();
+        assert!(report.is_empty(), "{which}: WQE/DMA races: {report:?}");
+    }
 }
-
-#[cfg(not(feature = "check-ownership"))]
-fn assert_race_free(_w: &World, _which: &str) {}
 
 /// The disjoint two-shard placement both sharded worlds use.
 fn two_shard_plan() -> ShardPlan {
@@ -407,8 +409,8 @@ proptest! {
             prop_assert!(mm.is_none(), "HyperLoop member {} != client at byte {:?}", m, mm);
         }
 
-        assert_race_free(&hw, "hyperloop world");
-        assert_race_free(&nw, "naive world");
+        assert_world_sound(&hw, "hyperloop world");
+        assert_world_sound(&nw, "naive world");
     }
 }
 
@@ -474,8 +476,8 @@ proptest! {
             }
         }
 
-        assert_race_free(&hw, "hyperloop world");
-        assert_race_free(&nw, "naive world");
+        assert_world_sound(&hw, "hyperloop world");
+        assert_world_sound(&nw, "naive world");
     }
 }
 
@@ -597,8 +599,8 @@ proptest! {
             }
         }
 
-        assert_race_free(&hw, "split hyperloop world");
-        assert_race_free(&nw, "split naive world");
+        assert_world_sound(&hw, "split hyperloop world");
+        assert_world_sound(&nw, "split naive world");
     }
 }
 
@@ -698,8 +700,8 @@ fn run_shard_oracle(ops: &[OpSpec], global_ring: &HashRing, sid: usize) -> Shard
     let nv_obs = drive_clients(std::slice::from_ref(&nv), &local, &mine, &mut nw, &mut ne);
 
     assert_eq!(hl_obs, nv_obs, "shard {sid}: gCAS observations diverged");
-    assert_race_free(&hw, "threaded hyperloop shard world");
-    assert_race_free(&nw, "threaded naive shard world");
+    assert_world_sound(&hw, "threaded hyperloop shard world");
+    assert_world_sound(&nw, "threaded naive shard world");
 
     ShardObs {
         obs: hl_obs,

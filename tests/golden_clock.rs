@@ -170,6 +170,7 @@ fn four_phases<C: GroupClient + 'static>(
             w.hosts[host.0].mem.read(addr, REP_BYTES as usize).unwrap(),
         );
     }
+    assert_eq!(w.polled_cq_overruns(), 0, "a polled CQ overran");
     (eng.events_executed(), eng.now().as_nanos(), lat, h)
 }
 
@@ -264,6 +265,7 @@ fn fanout_state_is_pinned() {
         );
     }
     assert_eq!(h, GOLD_FANOUT_HASH);
+    assert_eq!(w.polled_cq_overruns(), 0, "a polled CQ overran");
 }
 
 /// Multi-client, 2 clients over 2 replicas, alternating issuers on
@@ -304,6 +306,7 @@ fn multi_client_state_is_pinned() {
         );
     }
     assert_eq!(h, GOLD_MULTI_HASH);
+    assert_eq!(w.polled_cq_overruns(), 0, "a polled CQ overran");
 }
 
 // Recorded at PR 15 (table-driven jitter sampler). Before it, from
