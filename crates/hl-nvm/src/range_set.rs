@@ -8,8 +8,8 @@
 #[derive(Debug, Clone, Default)]
 pub struct RangeSet {
     ranges: Vec<(u64, u64)>,
-    /// Index of the range the last [`insert`](Self::insert) landed in.
-    /// A hint, never trusted: `insert` re-checks whatever range sits at
+    /// Index of the range the last [`insert_each`](Self::insert_each)
+    /// landed in. A hint, never trusted: it re-checks whatever range sits at
     /// this index now, so a stale or out-of-range value costs one failed
     /// comparison and nothing else. Not part of the set's value.
     last: usize,
@@ -48,16 +48,29 @@ impl RangeSet {
 
     /// Insert `[start, end)`. Zero-length inserts are ignored.
     pub fn insert(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
+        self.insert_each(start, end, |_, _| {});
+    }
+
+    /// Insert `[start, end)`, calling `added` with each maximal sub-range
+    /// that was not covered before, in address order, before the set
+    /// changes. Together they are exactly the bytes the insert newly
+    /// covers. Zero-length inserts are ignored.
+    #[inline]
+    pub fn insert_each(&mut self, start: u64, end: u64, added: impl FnMut(u64, u64)) {
         // Rewrites of bytes that are already dirty are the common case
         // (rings, staging buffers, hot records), and consecutive ones
         // mostly fall in the same range: try the one the last insert
-        // landed in before searching. Nothing to merge either way.
-        if self.covers_at(self.last, start, end) {
+        // landed in before searching. Nothing to merge or report.
+        if start >= end || self.covers_at(self.last, start, end) {
             return;
         }
+        self.merge(start, end, added);
+    }
+
+    // Out of line, so the covered check above is all that inlines into
+    // a caller.
+    #[inline(never)]
+    fn merge(&mut self, start: u64, end: u64, mut added: impl FnMut(u64, u64)) {
         // Find insertion window: all ranges overlapping or adjacent to
         // [start, end) get merged.
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
@@ -66,6 +79,17 @@ impl RangeSet {
             return;
         }
         let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s <= end);
+        // The gaps between the merged ranges, clipped to the insert.
+        let mut at = start;
+        for &(s, e) in &self.ranges[lo..hi] {
+            if at < s {
+                added(at, s);
+            }
+            at = at.max(e);
+        }
+        if at < end {
+            added(at, end);
+        }
         let mut new_start = start;
         let mut new_end = end;
         if lo < hi {
@@ -244,7 +268,19 @@ mod tests {
         for &(insert, a, b) in ops {
             let (s, e) = ((a as u64) % N as u64, (b as u64) % (N as u64 + 1));
             if insert {
-                rs.insert(s, e);
+                // Every reported gap was uncovered, they come in address
+                // order without overlap, and together they are exactly
+                // the bytes the insert newly covers.
+                let mut reported = 0;
+                let mut prev_end = s;
+                rs.insert_each(s, e, |a, b| {
+                    assert!(prev_end <= a && a < b && b <= e, "[{a}, {b}) out of place");
+                    assert!(bits[a as usize..b as usize].iter().all(|&bit| !bit));
+                    reported += b - a;
+                    prev_end = b;
+                });
+                let uncovered = (s..e.min(N as u64)).filter(|&i| !bits[i as usize]).count();
+                assert_eq!(reported, uncovered as u64);
                 for i in s..e.min(N as u64) {
                     bits[i as usize] = true;
                 }
@@ -307,6 +343,10 @@ mod tests {
             (false, 14, 16), // split under the memo
             (true, 20, 25),  // covered by the right half, memo on the left one
             (true, 14, 16),  // heal
+            (true, 40, 44),  // adjacent on the left: one gap, the whole insert
+            (true, 50, 52),
+            (true, 46, 50), // adjacent on the right
+            (true, 0, 64),  // fills every hole: one gap per hole and the tail
         ]);
     }
 
