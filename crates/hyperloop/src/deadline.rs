@@ -31,8 +31,8 @@ use crate::naive::NaiveClient;
 use crate::HyperLoopClient;
 use hl_cluster::World;
 use hl_nvm::RangeSet;
-use hl_sim::{Bytes, Engine, SimDuration, SimTime};
-use std::cell::RefCell;
+use hl_sim::{Bytes, Engine, EventToken, SimDuration, SimTime};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// The replication engine a [`RetryClient`] currently drives: the
@@ -319,24 +319,37 @@ pub enum GroupOp {
 }
 
 /// Per-operation supervision state shared by the completion and the
-/// deadline closures.
+/// timer closures.
+///
+/// An op in flight has at most one pending supervision event: the
+/// attempt deadline, or the backoff before the next attempt. Its token
+/// sits in `timer` until the event fires (the firing event clears it)
+/// or [`settle`] cancels it, so an op that ACKs costs the engine
+/// nothing after it settles and supervision memory follows the ops in
+/// flight, not the op rate times the deadline.
 struct IssueState {
-    cell: Rc<RefCell<Backend>>,
-    policy: DeadlinePolicy,
+    shared: Rc<Shared>,
     op: GroupOp,
     done: Option<OnOutcome>,
     settled: bool,
     issued_at: SimTime,
-    outstanding: Rc<RefCell<u32>>,
-    failures: Rc<RefCell<Vec<OpError>>>,
-    stats: Rc<RefCell<RetryStats>>,
-    probe: Rc<RefCell<Option<ProbeState>>>,
+    timer: Option<EventToken>,
 }
 
-/// Shared dirty-range log: `Some` while a reconfiguration is recording
-/// the ranges mutated at issue time. Coalescing, so its size is bounded
-/// by the region, not by the number of ops issued while it is armed.
-type DirtyLog = Rc<RefCell<Option<RangeSet>>>;
+/// What every clone of a [`RetryClient`] and every op it supervises
+/// share: one allocation per client.
+struct Shared {
+    cell: RefCell<Backend>,
+    policy: DeadlinePolicy,
+    outstanding: Cell<u32>,
+    failures: RefCell<Vec<OpError>>,
+    stats: RefCell<RetryStats>,
+    probe: RefCell<Option<ProbeState>>,
+    /// Dirty-range log: `Some` while a reconfiguration is recording the
+    /// ranges mutated at issue time. Coalescing, so its size is bounded
+    /// by the region, not by the number of ops issued while it is armed.
+    dirty: RefCell<Option<RangeSet>>,
+}
 
 /// Deadline-supervising wrapper around a replication [`Backend`].
 ///
@@ -344,13 +357,7 @@ type DirtyLog = Rc<RefCell<Option<RangeSet>>>;
 /// failure log.
 #[derive(Clone)]
 pub struct RetryClient {
-    cell: Rc<RefCell<Backend>>,
-    policy: DeadlinePolicy,
-    outstanding: Rc<RefCell<u32>>,
-    failures: Rc<RefCell<Vec<OpError>>>,
-    stats: Rc<RefCell<RetryStats>>,
-    probe: Rc<RefCell<Option<ProbeState>>>,
-    dirty: DirtyLog,
+    shared: Rc<Shared>,
 }
 
 impl RetryClient {
@@ -368,13 +375,15 @@ impl RetryClient {
     /// or a pre-degraded group) with an explicit policy.
     pub fn with_policy_backend(backend: Backend, policy: DeadlinePolicy) -> Self {
         RetryClient {
-            cell: Rc::new(RefCell::new(backend)),
-            policy,
-            outstanding: Rc::new(RefCell::new(0)),
-            failures: Rc::new(RefCell::new(Vec::new())),
-            stats: Rc::new(RefCell::new(RetryStats::default())),
-            probe: Rc::new(RefCell::new(None)),
-            dirty: Rc::new(RefCell::new(None)),
+            shared: Rc::new(Shared {
+                cell: RefCell::new(backend),
+                policy,
+                outstanding: Cell::new(0),
+                failures: RefCell::new(Vec::new()),
+                stats: RefCell::new(RetryStats::default()),
+                probe: RefCell::new(None),
+                dirty: RefCell::new(None),
+            }),
         }
     }
 
@@ -385,7 +394,7 @@ impl RetryClient {
     /// Panics if the group is degraded to the Naïve backend; use
     /// [`RetryClient::backend`] for backend-agnostic access.
     pub fn client(&self) -> HyperLoopClient {
-        match &*self.cell.borrow() {
+        match &*self.shared.cell.borrow() {
             Backend::Hyper(c) => c.clone(),
             Backend::Naive(_) => {
                 panic!("RetryClient::client(): group is degraded to the Naive backend")
@@ -395,39 +404,39 @@ impl RetryClient {
 
     /// The current backend (a cheap handle clone).
     pub fn backend(&self) -> Backend {
-        self.cell.borrow().clone()
+        self.shared.cell.borrow().clone()
     }
 
     /// True while the offloaded chain is serving.
     pub fn is_offloaded(&self) -> bool {
-        self.cell.borrow().is_offloaded()
+        self.shared.cell.borrow().is_offloaded()
     }
 
     /// Install the client of a rebuilt chain. In-flight supervised
     /// operations re-issue on it at their next attempt.
     pub fn swap(&self, client: HyperLoopClient) {
-        *self.cell.borrow_mut() = Backend::Hyper(client);
+        *self.shared.cell.borrow_mut() = Backend::Hyper(client);
     }
 
     /// Degrade: install a Naïve client as the serving backend. In-flight
     /// supervised operations re-issue on it at their next attempt.
     pub fn swap_naive(&self, client: NaiveClient) {
-        *self.cell.borrow_mut() = Backend::Naive(client);
+        *self.shared.cell.borrow_mut() = Backend::Naive(client);
     }
 
     /// Supervised operations not yet settled (completed or failed).
     pub fn outstanding(&self) -> u32 {
-        *self.outstanding.borrow()
+        self.shared.outstanding.get()
     }
 
     /// Typed failures recorded so far.
     pub fn failures(&self) -> Vec<OpError> {
-        self.failures.borrow().clone()
+        self.shared.failures.borrow().clone()
     }
 
     /// A snapshot of the always-on supervision counters.
     pub fn stats(&self) -> RetryStats {
-        *self.stats.borrow()
+        *self.shared.stats.borrow()
     }
 
     /// Arm the end-to-end NIC-stall probe: after `threshold` consecutive
@@ -437,7 +446,7 @@ impl RetryClient {
     /// successful ACK. This is the detection path for mid-chain stalls
     /// that produce no transport-error CQE at the client.
     pub fn arm_nic_stall_probe(&self, threshold: u32, on_suspect: OnSuspect) {
-        *self.probe.borrow_mut() = Some(ProbeState {
+        *self.shared.probe.borrow_mut() = Some(ProbeState {
             threshold: threshold.max(1),
             consecutive: 0,
             episode_open: false,
@@ -447,25 +456,36 @@ impl RetryClient {
 
     /// Disarm the NIC-stall probe.
     pub fn disarm_nic_stall_probe(&self) {
-        *self.probe.borrow_mut() = None;
+        *self.shared.probe.borrow_mut() = None;
     }
 
     /// Start recording the NVM ranges touched by every subsequently
     /// issued op (the reconfiguration dirty log). Replaces any prior log.
     pub(crate) fn begin_dirty_log(&self) {
-        *self.dirty.borrow_mut() = Some(RangeSet::new());
+        *self.shared.dirty.borrow_mut() = Some(RangeSet::new());
     }
 
     /// Stop recording and return the dirty ranges. Empty if logging was
     /// never started.
     pub(crate) fn take_dirty_log(&self) -> RangeSet {
-        self.dirty.borrow_mut().take().unwrap_or_default()
+        self.shared.dirty.borrow_mut().take().unwrap_or_default()
     }
 
     /// Issue `op` under deadline supervision. Exactly one of the `Ok` /
     /// `Err` arms of `done` fires, in bounded time.
     pub fn issue(&self, w: &mut World, eng: &mut Engine<World>, op: GroupOp, done: OnOutcome) {
-        if let Some(log) = self.dirty.borrow_mut().as_mut() {
+        self.supervise(w, eng, op, done);
+    }
+
+    /// [`RetryClient::issue`], handing back the op's supervision state.
+    fn supervise(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        op: GroupOp,
+        done: OnOutcome,
+    ) -> Rc<RefCell<IssueState>> {
+        if let Some(log) = self.shared.dirty.borrow_mut().as_mut() {
             match &op {
                 GroupOp::Write { offset, data, .. } => {
                     log.insert(*offset, *offset + data.len() as u64)
@@ -477,20 +497,18 @@ impl RetryClient {
                 GroupOp::Flush { .. } => {}
             }
         }
-        *self.outstanding.borrow_mut() += 1;
+        let s = &self.shared;
+        s.outstanding.set(s.outstanding.get() + 1);
         let st = Rc::new(RefCell::new(IssueState {
-            cell: self.cell.clone(),
-            policy: self.policy.clone(),
+            shared: s.clone(),
             op,
             done: Some(done),
             settled: false,
             issued_at: eng.now(),
-            outstanding: self.outstanding.clone(),
-            failures: self.failures.clone(),
-            stats: self.stats.clone(),
-            probe: self.probe.clone(),
+            timer: None,
         }));
-        attempt(st, w, eng, 0);
+        attempt(&st, w, eng, 0);
+        st
     }
 
     /// Supervised gWRITE.
@@ -585,30 +603,35 @@ fn settle(
     eng: &mut Engine<World>,
     outcome: Result<OpResult, OpError>,
 ) {
-    let (done, issued_at) = {
+    let (done, issued_at, timer) = {
         let mut s = st.borrow_mut();
         if s.settled {
             return;
         }
         s.settled = true;
-        *s.outstanding.borrow_mut() -= 1;
+        let c = &s.shared;
+        c.outstanding.set(c.outstanding.get() - 1);
         match &outcome {
             Ok(_) => {
-                s.stats.borrow_mut().acked += 1;
+                c.stats.borrow_mut().acked += 1;
                 // A completed op proves the chain end-to-end: close any
                 // open stall episode and re-arm the probe.
-                if let Some(p) = s.probe.borrow_mut().as_mut() {
+                if let Some(p) = c.probe.borrow_mut().as_mut() {
                     p.consecutive = 0;
                     p.episode_open = false;
                 }
             }
             Err(e) => {
-                s.stats.borrow_mut().deadline_exceeded += 1;
-                s.failures.borrow_mut().push(e.clone());
+                c.stats.borrow_mut().deadline_exceeded += 1;
+                c.failures.borrow_mut().push(e.clone());
             }
         }
-        (s.done.take(), s.issued_at)
+        (s.done.take(), s.issued_at, s.timer.take())
     };
+    // The op's pending deadline or backoff has nothing left to do.
+    if let Some(tok) = timer {
+        eng.cancel(tok);
+    }
     if w.telemetry.enabled() {
         let now = eng.now();
         match &outcome {
@@ -640,14 +663,36 @@ fn settle(
     }
 }
 
-fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, k: u32) {
-    if st.borrow().settled {
-        return;
+/// Arm `st`'s one supervision event, `f` after `wait`. An op that
+/// settled before its timer was armed (inside the issue call, or inside
+/// the stall probe's callback) gets it cancelled at once; scheduling it
+/// first keeps every later event's `(time, seq)` key unchanged.
+fn arm<F>(st: &Rc<RefCell<IssueState>>, eng: &mut Engine<World>, wait: SimDuration, f: F)
+where
+    F: FnOnce(&Rc<RefCell<IssueState>>, &mut World, &mut Engine<World>) + 'static,
+{
+    let fired = st.clone();
+    let tok = eng.schedule(wait, move |w: &mut World, eng| {
+        // Firing spends the token, so settling from here cancels nothing.
+        fired.borrow_mut().timer = None;
+        f(&fired, w, eng);
+    });
+    let mut s = st.borrow_mut();
+    debug_assert!(s.timer.is_none(), "one supervision event per op");
+    if s.settled {
+        eng.cancel(tok);
+    } else {
+        s.timer = Some(tok);
     }
-    let (client, op, policy) = {
+}
+
+fn attempt(st: &Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, k: u32) {
+    // A settled op has no pending event, so nothing re-attempts it.
+    debug_assert!(!st.borrow().settled);
+    let (shared, client, op) = {
         let s = st.borrow();
-        let client = s.cell.borrow().clone();
-        (client, s.op.clone(), s.policy.clone())
+        let client = s.shared.cell.borrow().clone();
+        (s.shared.clone(), client, s.op.clone())
     };
     let on_done: OnDone = {
         let st = st.clone();
@@ -667,7 +712,7 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
         })
     };
     if k > 0 {
-        st.borrow().stats.borrow_mut().reissues += 1;
+        shared.stats.borrow_mut().reissues += 1;
         if w.telemetry.enabled() {
             w.telemetry
                 .metrics
@@ -699,43 +744,35 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
     // or out of ring credits — both transient).
     let went_out = issued.is_ok();
     let wait = match issued {
-        Ok(_) => policy.deadline,
+        Ok(_) => shared.policy.deadline,
         Err(_backpressure) => {
-            st.borrow().stats.borrow_mut().backpressured += 1;
+            shared.stats.borrow_mut().backpressured += 1;
             if w.telemetry.enabled() {
                 w.telemetry
                     .metrics
                     .counter_add("retry_backpressured", "layer=deadline", 1);
             }
-            policy.backoff_for(k)
+            shared.policy.backoff_for(k)
         }
     };
-    eng.schedule(wait, move |w: &mut World, eng| {
-        let (settled, attempts_left) = {
-            let s = st.borrow();
-            (s.settled, s.policy.max_attempts.saturating_sub(k + 1))
-        };
-        if settled {
-            return;
-        }
+    arm(st, eng, wait, move |st, w, eng| {
         if went_out {
             // The issue left the client but no ACK came back within the
             // attempt deadline: the end-to-end signal a silent mid-chain
             // stall cannot suppress.
-            st.borrow().stats.borrow_mut().attempt_timeouts += 1;
-            probe_note_timeout(&st, w, eng);
+            shared.stats.borrow_mut().attempt_timeouts += 1;
+            probe_note_timeout(&shared, w, eng);
         }
-        if attempts_left == 0 {
+        if k + 1 >= shared.policy.max_attempts {
             settle(
-                &st,
+                st,
                 w,
                 eng,
                 Err(OpError::DeadlineExceeded { attempts: k + 1 }),
             );
             return;
         }
-        let backoff = st.borrow().policy.backoff_for(k);
-        eng.schedule(backoff, move |w: &mut World, eng| {
+        arm(st, eng, shared.policy.backoff_for(k), move |st, w, eng| {
             attempt(st, w, eng, k + 1);
         });
     });
@@ -744,8 +781,8 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
 /// Record an attempt-deadline expiry against the stall probe; fire the
 /// suspect callback when the consecutive-expiry threshold is crossed
 /// and no episode is already open.
-fn probe_note_timeout(st: &Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>) {
-    let probe = st.borrow().probe.clone();
+fn probe_note_timeout(shared: &Shared, w: &mut World, eng: &mut Engine<World>) {
+    let probe = &shared.probe;
     let fire = {
         let mut p = probe.borrow_mut();
         match p.as_mut() {
@@ -764,11 +801,7 @@ fn probe_note_timeout(st: &Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Eng
     if !fire {
         return;
     }
-    let host = {
-        let s = st.borrow();
-        let b = s.cell.borrow();
-        b.member_host(0).0
-    };
+    let host = shared.cell.borrow().member_host(0).0;
     if w.telemetry.enabled() {
         w.telemetry
             .metrics
@@ -792,5 +825,181 @@ fn probe_note_timeout(st: &Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Eng
                 p.on_suspect = Some(cb);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{replica, GroupBuilder};
+    use hl_cluster::ClusterBuilder;
+    use hl_fabric::HostId;
+
+    type Outcome = Rc<RefCell<Option<Result<OpResult, OpError>>>>;
+
+    /// A 2-replica chain supervised under `policy`, primed until its
+    /// replenishers idle. Also returns the engine's pending count at that
+    /// point: the baseline every settled op must leave behind.
+    fn chain(policy: DeadlinePolicy) -> (World, Engine<World>, RetryClient, usize) {
+        let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(1 << 20).seed(5).build();
+        let group = GroupBuilder::new(GroupConfig {
+            client: HostId(0),
+            replicas: vec![HostId(1), HostId(2)],
+            rep_bytes: 64 << 10,
+            ring_slots: 16,
+            ..Default::default()
+        })
+        .build(&mut w);
+        replica::start_replenishers(&group, &mut w, &mut eng);
+        eng.run_until(&mut w, SimTime::from_nanos(50_000));
+        let baseline = eng.pending();
+        let client = HyperLoopClient::new(group, &mut w);
+        let retry = RetryClient::with_policy(client, policy);
+        (w, eng, retry, baseline)
+    }
+
+    /// Issue one supervised gWRITE and run until it settles.
+    fn write_and_settle(
+        retry: &RetryClient,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        before_run: impl FnOnce(&Rc<RefCell<IssueState>>, &mut Engine<World>),
+    ) -> (Rc<RefCell<IssueState>>, Result<OpResult, OpError>) {
+        let out: Outcome = Rc::new(RefCell::new(None));
+        let o = out.clone();
+        let op = GroupOp::Write {
+            offset: 0,
+            data: Bytes::copy_from_slice(b"supervised"),
+            flush: true,
+        };
+        let st = retry.supervise(
+            w,
+            eng,
+            op,
+            Box::new(move |_w, _e, r| *o.borrow_mut() = Some(r)),
+        );
+        before_run(&st, eng);
+        let o = out.clone();
+        assert!(
+            eng.run_while(w, move |_| o.borrow().is_none()),
+            "op never settled"
+        );
+        let r = out.borrow_mut().take().unwrap();
+        (st, r)
+    }
+
+    fn run_for(w: &mut World, eng: &mut Engine<World>, d: SimDuration) {
+        let end = eng.now() + d;
+        eng.run_until(w, end);
+    }
+
+    #[test]
+    fn ack_before_the_deadline_cancels_the_timer() {
+        let (mut w, mut eng, retry, baseline) = chain(DeadlinePolicy::default());
+        let (st, r) = write_and_settle(&retry, &mut w, &mut eng, |st, _| {
+            assert!(st.borrow().timer.is_some(), "the attempt deadline is armed");
+        });
+        assert!(r.is_ok());
+        assert!(st.borrow().timer.is_none());
+        // Well inside the 2 ms deadline: only the cancelled timer could
+        // still be pending.
+        run_for(&mut w, &mut eng, SimDuration::from_micros(100));
+        assert_eq!(eng.pending(), baseline);
+        run_for(&mut w, &mut eng, SimDuration::from_millis(3));
+        assert_eq!(
+            retry.stats(),
+            RetryStats {
+                acked: 1,
+                ..Default::default()
+            }
+        );
+        assert_eq!(retry.outstanding(), 0);
+    }
+
+    #[test]
+    fn deadline_exceeded_settles_from_the_firing_timer() {
+        let policy = DeadlinePolicy {
+            deadline: SimDuration::from_micros(100),
+            max_attempts: 3,
+            backoff: SimDuration::from_micros(20),
+            backoff_cap: SimDuration::from_micros(40),
+        };
+        let (mut w, mut eng, retry, baseline) = chain(policy);
+        // Every attempt leaves the client and is lost on the first hop.
+        w.fabric.partition(HostId(0), HostId(1));
+        let (st, r) = write_and_settle(&retry, &mut w, &mut eng, |_, _| {});
+        assert_eq!(r.unwrap_err(), OpError::DeadlineExceeded { attempts: 3 });
+        assert!(
+            st.borrow().timer.is_none(),
+            "no stale token after the last firing"
+        );
+        assert_eq!(eng.pending(), baseline);
+        assert_eq!(
+            retry.stats(),
+            RetryStats {
+                reissues: 2,
+                deadline_exceeded: 1,
+                attempt_timeouts: 3,
+                ..Default::default()
+            }
+        );
+        assert_eq!(retry.failures().len(), 1);
+        assert_eq!(retry.outstanding(), 0);
+    }
+
+    #[test]
+    fn backpressure_backs_off_then_acks() {
+        let policy = DeadlinePolicy {
+            backoff: SimDuration::from_micros(50),
+            ..Default::default()
+        };
+        let (mut w, mut eng, retry, baseline) = chain(policy);
+        retry.backend().set_paused(true);
+        let (st, r) = write_and_settle(&retry, &mut w, &mut eng, |st, eng| {
+            // Refused at issue: the backoff is the op's one event.
+            assert!(st.borrow().timer.is_some());
+            assert_eq!(eng.pending(), baseline + 1);
+            retry.backend().set_paused(false);
+        });
+        assert!(r.is_ok());
+        assert!(st.borrow().timer.is_none());
+        run_for(&mut w, &mut eng, SimDuration::from_micros(100));
+        assert_eq!(eng.pending(), baseline);
+        assert_eq!(
+            retry.stats(),
+            RetryStats {
+                acked: 1,
+                reissues: 1,
+                backpressured: 1,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    fn late_ack_during_the_backoff_cancels_it() {
+        // The deadline expires long before the chain can ACK, and the
+        // backoff outlasts the ACK.
+        let policy = DeadlinePolicy {
+            deadline: SimDuration::from_nanos(500),
+            max_attempts: 3,
+            backoff: SimDuration::from_millis(1),
+            backoff_cap: SimDuration::from_millis(1),
+        };
+        let (mut w, mut eng, retry, baseline) = chain(policy);
+        let (st, r) = write_and_settle(&retry, &mut w, &mut eng, |_, _| {});
+        assert!(r.is_ok());
+        assert!(st.borrow().timer.is_none());
+        run_for(&mut w, &mut eng, SimDuration::from_micros(100));
+        assert_eq!(eng.pending(), baseline, "the backoff was cancelled");
+        run_for(&mut w, &mut eng, SimDuration::from_millis(2));
+        assert_eq!(
+            retry.stats(),
+            RetryStats {
+                acked: 1,
+                attempt_timeouts: 1,
+                ..Default::default()
+            }
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Regression test for dead-timer churn (ISSUE 4 satellite).
+//! Regression tests for dead-timer churn.
 //!
 //! Every reliable-QP transmit arms a retransmit timer. Before cancel
 //! tokens, a completed op's timer stayed in the event queue as a dead
@@ -11,12 +11,21 @@
 //! the high-water pending-event mark by more than a small constant. If
 //! dead timers ever leak again, the long run's mark grows by roughly
 //! one entry per completed op (hundreds here) and this fails loudly.
+//!
+//! The supervision layer has the same shape one level up: every
+//! `RetryClient` attempt arms a deadline (2 ms by default), and an op
+//! that ACKs cancels it when it settles. The second test drives a
+//! closed loop through `RetryClient` and asserts its high-water mark
+//! depends neither on the ops run nor on the deadline (CI prints its
+//! `retry_pending:` line).
 
-use hyperloop_repro::cluster::ClusterBuilder;
+use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
-use hyperloop_repro::hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
-use hyperloop_repro::sim::SimDuration;
-use std::cell::RefCell;
+use hyperloop_repro::hyperloop::{
+    replica, DeadlinePolicy, GroupBuilder, GroupConfig, HyperLoopClient, RetryClient,
+};
+use hyperloop_repro::sim::{Engine, SimDuration, SimTime};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Drive `ops` sequential durable gWRITEs on a 2-replica chain with the
@@ -82,4 +91,132 @@ fn pending_events_stay_bounded_under_sustained_reliable_traffic() {
         "quiescent pending-event count grew with op count \
          ({short_idle} -> {long_idle}): dead timers are leaking"
     );
+}
+
+/// A supervised closed loop: `budget` 64 B gWRITEs, at most
+/// `OUTSTANDING` in flight, every settle issuing the next.
+struct Loop {
+    retry: RetryClient,
+    issued: Cell<usize>,
+    settled: Cell<usize>,
+    budget: usize,
+}
+
+const OUTSTANDING: usize = 16;
+
+fn pump(l: &Rc<Loop>, w: &mut World, eng: &mut Engine<World>) {
+    while l.issued.get() < l.budget && l.issued.get() - l.settled.get() < OUTSTANDING {
+        let k = l.issued.get();
+        l.issued.set(k + 1);
+        let l2 = l.clone();
+        l.retry.gwrite(
+            w,
+            eng,
+            (k as u64 % 512) * 64,
+            &[k as u8; 64],
+            false,
+            Box::new(move |w, eng, r| {
+                r.expect("supervised write failed on a healthy chain");
+                l2.settled.set(l2.settled.get() + 1);
+                pump(&l2, w, eng);
+            }),
+        );
+    }
+}
+
+/// Pending-event marks of one supervised run.
+struct RetryMarks {
+    /// Before the first issue: the replenishers' steady set.
+    baseline: usize,
+    /// High-water mark, sampled after every event until the last settle.
+    max: usize,
+    /// After the last settle and a drain well inside the deadline.
+    idle: usize,
+}
+
+/// Run `ops` supervised gWRITEs on one 2-replica chain under `deadline`.
+fn retry_pending_marks(ops: usize, deadline: SimDuration) -> RetryMarks {
+    let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(2 << 20).seed(7).build();
+    let group = GroupBuilder::new(GroupConfig {
+        client: HostId(0),
+        replicas: vec![HostId(1), HostId(2)],
+        rep_bytes: 256 << 10,
+        ring_slots: 256,
+        ..Default::default()
+    })
+    .build(&mut w);
+    replica::start_replenishers(&group, &mut w, &mut eng);
+    let retry = RetryClient::with_policy(
+        HyperLoopClient::new(group, &mut w),
+        DeadlinePolicy {
+            deadline,
+            ..Default::default()
+        },
+    );
+    eng.run_until(&mut w, SimTime::from_nanos(50_000));
+    let baseline = eng.pending();
+
+    let l = Rc::new(Loop {
+        retry: retry.clone(),
+        issued: Cell::new(0),
+        settled: Cell::new(0),
+        budget: ops,
+    });
+    pump(&l, &mut w, &mut eng);
+    let mut max = 0;
+    while l.settled.get() < ops {
+        assert!(eng.step(&mut w), "engine drained with ops unsettled");
+        max = max.max(eng.pending());
+    }
+    assert_eq!(retry.outstanding(), 0);
+    assert_eq!(retry.stats().acked, ops as u64);
+    assert_eq!(retry.stats().attempt_timeouts, 0);
+    let end = eng.now() + SimDuration::from_micros(200);
+    eng.run_until(&mut w, end);
+    RetryMarks {
+        baseline,
+        max,
+        idle: eng.pending(),
+    }
+}
+
+#[test]
+fn settled_ops_leave_no_supervision_events() {
+    const N: usize = 256;
+    let short = retry_pending_marks(N, SimDuration::from_millis(2));
+    let long = retry_pending_marks(8 * N, SimDuration::from_millis(2));
+    let patient = retry_pending_marks(8 * N, SimDuration::from_millis(20));
+    println!(
+        "retry_pending: ops {} -> {}, high-water {} -> {}; deadline 2 ms -> 20 ms, \
+         high-water {} -> {}; idle {} (baseline {})",
+        N,
+        8 * N,
+        short.max,
+        long.max,
+        long.max,
+        patient.max,
+        long.idle,
+        long.baseline
+    );
+    // A settled op that kept its deadline pending would add one entry
+    // per op settled within the last deadline: ~1400 at 2 ms here, and
+    // ten times that window at 20 ms.
+    assert!(
+        long.max <= short.max + 16,
+        "high-water mark grew with ops run ({} -> {}): settled ops keep their timers",
+        short.max,
+        long.max
+    );
+    assert!(
+        patient.max <= long.max + 16,
+        "high-water mark grew with the deadline ({} -> {}): settled ops keep their timers",
+        long.max,
+        patient.max
+    );
+    for m in [&short, &long, &patient] {
+        assert_eq!(
+            m.idle, m.baseline,
+            "pending events after the last settle exceed the replenishers' set"
+        );
+    }
 }
