@@ -100,13 +100,7 @@ fn run_fixed_replication(size: usize, ops: u32) -> hl_sim::Summary {
             ..Default::default()
         };
         w.hosts[1].post_send(qp1_out, fwd, true).unwrap();
-        w.hosts[1].post_recv(
-            qp1_in,
-            RecvWqe {
-                wr_id: k,
-                scatter: vec![],
-            },
-        );
+        w.hosts[1].post_recv(qp1_in, RecvWqe::empty(k));
         // r2 (tail): WAIT + fixed WRITE_IMM ack.
         let wait2 = Wqe {
             opcode: Opcode::Wait,
@@ -127,20 +121,8 @@ fn run_fixed_replication(size: usize, ops: u32) -> hl_sim::Summary {
             ..Default::default()
         };
         w.hosts[2].post_send(qp2_out, wimm, true).unwrap();
-        w.hosts[2].post_recv(
-            qp2_in,
-            RecvWqe {
-                wr_id: k,
-                scatter: vec![],
-            },
-        );
-        w.hosts[0].post_recv(
-            qp0_ack,
-            RecvWqe {
-                wr_id: k,
-                scatter: vec![],
-            },
-        );
+        w.hosts[2].post_recv(qp2_in, RecvWqe::empty(k));
+        w.hosts[0].post_recv(qp0_ack, RecvWqe::empty(k));
     }
     for (h, qp) in [(1usize, qp1_out), (2, qp2_out)] {
         w.ring_doorbell(HostId(h), qp, &mut eng);

@@ -8,9 +8,12 @@
 
 use hl_bench::micro::{run_micro, Backend, MicroCfg, MicroOp};
 use hl_cluster::{ClusterBuilder, World};
+use hl_cpu::HostCpu;
 use hl_fabric::HostId;
 use hl_rnic::{flags, Access, Opcode, Wqe};
-use hl_sim::{Engine, EventCtx, SimDuration};
+use hl_sim::config::CpuProfile;
+use hl_sim::{Engine, EventCtx, Histogram, SimDuration, SimTime};
+use hyperloop::{GroupBuilder, GroupConfig, GroupRef, HyperLoopClient};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -137,16 +140,16 @@ fn gwrite_datapath_allocations_are_bounded_per_op() {
     // the process; the second run is the measured one. Worlds are
     // rebuilt per run, so the count includes each run's set-up, and
     // the 32 tenant hogs per replica host, whose scheduler returns a
-    // `Vec<CpuOutput>` per call (6.6 of the per-op count: it is 15.5
+    // `Vec<CpuOutput>` per call (8.8 of the per-op count: it is 9.3
     // with `stress_per_host: 0`).
     let _ = run_micro(&cfg);
     let (n, _) = count_allocs(|| {
         let _ = run_micro(&cfg);
     });
-    // Measured 22.1 (seed 42; the count repeats exactly), plus two.
+    // Measured 18.0 (seed 42; the count repeats exactly), plus two.
     let per_op = n as f64 / cfg.ops as f64;
     assert!(
-        per_op < 24.1,
+        per_op < 20.0,
         "gWRITE datapath allocated {per_op:.1} times per op ({n} total)"
     );
 }
@@ -207,4 +210,128 @@ fn verb_write_loop_allocates_only_the_payload() {
         (OPS..=OPS + OPS / 100).contains(&n),
         "{n} allocations for {OPS} WRITEs: expected one payload buffer each"
     );
+}
+
+/// A 3-member chain on a fresh world: the group, its client and the
+/// world. `period` is the replenishers' wake-up period, or `None` for a
+/// group without them.
+fn chain(ring_slots: u32, period: Option<SimDuration>) -> (World, Engine<World>, GroupRef, u64) {
+    let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(8 << 20).seed(42).build();
+    let cfg = GroupConfig {
+        client: HostId(0),
+        replicas: vec![HostId(1), HostId(2)],
+        rep_bytes: 64 << 10,
+        ring_slots,
+        replenish_period: period.unwrap_or(SimDuration::from_micros(200)),
+        ..Default::default()
+    };
+    let (n, group) = count_allocs(|| GroupBuilder::new(cfg).build(&mut w));
+    if period.is_some() {
+        hyperloop::replica::start_replenishers(&group, &mut w, &mut eng);
+    }
+    (w, eng, group, n)
+}
+
+/// Posted RECVs share their ring's scatter template, so how deep a
+/// chain's rings are no longer decides how much it allocates: a chain
+/// built 512 slots deep makes as many allocations as one 64 deep, but
+/// for the receive queues' `VecDeque`s doubling three more times (nine
+/// slot-deep receive queues: two replicas and the client's ACK ring, on
+/// each of three rings). One scatter list per posted RECV was
+/// 6 × 448 more.
+#[test]
+fn chain_build_allocations_do_not_grow_with_ring_depth() {
+    if hl_rnic::RACE_DETECTOR {
+        return; // the detector shadows every posted slot
+    }
+    let (.., small) = chain(64, None);
+    let (.., large) = chain(512, None);
+    let queue_growth = 9 * (512f64 / 64.0).log2() as u64;
+    println!(
+        "recv_templates: build allocs 64 vs 512 slots {small} vs {large} \
+         (bound +{queue_growth}: receive-queue doublings)"
+    );
+    assert!(
+        large <= small + queue_growth,
+        "a 512-slot chain made {large} allocations, a 64-slot one {small}: \
+         something allocates per slot"
+    );
+}
+
+/// Re-posting consumed slots is a pointer copy per RECV: the
+/// replenisher's batch for 64 consumed slots makes as many allocations
+/// as its batch for 8 (about ten: the wake-up timer, the CPU work item,
+/// the credit report; none of them per slot). Each measured batch
+/// follows one full 64-slot cycle, so both find the engine and the
+/// queues at the same high-water sizes; the one allocation of slack is a
+/// calendar-wheel bucket that one batch's timing happens to grow (see
+/// the engine test above). One scatter list per RECV was 112 more.
+#[test]
+fn replenisher_reposts_without_allocating_per_slot() {
+    if hl_rnic::RACE_DETECTOR {
+        return; // the detector shadows every posted slot
+    }
+    // The replenishers wake every millisecond, long after each burst has
+    // been acknowledged.
+    const PERIOD: u64 = 1_000_000;
+    let repost_allocs = |ops: u32| {
+        let (mut w, mut eng, group, _) = chain(128, Some(SimDuration::from_nanos(PERIOD)));
+        let client = HyperLoopClient::new(group.clone(), &mut w);
+        let acked = Rc::new(Cell::new(0u32));
+        let burst = |w: &mut World, eng: &mut Engine<World>, ops: u32| {
+            let target = acked.get() + ops;
+            for k in 0..ops {
+                let a = acked.clone();
+                client
+                    .gwrite(
+                        w,
+                        eng,
+                        k as u64 * 64,
+                        &[k as u8; 64],
+                        false,
+                        Box::new(move |_, _, _| a.set(a.get() + 1)),
+                    )
+                    .expect("the burst fits the ring's credits");
+            }
+            let a = acked.clone();
+            eng.run_while(w, move |_| a.get() < target);
+        };
+        burst(&mut w, &mut eng, 64);
+        eng.run_until(&mut w, SimTime::from_nanos(PERIOD + PERIOD / 5));
+        burst(&mut w, &mut eng, ops);
+        assert!(
+            eng.now() < SimTime::from_nanos(2 * PERIOD),
+            "burst outlived the period"
+        );
+        let before = group.borrow().stats.reposted;
+        let (n, _) =
+            count_allocs(|| eng.run_until(&mut w, SimTime::from_nanos(2 * PERIOD + PERIOD / 5)));
+        let reposted = group.borrow().stats.reposted - before;
+        assert_eq!(
+            reposted,
+            2 * ops as u64,
+            "both replicas re-posted the burst"
+        );
+        n
+    };
+    let (few, many) = (repost_allocs(8), repost_allocs(64));
+    println!("recv_templates: replenisher allocs re-posting 8 vs 64 slots {few} vs {many}");
+    assert!(
+        many <= few + 1,
+        "re-posting 112 more slots made {} more allocations",
+        many as i64 - few as i64
+    );
+}
+
+/// An empty histogram owns no counts table: a host's scheduler-latency
+/// histogram, which stays empty on a HyperLoop replica, costs nothing,
+/// and `HostCpu::new` allocates only its core table.
+#[test]
+fn empty_histograms_allocate_no_table() {
+    let (n, h) = count_allocs(Histogram::new);
+    assert_eq!(n, 0, "Histogram::new allocated");
+    drop(h);
+    let (n, cpu) = count_allocs(|| HostCpu::new(CpuProfile::default()));
+    assert_eq!(n, 1, "HostCpu::new allocated more than its core table");
+    drop(cpu);
 }

@@ -107,13 +107,7 @@ fn cq_interrupts_wake_process_repeatedly() {
 
     // Three SENDs, spaced out so each needs a fresh interrupt.
     for i in 0..3u64 {
-        w.hosts[1].post_recv(
-            qp1,
-            RecvWqe {
-                wr_id: 100 + i,
-                scatter: vec![],
-            },
-        );
+        w.hosts[1].post_recv(qp1, RecvWqe::empty(100 + i));
     }
     for i in 0..3u64 {
         eng.schedule(

@@ -509,28 +509,34 @@ impl Fabric {
         size: usize,
         base: SimTime,
     ) -> Delivery {
-        // Scope keys in application order: pair, source host, dest host.
+        // The (at most three) scopes in application order: pair, source
+        // host, dest host. Copied onto the stack, so the bucket pass
+        // below can borrow the maps mutably.
         let pair_key = (src.0, dst.0);
-        let specs: Vec<(bool, usize, usize, Impairment)> = self
-            .impairments
-            .get(&pair_key)
-            .map(|s| (true, src.0, dst.0, s.imp))
-            .into_iter()
-            .chain(
-                [src.0, dst.0]
-                    .into_iter()
-                    .filter_map(|h| self.host_impairments.get(&h).map(|s| (false, h, h, s.imp))),
-            )
-            .collect();
+        let scopes = [
+            (None, self.impairments.get(&pair_key).map(|s| s.imp)),
+            (
+                Some(src.0),
+                self.host_impairments.get(&src.0).map(|s| s.imp),
+            ),
+            (
+                Some(dst.0),
+                self.host_impairments.get(&dst.0).map(|s| s.imp),
+            ),
+        ];
+        let active = || {
+            scopes
+                .iter()
+                .filter_map(|&(host, imp)| imp.map(|imp| (host, imp)))
+        };
 
-        // Probabilistic decisions first, on a stream taken out of `self`
-        // so the bucket pass below can borrow mutably.
+        // Probabilistic decisions first, on a stream taken out of `self`.
         let mut rng = self.impair_rng.take();
         let mut lost = false;
         let mut reordered = false;
         let mut duplicated = false;
         let mut extra = SimDuration::ZERO;
-        for (_, _, _, imp) in &specs {
+        for (_, imp) in active() {
             extra += imp.delay;
             if let Some(r) = rng.as_mut() {
                 if imp.loss > 0.0 && r.f64() < imp.loss {
@@ -562,17 +568,16 @@ impl Fabric {
             return Delivery::At(base);
         }
         let mut at = SimTime::from_nanos(base.as_nanos() + extra.as_nanos());
-        for &(is_pair, a, b, imp) in &specs {
+        for (host, imp) in active() {
             if let Some(bps) = imp.rate_bps {
-                let st = if is_pair {
-                    // `specs` was collected from these same maps a few
-                    // lines up and nothing removes entries in between,
-                    // so the key is present by construction.
+                let st = match host {
+                    // `scopes` was read from these same maps a few lines
+                    // up and nothing removes entries in between, so the
+                    // key is present by construction.
                     // hl-lint: allow(panic-in-handler)
-                    self.impairments.get_mut(&(a, b)).unwrap()
-                } else {
+                    None => self.impairments.get_mut(&pair_key).unwrap(),
                     // hl-lint: allow(panic-in-handler)
-                    self.host_impairments.get_mut(&a).unwrap()
+                    Some(h) => self.host_impairments.get_mut(&h).unwrap(),
                 };
                 at = st.bucket.pass(at, size as u64, bps, imp.burst_bytes);
             }

@@ -38,5 +38,5 @@ pub use cq::{Cq, Cqe, CqeKind, CqeStatus, CQ_DEPTH};
 pub use mr::{Access, MemoryRegion, MrError, MrTable};
 pub use nic::{Nic, NicCounters, NicEvent, NicEventKind, NicOutput, RingFull};
 pub use packet::{NakReason, Packet, PacketKind, HEADER_BYTES};
-pub use qp::{PendingTx, Qp, QpState, QpTimeout, RecvWqe, ScatterEntry, SqRing};
+pub use qp::{PendingTx, Qp, QpState, QpTimeout, RecvWqe, ScatterEntry, ScatterTemplate, SqRing};
 pub use wqe::{field_offset, flags, Opcode, Wqe, WQE_SIZE};

@@ -1487,22 +1487,22 @@ impl Nic {
                 };
                 // Scatter the payload, possibly into pre-posted WQE
                 // descriptor fields — the heart of remote WQE
-                // manipulation.
-                for e in &recv.scatter {
-                    let off = e.msg_off as usize;
+                // manipulation — at the RECV's ring position.
+                for (msg_off, len, addr) in recv.targets() {
+                    let off = msg_off as usize;
                     if off >= data.len() {
                         continue;
                     }
-                    let n = e.len.min((data.len() - off) as u32) as usize;
+                    let n = len.min((data.len() - off) as u32) as usize;
                     #[cfg(feature = "check-ownership")]
                     self.tracker.remote_write(
-                        e.addr,
+                        addr,
                         &data[off..off + n],
                         req.src_nic,
                         req.src_qpn,
                         t,
                     );
-                    if mem.write(e.addr, &data[off..off + n]).is_err() {
+                    if mem.write(addr, &data[off..off + n]).is_err() {
                         // A scatter entry escaping the arena is a
                         // corrupted pre-posted descriptor; refuse the
                         // SEND (partial scatter may have landed, as with

@@ -3,6 +3,7 @@
 
 use crate::wqe::WQE_SIZE;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// A send-queue ring living in host memory.
 ///
@@ -54,30 +55,111 @@ impl SqRing {
     }
 }
 
-/// One scatter target of a posted RECV.
+/// One scatter target of a posted RECV, as an entry of a
+/// [`ScatterTemplate`].
 ///
-/// `msg_off` selects which slice of the incoming message lands at
-/// `addr` — this is the hook HyperLoop uses to point received metadata
-/// *into the descriptor fields of pre-posted WQEs* (see DESIGN.md §7 for
-/// the liberty taken vs. strictly sequential verbs SGE consumption).
+/// `msg_off` selects which slice of the incoming message lands where —
+/// this is the hook HyperLoop uses to point received metadata *into the
+/// descriptor fields of pre-posted WQEs* (see DESIGN.md §7 for the
+/// liberty taken vs. strictly sequential verbs SGE consumption). A RECV
+/// at ring position `p` lands the slice at `addr + p · stride`: slot
+/// `p` of a pre-posted ring scatters into slot 0's targets shifted by
+/// `p` strides, so one template serves every slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScatterEntry {
     /// Offset within the incoming message.
     pub msg_off: u32,
     /// Bytes to scatter.
     pub len: u32,
-    /// Arena destination address.
+    /// Arena destination address at ring position 0.
     pub addr: u64,
+    /// How far the destination moves per ring position (0: fixed).
+    pub stride: u64,
+}
+
+impl ScatterEntry {
+    /// Destination address at ring position `position`. Wraps rather
+    /// than overflows: a corrupt template resolves outside the arena and
+    /// is refused like any other stray address.
+    pub fn addr_at(&self, position: u64) -> u64 {
+        self.addr.wrapping_add(position.wrapping_mul(self.stride))
+    }
+}
+
+/// A scatter list shared by every RECV posted from it: refcounted, so
+/// re-posting a ring slot copies a pointer, and the empty template owns
+/// no allocation at all.
+#[derive(Debug, Clone)]
+pub struct ScatterTemplate(Option<Rc<[ScatterEntry]>>);
+
+impl ScatterTemplate {
+    /// The template that scatters nothing.
+    pub const EMPTY: ScatterTemplate = ScatterTemplate(None);
+
+    /// A template over `entries` (one allocation unless empty).
+    pub fn new(entries: &[ScatterEntry]) -> Self {
+        if entries.is_empty() {
+            Self::EMPTY
+        } else {
+            ScatterTemplate(Some(Rc::from(entries)))
+        }
+    }
+
+    /// The entries, unresolved.
+    pub fn entries(&self) -> &[ScatterEntry] {
+        self.0.as_deref().unwrap_or(&[])
+    }
 }
 
 /// A posted receive work request (kept NIC-side; only send queues live
-/// in host memory because only they are remotely manipulated).
+/// in host memory because only they are remotely manipulated): a shared
+/// scatter template resolved at one ring position.
 #[derive(Debug, Clone)]
 pub struct RecvWqe {
     /// Caller cookie echoed in the completion.
     pub wr_id: u64,
     /// Scatter list applied to the incoming payload.
-    pub scatter: Vec<ScatterEntry>,
+    pub scatter: ScatterTemplate,
+    /// Ring position the template's entries are resolved at.
+    pub position: u64,
+}
+
+impl RecvWqe {
+    /// A RECV that scatters nothing (a WRITE_IMM landing, an ack).
+    pub fn empty(wr_id: u64) -> Self {
+        RecvWqe {
+            wr_id,
+            scatter: ScatterTemplate::EMPTY,
+            position: 0,
+        }
+    }
+
+    /// A single-use scatter list: its own template, at position 0.
+    pub fn new(wr_id: u64, scatter: &[ScatterEntry]) -> Self {
+        RecvWqe {
+            wr_id,
+            scatter: ScatterTemplate::new(scatter),
+            position: 0,
+        }
+    }
+
+    /// Slot `position` of a ring whose RECVs share `template`.
+    pub fn at(wr_id: u64, template: &ScatterTemplate, position: u64) -> Self {
+        RecvWqe {
+            wr_id,
+            scatter: template.clone(),
+            position,
+        }
+    }
+
+    /// The resolved scatter list: `(msg_off, len, addr)` per entry, in
+    /// template order.
+    pub fn targets(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
+        self.scatter
+            .entries()
+            .iter()
+            .map(|e| (e.msg_off, e.len, e.addr_at(self.position)))
+    }
 }
 
 /// Queue-pair operational state (the subset of the ibverbs state

@@ -107,14 +107,15 @@ fn srq_serializes_two_senders() {
     for (k, addr) in [(0u64, 0x8000u64), (1, 0x8100)] {
         w.nics[2].post_srq_recv(
             srq,
-            RecvWqe {
-                wr_id: k,
-                scatter: vec![ScatterEntry {
+            RecvWqe::new(
+                k,
+                &[ScatterEntry {
                     msg_off: 0,
                     len: 16,
                     addr,
+                    stride: 0,
                 }],
-            },
+            ),
         );
     }
     assert_eq!(w.nics[2].srq_depth(srq), 2);
@@ -194,13 +195,7 @@ fn threshold_waits_share_a_cq() {
     }
 
     let send = |w: &mut World, eng: &mut Engine<World>, wr: u64| {
-        w.nics[1].post_recv(
-            qp1,
-            RecvWqe {
-                wr_id: wr,
-                scatter: vec![],
-            },
-        );
+        w.nics[1].post_recv(qp1, RecvWqe::empty(wr));
         let wqe = Wqe {
             opcode: Opcode::Send,
             len: 1,
@@ -245,14 +240,15 @@ fn private_rq_unaffected_by_srq_presence() {
     w.nics[1].connect(qp1, 0, qp0);
     w.nics[1].post_recv(
         qp1,
-        RecvWqe {
-            wr_id: 9,
-            scatter: vec![ScatterEntry {
+        RecvWqe::new(
+            9,
+            &[ScatterEntry {
                 msg_off: 0,
                 len: 4,
                 addr: 0x9000,
+                stride: 0,
             }],
-        },
+        ),
     );
     w.mems[0].write(0x4000, b"priv").unwrap();
     let wqe = Wqe {

@@ -163,20 +163,8 @@ fn lost_ack_does_not_double_deliver() {
     let mut eng = Engine::new();
     let (qp0, qp1, scq0, rcq1) = reliable_pair(&mut w, 7);
     // Two RECVs posted: a re-executed duplicate would eat the second.
-    w.nics[1].post_recv(
-        qp1,
-        RecvWqe {
-            wr_id: 100,
-            scatter: vec![],
-        },
-    );
-    w.nics[1].post_recv(
-        qp1,
-        RecvWqe {
-            wr_id: 101,
-            scatter: vec![],
-        },
-    );
+    w.nics[1].post_recv(qp1, RecvWqe::empty(100));
+    w.nics[1].post_recv(qp1, RecvWqe::empty(101));
 
     w.rx_drop[0] = 1; // eat the ack on its way back
     w.mems[0].write(0x8000, b"once").unwrap();
@@ -590,13 +578,7 @@ fn output_order_recv_event_then_forwards_then_ack() {
     let mr = w.nics[2].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // nic 1 forwards: WAIT(recv CQ of the inbound QP) · WRITE · SEND.
-    w.nics[1].post_recv(
-        qp10,
-        RecvWqe {
-            wr_id: 50,
-            scatter: vec![],
-        },
-    );
+    w.nics[1].post_recv(qp10, RecvWqe::empty(50));
     let wait = Wqe {
         opcode: Opcode::Wait,
         flags: flags::HW_OWNED,

@@ -9,7 +9,7 @@ use common::collect;
 use hl_nvm::NvmArena;
 use hl_rnic::{
     field_offset, flags, Access, Cqe, CqeKind, CqeStatus, Nic, NicOutput, Opcode, RecvWqe,
-    ScatterEntry, Wqe, WQE_SIZE,
+    ScatterEntry, ScatterTemplate, Wqe, WQE_SIZE,
 };
 use hl_sim::config::NicProfile;
 use hl_sim::{Engine, RngFactory, SimDuration, SimTime};
@@ -215,21 +215,23 @@ fn send_scatters_into_multiple_targets() {
     // Receiver scatters: bytes [0..4) to 0x100, bytes [8..12) to 0x200.
     w.nics[1].post_recv(
         p.qp_b,
-        RecvWqe {
-            wr_id: 5,
-            scatter: vec![
+        RecvWqe::new(
+            5,
+            &[
                 ScatterEntry {
                     msg_off: 0,
                     len: 4,
                     addr: 0x100,
+                    stride: 0,
                 },
                 ScatterEntry {
                     msg_off: 8,
                     len: 4,
                     addr: 0x200,
+                    stride: 0,
                 },
             ],
-        },
+        ),
     );
     w.mems[0].write(0x3000, b"AAAAbbbbCCCC").unwrap();
     let wqe = Wqe {
@@ -503,13 +505,7 @@ fn cq_event_fires_when_armed() {
     let mut w = World::new(2);
     let mut eng = Engine::new();
     let p = connect_pair(&mut w, 0, 1, 0x10000);
-    w.nics[1].post_recv(
-        p.qp_b,
-        RecvWqe {
-            wr_id: 1,
-            scatter: vec![],
-        },
-    );
+    w.nics[1].post_recv(p.qp_b, RecvWqe::empty(1));
     w.nics[1].arm_cq(p.rcq_b);
     let wqe = Wqe {
         opcode: Opcode::Send,
@@ -587,26 +583,29 @@ fn wait_chain_forwards_without_cpu() {
     let write_slot = 0x20000 + (write_idx % 64) * WQE_SIZE;
     w.nics[1].post_recv(
         p01.qp_b,
-        RecvWqe {
-            wr_id: 7,
-            scatter: vec![
+        RecvWqe::new(
+            7,
+            &[
                 ScatterEntry {
                     msg_off: 0,
                     len: 4,
                     addr: write_slot + field_offset::LEN,
+                    stride: 0,
                 },
                 ScatterEntry {
                     msg_off: 4,
                     len: 8,
                     addr: write_slot + field_offset::LADDR,
+                    stride: 0,
                 },
                 ScatterEntry {
                     msg_off: 12,
                     len: 8,
                     addr: write_slot + field_offset::RADDR,
+                    stride: 0,
                 },
             ],
-        },
+        ),
     );
 
     // --- Client (node 0): WRITE data into node 1's log, then SEND the
@@ -700,26 +699,29 @@ fn wait_triggers_local_copy() {
     let copy_slot = 0x30000 + (copy_idx % 16) * WQE_SIZE;
     w.nics[1].post_recv(
         p01.qp_b,
-        RecvWqe {
-            wr_id: 3,
-            scatter: vec![
+        RecvWqe::new(
+            3,
+            &[
                 ScatterEntry {
                     msg_off: 0,
                     len: 4,
                     addr: copy_slot + field_offset::LEN,
+                    stride: 0,
                 },
                 ScatterEntry {
                     msg_off: 4,
                     len: 8,
                     addr: copy_slot + field_offset::LADDR,
+                    stride: 0,
                 },
                 ScatterEntry {
                     msg_off: 12,
                     len: 8,
                     addr: copy_slot + field_offset::RADDR,
+                    stride: 0,
                 },
             ],
-        },
+        ),
     );
 
     // Node 1's "log" already has data at 0x6000 (imagine a prior gWRITE).
@@ -783,13 +785,7 @@ fn wait_count_semantics() {
     route(1, outs, &mut eng);
 
     for i in 0..2 {
-        w.nics[1].post_recv(
-            p01.qp_b,
-            RecvWqe {
-                wr_id: i,
-                scatter: vec![],
-            },
-        );
+        w.nics[1].post_recv(p01.qp_b, RecvWqe::empty(i));
     }
     // First send: WAIT must not fire yet.
     let send = Wqe {
@@ -866,14 +862,15 @@ fn cas_to_nop_conversion_keeps_chain_alive() {
     let cas_slot = 0x30000 + (cas_idx % 16) * WQE_SIZE;
     w.nics[1].post_recv(
         p01.qp_b,
-        RecvWqe {
-            wr_id: 3,
-            scatter: vec![ScatterEntry {
+        RecvWqe::new(
+            3,
+            &[ScatterEntry {
                 msg_off: 0,
                 len: 1,
                 addr: cas_slot + field_offset::OPCODE,
+                stride: 0,
             }],
-        },
+        ),
     );
     // The message's first byte is the NOP opcode.
     w.mems[0].write(0x4000, &[Opcode::Nop as u8]).unwrap();
@@ -961,13 +958,7 @@ fn wait_activation_wraps_the_ring() {
     assert!(poll(&mut w, 1, lcq).is_empty(), "parked before trigger");
 
     // Trigger via a SEND on the 0->1 QP.
-    w.nics[1].post_recv(
-        p01.qp_b,
-        RecvWqe {
-            wr_id: 1,
-            scatter: vec![],
-        },
-    );
+    w.nics[1].post_recv(p01.qp_b, RecvWqe::empty(1));
     let send = Wqe {
         opcode: Opcode::Send,
         len: 1,
@@ -1078,4 +1069,121 @@ fn send_on_unconnected_qp_errors_qp_instead_of_panicking() {
     assert_eq!(cqes.len(), 1, "{cqes:#?}");
     assert_eq!(cqes[0].wr_id, 7);
     assert_eq!(cqes[0].status, CqeStatus::LocalProtection);
+}
+
+/// Deliver one SEND of `payload` from nic 0 to nic 1, whose receive
+/// queue holds `recv`. Returns nic 1's whole arena afterwards, the
+/// sender's completion statuses and the receiver's completed `wr_id`s.
+fn scatter_outcome(recv: RecvWqe, payload: &[u8]) -> (Vec<u8>, Vec<CqeStatus>, Vec<u64>) {
+    let mut w = World::new(2);
+    let mut eng = Engine::new();
+    let p = connect_pair(&mut w, 0, 1, 0x10000);
+    w.nics[1].post_recv(p.qp_b, recv);
+    w.mems[0].write(0x3000, payload).unwrap();
+    let wqe = Wqe {
+        opcode: Opcode::Send,
+        flags: flags::SIGNALED,
+        len: payload.len() as u32,
+        laddr: 0x3000,
+        wr_id: 1,
+        ..Default::default()
+    };
+    w.nics[0]
+        .post_send(&mut w.mems[0], p.qp_a, wqe, false)
+        .unwrap();
+    let outs = collect(|o| w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], o));
+    route(0, outs, &mut eng);
+    eng.run(&mut w);
+    let sent = poll(&mut w, 0, p.scq_a).iter().map(|c| c.status).collect();
+    let received = poll(&mut w, 1, p.rcq_b).iter().map(|c| c.wr_id).collect();
+    (w.mems[1].read(0, ARENA).unwrap().to_vec(), sent, received)
+}
+
+#[test]
+fn template_resolves_at_its_ring_position() {
+    let entries = [
+        ScatterEntry {
+            msg_off: 0,
+            len: 8,
+            addr: 0x40000,
+            stride: 128,
+        },
+        ScatterEntry {
+            msg_off: 8,
+            len: 4,
+            addr: 0x50010,
+            stride: 3 * WQE_SIZE,
+        },
+    ];
+    let template = ScatterTemplate::new(&entries);
+    let recv = RecvWqe::at(9, &template, 5);
+    let resolved: Vec<_> = recv.targets().collect();
+    assert_eq!(
+        resolved,
+        [(0, 8, 0x40000 + 5 * 128), (8, 4, 0x50010 + 15 * WQE_SIZE)]
+    );
+    assert!(RecvWqe::empty(1).targets().next().is_none());
+    assert!(ScatterTemplate::new(&[]).entries().is_empty());
+}
+
+mod template_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A RECV at position `p` of a template scatters byte for byte
+        /// what the single-use list `addr + p·stride` scatters: entries
+        /// past the end of a short payload are skipped, and an entry that
+        /// resolves past the arena draws the same `RemoteAccess` NAK
+        /// after the same partial scatter. The large stride sends
+        /// positions ≥ 12 out of the 1 MiB arena.
+        #[test]
+        fn template_scatters_like_its_materialized_list(
+            raw in proptest::collection::vec(
+                (
+                    0u32..96,
+                    1u32..40,
+                    0x40000u64..0x80000,
+                    prop_oneof![Just(0u64), Just(WQE_SIZE), 1u64..0x2000, Just(0x10000u64)],
+                ),
+                1..6,
+            ),
+            position in 0u64..64,
+            payload_len in 1usize..96,
+        ) {
+            let entries: Vec<ScatterEntry> = raw
+                .iter()
+                .map(|&(msg_off, len, addr, stride)| ScatterEntry { msg_off, len, addr, stride })
+                .collect();
+            let materialized: Vec<ScatterEntry> = entries
+                .iter()
+                .map(|e| ScatterEntry {
+                    addr: e.addr + position * e.stride,
+                    stride: 0,
+                    ..*e
+                })
+                .collect();
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i as u8).wrapping_mul(37) | 1).collect();
+
+            let template = ScatterTemplate::new(&entries);
+            let (mem_t, sent_t, recv_t) =
+                scatter_outcome(RecvWqe::at(4, &template, position), &payload);
+            let (mem_m, sent_m, recv_m) =
+                scatter_outcome(RecvWqe::new(4, &materialized), &payload);
+
+            prop_assert!(mem_t == mem_m, "arenas differ after the scatter");
+            prop_assert_eq!(&sent_t, &sent_m);
+            prop_assert_eq!(&recv_t, &recv_m);
+            let escapes = materialized.iter().any(|e| {
+                let off = e.msg_off as usize;
+                off < payload.len()
+                    && e.addr + e.len.min((payload.len() - off) as u32) as u64 > ARENA as u64
+            });
+            let expect = if escapes { CqeStatus::RemoteAccess } else { CqeStatus::Ok };
+            prop_assert_eq!(&sent_t, &vec![expect]);
+            prop_assert_eq!(recv_t.len(), usize::from(!escapes));
+        }
+    }
 }

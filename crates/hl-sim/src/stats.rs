@@ -5,7 +5,10 @@
 //! number of sub-buckets, giving a bounded relative error (~1/64 with the
 //! default 64 sub-buckets) at any magnitude — exactly what is needed to
 //! report honest 99th percentiles over values spanning microseconds to
-//! seconds. Recording is O(1) and allocation-free after construction.
+//! seconds. Counts are kept only up to the highest bucket recorded so
+//! far: an empty histogram owns no table, and recording is O(1) and
+//! allocation-free once the table has reached the largest value's
+//! bucket.
 
 use crate::time::SimDuration;
 use std::fmt;
@@ -57,6 +60,8 @@ pub(crate) fn bucket_value(index: usize) -> u64 {
 pub struct Histogram {
     /// counts[octave][sub]: octave o covers [2^o, 2^(o+1)) except octave 0
     /// which covers [0, 2^SUB_BUCKET_BITS) exactly (one value per bucket).
+    /// Ends at the highest non-empty bucket; the buckets past it, up to
+    /// the 64 octaves any `u64` needs, are zero and not stored.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -71,11 +76,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram covering the full `u64` range.
+    /// An empty histogram covering the full `u64` range (allocates
+    /// nothing until the first value is recorded).
     pub fn new() -> Self {
-        // 64 octaves is enough for any u64 value.
         Histogram {
-            counts: vec![0; SUB_BUCKETS * 64],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -86,6 +91,9 @@ impl Histogram {
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         let idx = bucket_index(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value as u128;
@@ -183,6 +191,9 @@ impl Histogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -425,9 +436,179 @@ mod tests {
         }
     }
 
+    /// The dense table [`Histogram`] kept before it grew on demand: all
+    /// 64 octaves allocated up front. Only here as the reference the
+    /// grow-on-demand table is checked against.
+    #[derive(Clone)]
+    struct DenseHistogram {
+        counts: Vec<u64>,
+        total: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl DenseHistogram {
+        fn new() -> Self {
+            DenseHistogram {
+                counts: vec![0; SUB_BUCKETS * 64],
+                total: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, value: u64) {
+            self.counts[bucket_index(value)] += 1;
+            self.total += 1;
+            self.sum += value as u128;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+
+        fn min(&self) -> u64 {
+            if self.total == 0 {
+                0
+            } else {
+                self.min
+            }
+        }
+
+        fn value_at_quantile(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let q = q.clamp(0.0, 1.0);
+            let rank = ((q * self.total as f64).ceil() as u64).max(1);
+            if rank >= self.total {
+                return self.max;
+            }
+            if rank == 1 {
+                return self.min;
+            }
+            let mut seen = 0u64;
+            for (idx, &c) in self.counts.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                seen += c;
+                if seen >= rank {
+                    return bucket_value(idx).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        fn merge(&mut self, other: &DenseHistogram) {
+            for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *a += b;
+            }
+            self.total += other.total;
+            self.sum += other.sum;
+            if other.total > 0 {
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_histogram_owns_no_table() {
+        let h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        let mut h = h.clone();
+        h.merge(&Histogram::new());
+        assert_eq!(h.counts.capacity(), 0);
+        h.record(100);
+        assert_eq!(h.counts.len(), bucket_index(100) + 1);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Every observable of `h` equals the dense reference's.
+        fn same_as_dense(h: &Histogram, d: &DenseHistogram) -> Result<(), String> {
+            let pairs = [
+                ("count", h.count() as u128, d.total as u128),
+                ("sum", h.sum(), d.sum),
+                ("min", h.min() as u128, d.min() as u128),
+                ("max", h.max() as u128, d.max as u128),
+                ("p50", h.p50() as u128, d.value_at_quantile(0.5) as u128),
+                ("p99", h.p99() as u128, d.value_at_quantile(0.99) as u128),
+                ("p999", h.p999() as u128, d.value_at_quantile(0.999) as u128),
+            ];
+            for (what, got, want) in pairs {
+                if got != want {
+                    return Err(format!("{what}: {got} vs dense {want}"));
+                }
+            }
+            for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999_9, 1.0] {
+                let (got, want) = (h.value_at_quantile(q), d.value_at_quantile(q));
+                if got != want {
+                    return Err(format!("quantile {q}: {got} vs dense {want}"));
+                }
+            }
+            Ok(())
+        }
+
+        fn values() -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(
+                prop_oneof![
+                    0u64..64,
+                    64u64..100_000,
+                    100_000u64..10_000_000_000,
+                    any::<u64>()
+                ],
+                0..120,
+            )
+        }
+
+        proptest! {
+            /// The grow-on-demand table records, merges (both ways,
+            /// between tables of different lengths and with an empty
+            /// one) and answers every quantile exactly like the dense
+            /// table.
+            #[test]
+            fn grow_on_demand_matches_the_dense_table(a in values(), b in values()) {
+                let (mut ha, mut da) = (Histogram::new(), DenseHistogram::new());
+                let (mut hb, mut db) = (Histogram::new(), DenseHistogram::new());
+                for &v in &a { ha.record(v); da.record(v); }
+                for &v in &b { hb.record(v); db.record(v); }
+                let checks = [
+                    same_as_dense(&ha, &da),
+                    same_as_dense(&hb, &db),
+                    {
+                        let (mut h, mut d) = (ha.clone(), da.clone());
+                        h.merge(&hb);
+                        d.merge(&db);
+                        same_as_dense(&h, &d)
+                    },
+                    {
+                        let (mut h, mut d) = (hb.clone(), db.clone());
+                        h.merge(&ha);
+                        d.merge(&da);
+                        same_as_dense(&h, &d)
+                    },
+                    {
+                        let (mut h, mut d) = (Histogram::new(), DenseHistogram::new());
+                        h.merge(&ha);
+                        d.merge(&da);
+                        same_as_dense(&h, &d)
+                    },
+                    {
+                        let (mut h, mut d) = (ha.clone(), da.clone());
+                        h.merge(&Histogram::new());
+                        d.merge(&DenseHistogram::new());
+                        same_as_dense(&h, &d)
+                    },
+                ];
+                for (i, c) in checks.into_iter().enumerate() {
+                    prop_assert!(c.is_ok(), "check {i}: {}", c.unwrap_err());
+                }
+            }
+        }
 
         proptest! {
             /// Quantiles are monotone non-decreasing in q, and every

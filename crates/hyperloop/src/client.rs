@@ -17,7 +17,7 @@
 //! completion closure.
 
 use crate::group::{Backpressure, GroupRef, OnDone, OpResult};
-use crate::metadata::{self, MetaMsg, Primitive};
+use crate::metadata::{self, Primitive};
 use crate::wire::{self, AckRing, OneSided};
 use hl_cluster::World;
 use hl_rnic::Opcode;
@@ -66,10 +66,10 @@ impl HyperLoopClient {
         flush: bool,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        let mut inner = self.group.borrow_mut();
+        let mut guard = self.group.borrow_mut();
+        let inner = &mut *guard;
         let slot = inner.take_credit(Primitive::GWrite)?;
         let seq = inner.alloc_seq();
-        let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
 
@@ -85,7 +85,7 @@ impl HyperLoopClient {
 
         // 2. Metadata.
         let op = w.telemetry.begin_op(eng.now(), OpKind::GWrite, ch.0);
-        let mut msg = MetaMsg::new(g, seq);
+        let msg = inner.msg.reset(seq);
         msg.set_op(op);
         for i in 0..n.saturating_sub(1) {
             let src = inner.replica_rep[i].at(offset);
@@ -103,14 +103,13 @@ impl HyperLoopClient {
             len: data.len() as u32,
         };
         self.finish_issue(
-            &mut inner,
+            inner,
             w,
             eng,
             Primitive::GWrite,
             seq,
             slot,
             Some(data),
-            &msg,
             op,
             done,
         )
@@ -126,10 +125,10 @@ impl HyperLoopClient {
         len: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        let mut inner = self.group.borrow_mut();
+        let mut guard = self.group.borrow_mut();
+        let inner = &mut *guard;
         let slot = inner.take_credit(Primitive::GWrite)?;
         let seq = inner.alloc_seq();
-        let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
 
@@ -137,7 +136,7 @@ impl HyperLoopClient {
         w.host(ch).mem.flush(local, len as usize).unwrap();
 
         let op = w.telemetry.begin_op(eng.now(), OpKind::GFlush, ch.0);
-        let mut msg = MetaMsg::new(g, seq);
+        let msg = inner.msg.reset(seq);
         msg.set_op(op);
         for i in 0..n.saturating_sub(1) {
             let src = inner.replica_rep[i].at(offset);
@@ -154,14 +153,13 @@ impl HyperLoopClient {
             len,
         };
         self.finish_issue(
-            &mut inner,
+            inner,
             w,
             eng,
             Primitive::GWrite,
             seq,
             slot,
             Some(data),
-            &msg,
             op,
             done,
         )
@@ -180,10 +178,10 @@ impl HyperLoopClient {
         flush: bool,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        let mut inner = self.group.borrow_mut();
+        let mut guard = self.group.borrow_mut();
+        let inner = &mut *guard;
         let slot = inner.take_credit(Primitive::GMemcpy)?;
         let seq = inner.alloc_seq();
-        let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
 
@@ -196,7 +194,7 @@ impl HyperLoopClient {
         }
 
         let op = w.telemetry.begin_op(eng.now(), OpKind::GMemcpy, ch.0);
-        let mut msg = MetaMsg::new(g, seq);
+        let msg = inner.msg.reset(seq);
         msg.set_op(op);
         for i in 0..n {
             let src = inner.replica_rep[i].at(src_off);
@@ -208,18 +206,7 @@ impl HyperLoopClient {
             };
             msg.set_wrec(i, len, src, dst, fop, dst, len);
         }
-        self.finish_issue(
-            &mut inner,
-            w,
-            eng,
-            Primitive::GMemcpy,
-            seq,
-            slot,
-            None,
-            &msg,
-            op,
-            done,
-        )
+        self.finish_issue(inner, w, eng, Primitive::GMemcpy, seq, slot, None, op, done)
     }
 
     /// gCAS: compare-and-swap the u64 at `offset` on the members whose
@@ -236,15 +223,15 @@ impl HyperLoopClient {
         exec_map: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        let mut inner = self.group.borrow_mut();
+        let mut guard = self.group.borrow_mut();
+        let inner = &mut *guard;
         let slot = inner.take_credit(Primitive::GCas)?;
         let seq = inner.alloc_seq();
-        let g = inner.g;
         let n = inner.n_replicas();
         let ch = inner.cfg.client;
 
         let op = w.telemetry.begin_op(eng.now(), OpKind::GCas, ch.0);
-        let mut msg = MetaMsg::new(g, seq);
+        let msg = inner.msg.reset(seq);
         msg.set_op(op);
         // Client-local CAS (member 0).
         if exec_map & 1 != 0 {
@@ -264,34 +251,22 @@ impl HyperLoopClient {
                 + member as u64 * 8;
             msg.set_crec(i, execute, target, cmp, swp, result);
         }
-        self.finish_issue(
-            &mut inner,
-            w,
-            eng,
-            Primitive::GCas,
-            seq,
-            slot,
-            None,
-            &msg,
-            op,
-            done,
-        )
+        self.finish_issue(inner, w, eng, Primitive::GCas, seq, slot, None, op, done)
     }
 
-    /// Common tail of every issue path: stage the metadata message, post
-    /// the operation's `[WRITE] [FLUSH] SEND`, record it pending and ring
-    /// the doorbell.
+    /// Common tail of every issue path: stage the metadata message built
+    /// in `inner.msg`, post the operation's `[WRITE] [FLUSH] SEND`, record
+    /// it pending and ring the doorbell.
     #[allow(clippy::too_many_arguments)]
     fn finish_issue(
         &self,
-        inner: &mut std::cell::RefMut<'_, crate::group::GroupInner>,
+        inner: &mut crate::group::GroupInner,
         w: &mut World,
         eng: &mut Engine<World>,
         prim: Primitive,
         seq: u32,
         slot: u64,
         data: Option<OneSided>,
-        msg: &MetaMsg,
         op: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
@@ -303,7 +278,7 @@ impl HyperLoopClient {
             .at((slot % inner.cfg.ring_slots as u64) * inner.msg_len);
         w.host(ch)
             .mem
-            .write(staging, msg.bytes())
+            .write(staging, inner.msg.bytes())
             .expect("staging ring in arena");
         wire::post_op(
             &mut w.hosts[ch.0],

@@ -34,14 +34,13 @@ use crate::group::{OnDone, OpResult};
 use crate::metadata::{self, MetaMsg};
 use crate::program::{self, Recv, SlotProgram};
 use crate::replica::{self, Offload, Rings};
-use crate::wire::{self, AckRing, OneSided, Qp};
+use crate::wire::{self, AckRing, OneSided, PendingTable, Qp};
 use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
 use hl_rnic::{Access, Opcode};
 use hl_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Fan-out group configuration.
@@ -94,7 +93,9 @@ pub struct FanoutInner {
     /// The primary's program (row 0) and each backup's (row `1+b`), and
     /// the client's credits against them.
     rings: Rings,
-    pending: BTreeMap<u32, Pending>,
+    pending: PendingTable<Pending>,
+    /// The buffer every operation's metadata message is built in.
+    msg: MetaMsg,
     /// Completed operations.
     pub acked: u64,
 }
@@ -214,7 +215,8 @@ impl FanoutBuilder {
             tx_staging,
             ack,
             rings: Rings::prepost(programs, slots, slots / 2, cfg.replenish_period, w),
-            pending: BTreeMap::new(),
+            pending: PendingTable::new(),
+            msg: MetaMsg::new(g, 0),
             acked: 0,
             cfg,
         }))
@@ -240,7 +242,7 @@ impl FanoutClient {
                 return;
             }
             let mut i = rc.borrow_mut();
-            let Some(p) = i.pending.remove(&cqe.imm) else {
+            let Some(p) = i.pending.remove(cqe.imm) else {
                 return;
             };
             i.acked += 1;
@@ -299,10 +301,10 @@ impl FanoutClient {
         data: &[u8],
         done: OnDone,
     ) -> Result<u32, crate::Backpressure> {
-        let mut i = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let i = &mut *guard;
         let slot = i.rings.credits.take(0)?;
         let seq = slot as u32;
-        let g = i.backup_reps.len() + 2;
         let ch = i.cfg.client;
 
         // Local apply.
@@ -311,7 +313,7 @@ impl FanoutClient {
 
         // Metadata: record b+1 = backup b's transfer out of the
         // PRIMARY's copy.
-        let mut msg = MetaMsg::new(g, seq);
+        let msg = i.msg.reset(seq);
         let src = i.primary_rep.at(offset);
         for (b, rep) in i.backup_reps.iter().enumerate() {
             let dst = rep.at(offset);
@@ -347,7 +349,7 @@ impl FanoutClient {
                 done: Some(done),
             },
         );
-        drop(i);
+        drop(guard);
         w.ring_doorbell(ch, qp_out, eng);
         Ok(seq)
     }

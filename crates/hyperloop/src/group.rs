@@ -15,17 +15,16 @@
 //! replenished off the critical path by the replenisher process
 //! ([`crate::replica::start_replenishers`]).
 
-use crate::metadata::{self, Primitive};
+use crate::metadata::{self, MetaMsg, Primitive};
 use crate::program::{self, Downstream, Recv, SlotProgram};
 use crate::replica::{Offload, Rings};
-use crate::wire::{self, AckRing, Qp};
+use crate::wire::{self, AckRing, PendingTable, Qp};
 use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
 use hl_rnic::{Access, WQE_SIZE};
 use hl_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Group configuration.
@@ -138,7 +137,9 @@ pub struct GroupInner {
     /// Every replica's three slot programs, `[replica][primitive]`, and
     /// the client's credits against them.
     pub(crate) rings: Rings,
-    pending: BTreeMap<u32, Pending>,
+    pending: PendingTable<Pending>,
+    /// The buffer every operation's metadata message is built in.
+    pub(crate) msg: MetaMsg,
     next_seq: u32,
     /// Counters.
     pub stats: GroupStats,
@@ -215,7 +216,7 @@ impl GroupInner {
     }
 
     pub(crate) fn complete_pending(&mut self, seq: u32) -> Option<crate::client::CompletedPending> {
-        let p = self.pending.remove(&seq)?;
+        let p = self.pending.remove(seq)?;
         self.rings.credits.complete(p.prim.idx());
         self.stats.acked += 1;
         Some(crate::client::CompletedPending {
@@ -346,7 +347,8 @@ impl GroupBuilder {
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("three rings")),
             rings: Rings::prepost(programs, slots, slots / 2, cfg.replenish_period, w),
-            pending: BTreeMap::new(),
+            pending: PendingTable::new(),
+            msg: MetaMsg::new(g, 0),
             next_seq: 0,
             stats: GroupStats::default(),
             paused: false,

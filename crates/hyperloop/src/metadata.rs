@@ -134,7 +134,9 @@ pub mod crec {
     pub const RESULT: u64 = 25;
 }
 
-/// Builder for one metadata message.
+/// Builder for metadata messages. A client keeps one and
+/// [`reset`](MetaMsg::reset)s it per operation, so building a message
+/// reuses one buffer.
 #[derive(Debug, Clone)]
 pub struct MetaMsg {
     buf: Vec<u8>,
@@ -144,9 +146,30 @@ pub struct MetaMsg {
 impl MetaMsg {
     /// Zeroed message for a group.
     pub fn new(group_size: usize, seq: u32) -> Self {
-        let mut buf = vec![0u8; msg_len(group_size) as usize];
-        buf[..4].copy_from_slice(&seq.to_le_bytes());
-        MetaMsg { buf, group_size }
+        let mut msg = MetaMsg {
+            buf: Vec::with_capacity(msg_len(group_size) as usize),
+            group_size,
+        };
+        msg.reset(seq);
+        msg
+    }
+
+    /// Start the next message in this buffer: zeroed, `seq` in the
+    /// header.
+    pub fn reset(&mut self, seq: u32) -> &mut Self {
+        self.buf.clear();
+        self.buf.resize(msg_len(self.group_size) as usize, 0);
+        self.buf[..4].copy_from_slice(&seq.to_le_bytes());
+        self
+    }
+
+    /// Append the multi-client select section for `clients` clients:
+    /// `WriteImm` in the `issuer`'s entry, `Nop` in the others.
+    pub fn set_select(&mut self, clients: usize, issuer: usize) {
+        let base = msg_len(self.group_size) as usize;
+        let entry = select::ENTRY as usize;
+        self.buf.resize(base + clients * entry, Opcode::Nop as u8);
+        self.buf[base + issuer * entry + select::OP as usize] = Opcode::WriteImm as u8;
     }
 
     /// Stamp the telemetry op id into the header pad (0 = untraced).
@@ -288,6 +311,30 @@ mod tests {
             // And does not overlap the gWRITE forwarding fields.
             assert!(mrec::ACK_ADDR >= wrec::FLEN + 4);
         }
+    }
+
+    #[test]
+    fn reset_reuses_the_buffer_and_clears_it() {
+        let g = 3;
+        let mut m = MetaMsg::new(g, 1);
+        m.set_wrec(1, 4096, 0x1000, 0x2000, Opcode::Flush, 0x2000, 4096);
+        m.set_select(4, 2);
+        let ptr = m.bytes().as_ptr();
+        m.reset(2);
+        assert_eq!(m.bytes(), MetaMsg::new(g, 2).bytes());
+        assert_eq!(m.bytes().as_ptr(), ptr, "reset reallocated");
+    }
+
+    #[test]
+    fn select_section_follows_the_base_message() {
+        let g = 3;
+        let mut m = MetaMsg::new(g, 1);
+        m.set_select(3, 1);
+        let base = msg_len(g) as usize;
+        assert_eq!(
+            &m.bytes()[base..],
+            &[Opcode::Nop as u8, Opcode::WriteImm as u8, Opcode::Nop as u8]
+        );
     }
 
     #[test]

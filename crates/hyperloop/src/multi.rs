@@ -22,7 +22,7 @@ use crate::group::{OnDone, OpResult};
 use crate::metadata::{self, select, MetaMsg, Primitive};
 use crate::program::{self, Downstream, Recv, SlotProgram};
 use crate::replica::{self, Offload, Rings};
-use crate::wire::{self, AckRing, AckTarget, OneSided, Qp};
+use crate::wire::{self, AckRing, AckTarget, OneSided, PendingTable, Qp};
 use crate::Backpressure;
 use hl_cluster::World;
 use hl_fabric::HostId;
@@ -30,7 +30,6 @@ use hl_nvm::Region;
 use hl_rnic::{Access, Opcode};
 use hl_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Multi-client chain configuration.
@@ -69,18 +68,15 @@ struct ClientState {
     ack: AckRing,
     /// This client's copy of the data (it is a chain member too).
     rep: Region,
-    pending: BTreeMap<u32, (SimTime, Option<OnDone>)>,
+    pending: PendingTable<(SimTime, Option<OnDone>)>,
     next_seq: u32,
 }
 
 /// Shared state of a multi-client chain.
 pub struct MultiInner {
     cfg: MultiConfig,
-    /// Chain group size (replicas + 1 — the issuing client is the head).
-    g: usize,
-    /// Base metadata length; the select section of one entry per client
-    /// follows.
-    base_msg_len: u64,
+    /// Metadata length: the chain message of the group of replicas + the
+    /// issuing client, then the select section of one entry per client.
     msg_len: u64,
     clients: Vec<ClientState>,
     /// Each replica's copy and its rkey.
@@ -88,6 +84,8 @@ pub struct MultiInner {
     /// One program per replica (operations of all clients share the one
     /// ring), and the clients' common credits against them.
     rings: Rings,
+    /// The buffer every client's metadata messages are built in.
+    msg: MetaMsg,
     /// Completed operations (all clients).
     pub acked: u64,
 }
@@ -135,7 +133,7 @@ impl MultiBuilder {
                 staging: wire::region(w, host, "tx", slots as u64 * msg_len),
                 out: wire::op_qp(w, host, slots),
                 ack: AckRing::new(w, host, slots, 0),
-                pending: BTreeMap::new(),
+                pending: PendingTable::new(),
                 next_seq: 0,
             })
             .collect();
@@ -215,14 +213,13 @@ impl MultiBuilder {
         }
 
         Rc::new(RefCell::new(MultiInner {
-            g,
-            base_msg_len,
             msg_len,
             clients,
             reps,
             // All clients draw on one ring, so only its depth bounds how
             // many operations are in flight.
             rings: Rings::prepost(programs, slots, slots, cfg.replenish_period, w),
+            msg: MetaMsg::new(g, 0),
             acked: 0,
             cfg,
         }))
@@ -251,7 +248,7 @@ impl MultiClient {
                 return;
             }
             let mut i = rc.borrow_mut();
-            let Some((issued_at, done)) = i.clients[idx].pending.remove(&cqe.imm) else {
+            let Some((issued_at, done)) = i.clients[idx].pending.remove(cqe.imm) else {
                 return;
             };
             i.acked += 1;
@@ -303,7 +300,8 @@ impl MultiClient {
         flush: bool,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        let mut i = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let i = &mut *guard;
         i.rings.credits.take(0)?;
         let n = i.reps.len();
         let msg_len = i.msg_len;
@@ -322,21 +320,19 @@ impl MultiClient {
         // Metadata: forwarding records for replicas 0..n-1 (replica j
         // writes from its copy into replica j+1's), then the select
         // section picking this client's tail WRITE_IMM.
-        let mut msg = MetaMsg::new(i.g, seq);
+        let msg = i.msg.reset(seq);
         for j in 0..n.saturating_sub(1) {
             let src = i.reps[j].0.at(offset);
             let dst = i.reps[j + 1].0.at(offset);
             let fop = if flush { Opcode::Flush } else { Opcode::Nop };
             msg.set_wrec(j, data.len() as u32, src, dst, fop, dst, data.len() as u32);
         }
-        let mut bytes = msg.bytes().to_vec();
-        bytes.resize(msg_len as usize, Opcode::Nop as u8);
-        let mine = i.base_msg_len + self.idx as u64 * select::ENTRY + select::OP;
-        bytes[mine as usize] = Opcode::WriteImm as u8;
+        msg.set_select(i.clients.len(), self.idx);
+        debug_assert_eq!(msg.bytes().len() as u64, msg_len);
         let staging = i.clients[self.idx]
             .staging
             .at((seq as u64 % slots) * msg_len);
-        w.host(ch).mem.write(staging, &bytes).unwrap();
+        w.host(ch).mem.write(staging, msg.bytes()).unwrap();
 
         // Post WRITE [FLUSH] SEND toward replica 0.
         let to_head = OneSided {
@@ -359,7 +355,7 @@ impl MultiClient {
         i.clients[self.idx]
             .pending
             .insert(seq, (eng.now(), Some(done)));
-        drop(i);
+        drop(guard);
         w.ring_doorbell(ch, qp_out, eng);
         Ok(seq)
     }

@@ -14,15 +14,15 @@
 //!   multi-tenant loser in Figure 11).
 
 use crate::group::{Backpressure, OnDone, OpResult};
-use crate::wire::{self, AckRing, OneSided};
+use crate::wire::{self, AckRing, OneSided, PendingTable};
 use hl_cluster::{Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
 use hl_nvm::Region;
-use hl_rnic::{Access, CqeKind, CqeStatus, Opcode, RecvWqe, ScatterEntry, Wqe};
+use hl_rnic::{Access, CqeKind, CqeStatus, Opcode, RecvWqe, ScatterEntry, ScatterTemplate, Wqe};
 use hl_sim::telemetry::Stage;
 use hl_sim::{Engine, OpKind, SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Replica scheduling mode.
@@ -123,25 +123,19 @@ struct RepSide {
     /// Outbound staging for the forwarded descriptor.
     txbuf: Region,
     next_rkey: u32,
+    /// The whole descriptor into cell 0 of `rxbuf`, one cell per ring
+    /// position.
+    recv_template: ScatterTemplate,
     recvs_posted: u64,
 }
 
 impl RepSide {
     /// Post the next RECV, landing in its cell of the rx buffer.
-    fn post_recv(&mut self, w: &mut World, dlen: u64, slots: u64) {
+    fn post_recv(&mut self, w: &mut World, slots: u64) {
         let k = self.recvs_posted;
         self.recvs_posted += 1;
-        w.hosts[self.host.0].post_recv(
-            self.qp_prev,
-            RecvWqe {
-                wr_id: k,
-                scatter: vec![ScatterEntry {
-                    msg_off: 0,
-                    len: dlen as u32,
-                    addr: self.rxbuf.at((k % slots) * dlen),
-                }],
-            },
-        );
+        w.hosts[self.host.0]
+            .post_recv(self.qp_prev, RecvWqe::at(k, &self.recv_template, k % slots));
     }
 }
 
@@ -166,7 +160,7 @@ pub struct NaiveInner {
     tx_staging: Region,
     ack: AckRing,
     reps: Vec<RepSide>,
-    pending: BTreeMap<u32, PendingOp>,
+    pending: PendingTable<PendingOp>,
     next_seq: u32,
     inflight: u32,
     max_inflight: u32,
@@ -244,6 +238,12 @@ impl NaiveBuilder {
             let rxbuf = wire::region(w, rh, "rx", slots as u64 * dlen);
             let txbuf = wire::region(w, rh, "txf", slots as u64 * dlen);
             w.connect_qps(upstream.0, upstream.1, rh, prev.qpn);
+            let recv_template = ScatterTemplate::new(&[ScatterEntry {
+                msg_off: 0,
+                len: dlen as u32,
+                addr: rxbuf.at(0),
+                stride: dlen,
+            }]);
             let mut rep = RepSide {
                 host: rh,
                 qp_prev: prev.qpn,
@@ -252,11 +252,12 @@ impl NaiveBuilder {
                 rxbuf,
                 txbuf,
                 next_rkey: rep_rkeys.get(i + 1).copied().unwrap_or(ack.rkey),
+                recv_template,
                 recvs_posted: 0,
             };
             // Pre-post receives into the rx buffer.
             for _ in 0..slots {
-                rep.post_recv(w, dlen, slots as u64);
+                rep.post_recv(w, slots as u64);
             }
             reps.push(rep);
             upstream = (rh, qp_next);
@@ -273,7 +274,7 @@ impl NaiveBuilder {
             tx_staging,
             ack,
             reps,
-            pending: BTreeMap::new(),
+            pending: PendingTable::new(),
             next_seq: 0,
             inflight: 0,
             max_inflight: slots / 2,
@@ -328,7 +329,7 @@ fn ack_dispatch(rc: &NaiveRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut Engin
         return;
     }
     let mut inner = rc.borrow_mut();
-    let Some(p) = inner.pending.remove(&cqe.imm) else {
+    let Some(p) = inner.pending.remove(cqe.imm) else {
         return;
     };
     inner.inflight -= 1;
@@ -731,7 +732,7 @@ impl NaiveReplica {
                 .expect("SQ sized");
         }
         // Re-post the consumed RECV.
-        inner.reps[i].post_recv(ctx.world, dlen, slots);
+        inner.reps[i].post_recv(ctx.world, slots);
         drop(inner);
         let now = ctx.now();
         ctx.world

@@ -23,7 +23,7 @@ use crate::wire::{AckTarget, Qp};
 use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
-use hl_rnic::{field_offset, flags, Opcode, RecvWqe, ScatterEntry, Wqe};
+use hl_rnic::{field_offset, flags, Opcode, RecvWqe, ScatterEntry, ScatterTemplate, Wqe, WQE_SIZE};
 use hl_sim::SimTime;
 
 /// A completion queue a WAIT watches.
@@ -193,8 +193,9 @@ pub(crate) struct SlotProgram {
     steps: Vec<Step>,
     /// WQEs per slot on each queue.
     per_slot: Vec<u64>,
-    /// Scatter entries per slot.
-    scatter_len: usize,
+    /// The RECV scatter list of slot 0, which every slot resolves at its
+    /// ring position (written by the first [`SlotProgram::post`]).
+    template: ScatterTemplate,
     slots: u64,
     /// Slots posted so far (monotonic).
     pub posted: u64,
@@ -228,8 +229,6 @@ impl SlotProgram {
         let per_slot = (0..queues.len())
             .map(|q| sq_wqes(&steps, q, 1) as u64)
             .collect();
-        let scatter_len =
-            staging.is_some() as usize + steps.iter().map(|s| s.patches.len()).sum::<usize>();
         SlotProgram {
             host,
             queues,
@@ -238,7 +237,7 @@ impl SlotProgram {
             empty_recvs,
             steps,
             per_slot,
-            scatter_len,
+            template: ScatterTemplate::EMPTY,
             slots: slots as u64,
             posted: 0,
         }
@@ -261,17 +260,32 @@ impl SlotProgram {
     /// whose scatter list lands the message in the staging ring and each
     /// patched field in the WQE just posted for it. Callable at build
     /// time and from the replenisher.
+    ///
+    /// Slot 0 writes the ring's scatter template down from the addresses
+    /// its WQEs got; slot `k` is the same template `k mod slots` strides
+    /// on (a staging cell is `msg_len` bytes, and queue `q` holds
+    /// `per_slot[q]` WQEs per slot), so every later post allocates
+    /// nothing.
     pub fn post(&mut self, w: &mut World) {
         let slot = self.posted;
+        let position = slot % self.slots;
         let host = &mut w.hosts[self.host.0];
-        let mut scatter = Vec::with_capacity(self.scatter_len);
-        if let Some((_, msg_len)) = self.staging {
-            scatter.push(ScatterEntry {
-                msg_off: 0,
-                len: msg_len as u32,
-                addr: self.staging_slot(slot),
-            });
+        let mut first = (slot == 0).then(Vec::new);
+        if let Some((ring, msg_len)) = &self.staging {
+            match first.as_mut() {
+                Some(entries) => entries.push(ScatterEntry {
+                    msg_off: 0,
+                    len: *msg_len as u32,
+                    addr: ring.at(0),
+                    stride: *msg_len,
+                }),
+                None => debug_assert_eq!(
+                    self.template.entries()[0].addr_at(position),
+                    self.staging_slot(slot)
+                ),
+            }
         }
+        let mut entry = self.staging.is_some() as usize;
         for step in &self.steps {
             let mut wqe = step.wqe;
             wqe.wr_id = slot;
@@ -298,29 +312,38 @@ impl SlotProgram {
                 .expect("send queue sized from the program");
             if !step.patches.is_empty() {
                 let at = host.nic.sq_slot_addr(qpn, idx);
-                scatter.extend(step.patches.iter().map(|p| ScatterEntry {
-                    msg_off: p.meta_off,
-                    len: p.width,
-                    addr: at + p.field,
-                }));
+                match first.as_mut() {
+                    Some(entries) => {
+                        let stride = self.per_slot[step.q] * WQE_SIZE;
+                        entries.extend(step.patches.iter().map(|p| ScatterEntry {
+                            msg_off: p.meta_off,
+                            len: p.width,
+                            addr: at + p.field,
+                            stride,
+                        }))
+                    }
+                    None => debug_assert!(
+                        step.patches
+                            .iter()
+                            .zip(&self.template.entries()[entry..])
+                            .all(|(p, e)| e.addr_at(position) == at + p.field),
+                        "slot {slot} of queue {}: its WQE is not where the template puts it",
+                        step.q
+                    ),
+                }
+                entry += step.patches.len();
             }
         }
-        let recv = RecvWqe {
-            wr_id: slot,
-            scatter,
-        };
+        if let Some(entries) = first {
+            self.template = ScatterTemplate::new(&entries);
+        }
+        let recv = RecvWqe::at(slot, &self.template, position);
         match self.recv {
             Recv::Qp(qpn) => host.post_recv(qpn, recv),
             Recv::Srq(srq) => host.nic.post_srq_recv(srq, recv),
         }
         for &qpn in &self.empty_recvs {
-            host.post_recv(
-                qpn,
-                RecvWqe {
-                    wr_id: slot,
-                    scatter: vec![],
-                },
-            );
+            host.post_recv(qpn, RecvWqe::empty(slot));
         }
         self.posted += 1;
     }

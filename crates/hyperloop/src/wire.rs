@@ -1,5 +1,6 @@
 //! Wiring shared by every topology: region naming, QP creation, the
-//! client's ACK ring and the client's `[WRITE] [FLUSH] SEND` post.
+//! client's ACK ring and pending table, and the client's
+//! `[WRITE] [FLUSH] SEND` post.
 //!
 //! This is the only file of the crate that creates CQs and QPs. The
 //! chain, fan-out, multi-client and Naïve builders differ in *which*
@@ -11,6 +12,7 @@ use hl_cluster::{Host, World};
 use hl_fabric::HostId;
 use hl_nvm::Region;
 use hl_rnic::{Access, Cqe, CqeKind, CqeStatus, Opcode, RecvWqe, Wqe, WQE_SIZE};
+use std::collections::VecDeque;
 
 /// Send-queue depth of a QP that only ever receives.
 const RECV_ONLY_SQ: u32 = 4;
@@ -144,13 +146,7 @@ impl AckRing {
 
     fn post_recv(&self, w: &mut World, wr_id: u64) {
         // WRITE_IMM places its data via raddr: nothing to scatter.
-        w.hosts[self.host.0].post_recv(
-            self.qp,
-            RecvWqe {
-                wr_id,
-                scatter: vec![],
-            },
-        );
+        w.hosts[self.host.0].post_recv(self.qp, RecvWqe::empty(wr_id));
     }
 
     /// Address of landing slot `idx`.
@@ -169,6 +165,39 @@ impl AckRing {
         let results = metadata::parse_results(ack, self.words);
         self.post_recv(w, wr_id);
         results
+    }
+}
+
+/// A client's operations awaiting their group ACK, by sequence number.
+///
+/// The credits bound how many are live, and ACKs mostly arrive in issue
+/// order, so the entries sit in a deque searched from the front; once it
+/// has grown to the in-flight depth, issuing and completing allocate
+/// nothing. An operation whose ACK never arrives stays in the table.
+pub(crate) struct PendingTable<T> {
+    live: VecDeque<(u32, T)>,
+}
+
+impl<T> PendingTable<T> {
+    pub fn new() -> Self {
+        PendingTable {
+            live: VecDeque::new(),
+        }
+    }
+
+    /// Record operation `seq` as awaiting its ACK.
+    pub fn insert(&mut self, seq: u32, entry: T) {
+        debug_assert!(
+            self.live.iter().all(|(s, _)| *s != seq),
+            "sequence number {seq} is already pending"
+        );
+        self.live.push_back((seq, entry));
+    }
+
+    /// Take operation `seq` out, if it is pending.
+    pub fn remove(&mut self, seq: u32) -> Option<T> {
+        let i = self.live.iter().position(|(s, _)| *s == seq)?;
+        self.live.remove(i).map(|(_, entry)| entry)
     }
 }
 
