@@ -1,8 +1,9 @@
 //! doclite front-end over HyperLoop (paper §5.2).
 //!
 //! The MongoDB-like path: the front-end (integrated with the client)
-//! appends the operation to the replicated journal, then executes it on
-//! all replicas with `ExecuteAndAdvance` under a group write lock —
+//! appends the operation to the replicated journal while it takes a
+//! group write lock, then executes it on all replicas with
+//! `ExecuteAndAdvance` and truncates the journal while it unlocks —
 //! "completely offloads both critical and off-the-critical path
 //! operations for write transactions to the NIC while providing strong
 //! consistency across the replicas".
@@ -16,7 +17,7 @@ use hl_sim::{Engine, SimDuration};
 use hyperloop::api::{
     GroupClient, GroupLock, LockOutcome, LogLayout, LogRecord, RedoEntry, ReplicatedLog,
 };
-use hyperloop::{Backpressure, OnDone};
+use hyperloop::{Backpressure, OnDone, OpResult};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -58,6 +59,24 @@ struct DocInner<C: GroupClient> {
     committed: u64,
 }
 
+/// Backoff before retrying a contended `wrLock`.
+const CONTENDED_BACKOFF: SimDuration = SimDuration::from_micros(20);
+/// Backoff before re-issuing a step the group client refused.
+const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
+
+/// One upsert in flight.
+struct Txn {
+    done: Option<OnDone>,
+    /// Round trips of the current step not yet completed: the append
+    /// and `wrLock`, then the head gWRITE and `wrUnlock`.
+    pending: u8,
+    /// Whether the execute has been issued (the step in flight is the
+    /// last).
+    executing: bool,
+}
+
+type TxnRef = Rc<RefCell<Txn>>;
+
 /// Cheap cloneable handle to a doclite database.
 pub struct DocStore<C: GroupClient> {
     inner: Rc<RefCell<DocInner<C>>>,
@@ -93,8 +112,20 @@ impl<C: GroupClient + 'static> DocStore<C> {
         (id % layout.n_slots) * layout.slot_size
     }
 
-    /// Upsert a document: journal append → `wrLock` → execute on all
-    /// replicas → `wrUnlock` → done. Fully NIC-offloaded on replicas.
+    /// Upsert a document in three dependent group round trips:
+    ///
+    /// 1. the journal append ∥ `wrLock` (gWRITE ring ∥ gCAS ring);
+    /// 2. `ExecuteAndAdvance`: one gMEMCPY per redo entry, applied by
+    ///    every replica's NIC from its own journal copy;
+    /// 3. `wrUnlock` ∥ the head (truncation) gWRITE.
+    ///
+    /// `done` fires once both of step 3 are ACKed: the document is
+    /// applied and flushed on every member, the lock word is free and
+    /// the head is persisted. Contended lock attempts back off 20 µs and
+    /// retry; steps the client refuses for ring credits are re-issued
+    /// after 50 µs. Without locks step 1 is the append alone and step 3
+    /// the head gWRITE alone. `Err` means the append itself was refused
+    /// and nothing else was issued.
     pub fn upsert(
         &self,
         w: &mut World,
@@ -115,97 +146,99 @@ impl<C: GroupClient + 'static> DocStore<C> {
                 inner.use_locks,
             )
         };
-        let handle = self.clone();
-        // Phase 1: durable journal append.
+        let txn = Rc::new(RefCell::new(Txn {
+            done: Some(done),
+            pending: 1 + use_locks as u8,
+            executing: false,
+        }));
+        let (handle, t) = (self.clone(), txn.clone());
         self.inner.borrow_mut().log.append(
             w,
             eng,
             &rec,
-            Box::new(move |w, eng, _r| {
-                if use_locks {
-                    handle.lock_execute_unlock(w, eng, done);
-                } else {
-                    let h2 = handle.clone();
-                    handle.execute_then(
-                        w,
-                        eng,
-                        Box::new(move |w, eng, r| {
-                            h2.inner.borrow_mut().committed += 1;
-                            done(w, eng, r);
-                        }),
-                    );
-                }
-            }),
-        )
+            Box::new(move |w, eng, r| handle.arrive(w, eng, &t, r)),
+        )?;
+        if use_locks {
+            self.wr_lock(w, eng, txn);
+        }
+        Ok(())
     }
 
-    /// Phase 2 with locking: wrLock (retrying on contention) → execute →
-    /// wrUnlock.
-    fn lock_execute_unlock(&self, w: &mut World, eng: &mut Engine<World>, done: OnDone) {
-        let handle = self.clone();
-        // The callback consumes `done` only on the acquired path; the
-        // contended/backpressure paths re-enter with it.
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
+    /// One of the current step's round trips has completed; when it was
+    /// the last, start the next step.
+    fn arrive(&self, w: &mut World, eng: &mut Engine<World>, txn: &TxnRef, r: OpResult) {
+        let mut t = txn.borrow_mut();
+        t.pending -= 1;
+        if t.pending > 0 {
+            return;
+        }
+        if !t.executing {
+            drop(t);
+            self.execute(w, eng, txn.clone());
+            return;
+        }
+        let done = t.done.take().expect("an upsert completes once");
+        drop(t);
+        self.inner.borrow_mut().committed += 1;
+        done(w, eng, r);
+    }
+
+    fn wr_lock(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
+        let (handle, t) = (self.clone(), txn.clone());
         let res = self.inner.borrow().lock.wr_lock(
             w,
             eng,
-            Box::new(move |w, eng, outcome| {
-                let done = dc.borrow_mut().take().expect("single use");
-                match outcome {
-                    LockOutcome::Acquired => {
-                        let h2 = handle.clone();
-                        handle.execute_then(
-                            w,
-                            eng,
-                            Box::new(move |w, eng, r| {
-                                let h3 = h2.clone();
-                                let _ = h2.inner.borrow().lock.wr_unlock(
-                                    w,
-                                    eng,
-                                    Box::new(move |w, eng, _| {
-                                        h3.inner.borrow_mut().committed += 1;
-                                        done(w, eng, r);
-                                    }),
-                                );
-                            }),
-                        );
-                    }
-                    LockOutcome::Contended => {
-                        // Another transaction holds the group lock; back
-                        // off and retry.
-                        let h2 = handle.clone();
-                        eng.schedule(SimDuration::from_micros(20), move |w, eng| {
-                            h2.lock_execute_unlock(w, eng, done);
-                        });
-                    }
+            Box::new(move |w, eng, outcome| match outcome {
+                LockOutcome::Acquired => handle.arrive(w, eng, &t, OpResult::default()),
+                // Another transaction holds the group lock.
+                LockOutcome::Contended => {
+                    eng.schedule(CONTENDED_BACKOFF, move |w, eng| handle.wr_lock(w, eng, t));
                 }
             }),
         );
         if res.is_err() {
-            // gCAS ring backpressure: retry shortly (the wr_lock callback
-            // was never registered, so `done` is still in the cell).
-            let h2 = self.clone();
-            eng.schedule(SimDuration::from_micros(50), move |w, eng| {
-                if let Some(done) = done_cell.borrow_mut().take() {
-                    h2.lock_execute_unlock(w, eng, done);
-                }
-            });
+            let handle = self.clone();
+            eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.wr_lock(w, eng, txn));
         }
     }
 
-    fn execute_then(&self, w: &mut World, eng: &mut Engine<World>, done: OnDone) {
-        let handle = self.clone();
+    fn execute(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
+        let use_locks = {
+            let inner = self.inner.borrow();
+            let mut t = txn.borrow_mut();
+            t.executing = true;
+            t.pending = 1 + inner.use_locks as u8;
+            inner.use_locks
+        };
+        let applied: OnDone = if use_locks {
+            let (handle, t) = (self.clone(), txn.clone());
+            Box::new(move |w, eng, _| handle.wr_unlock(w, eng, t))
+        } else {
+            Box::new(|_, _, _| {})
+        };
+        let (handle, t) = (self.clone(), txn.clone());
+        let persisted: OnDone = Box::new(move |w, eng, r| handle.arrive(w, eng, &t, r));
         let res = self
             .inner
             .borrow_mut()
             .log
-            .execute_and_advance(w, eng, done);
-        if let Err(_bp) = res {
-            // Ring backpressure: retry shortly. `done` was consumed only
-            // on success, so re-issue with a fresh empty execute.
-            let _ = handle;
-            unreachable!("execute_and_advance only backpressures when gmemcpy rings are full; sized to prevent this");
+            .execute_and_advance(w, eng, applied, persisted);
+        if res.is_err() {
+            let handle = self.clone();
+            eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.execute(w, eng, txn));
+        }
+    }
+
+    fn wr_unlock(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
+        let (handle, t) = (self.clone(), txn.clone());
+        let res = self.inner.borrow().lock.wr_unlock(
+            w,
+            eng,
+            Box::new(move |w, eng, _| handle.arrive(w, eng, &t, OpResult::default())),
+        );
+        if res.is_err() {
+            let handle = self.clone();
+            eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.wr_unlock(w, eng, txn));
         }
     }
 
@@ -232,7 +265,8 @@ impl<C: GroupClient + 'static> DocStore<C> {
         (0..n as u64).filter_map(|k| self.read(w, id + k)).collect()
     }
 
-    /// Committed (journaled + executed + unlocked) operations.
+    /// Upserts whose `done` has fired: journaled, applied on every
+    /// member, unlocked and truncated.
     pub fn committed(&self) -> u64 {
         self.inner.borrow().committed
     }

@@ -1,12 +1,14 @@
-//! doclite edge cases: lock contention between pipelined transactions,
-//! lock-free mode, and document/slot boundaries.
+//! doclite edge cases: the upsert's critical path, lock contention
+//! between pipelined transactions and between stores, refused issues,
+//! durability at `done`, lock-free mode, and document/slot boundaries.
 
 use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
-use hl_sim::{Engine, SimTime};
+use hl_sim::{Engine, SimDuration, SimTime};
 use hl_store::doc::{DocLayout, DocStore, Document};
-use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
-use std::cell::RefCell;
+use hyperloop::api::{lockword, GroupClient, LogLayout};
+use hyperloop::{replica, Backpressure, GroupBuilder, GroupConfig, HyperLoopClient, OnDone};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
@@ -163,4 +165,489 @@ fn max_size_document_fits_slot_exactly() {
     let got = store.read(&mut w, 1).unwrap();
     assert_eq!(got.get("x").unwrap().len(), slot - 4 - overhead);
     let _ = eng.now() < SimTime::MAX;
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prim {
+    Write,
+    Copy,
+    Cas,
+}
+
+/// One group operation a store issued, as a [`Probe`] saw it.
+#[derive(Debug, Clone, Copy)]
+struct Issued {
+    prim: Prim,
+    /// gWRITE/gCAS: target offset; gMEMCPY: source offset.
+    offset: u64,
+    /// gMEMCPY destination; gCAS compare value.
+    arg: u64,
+    /// gCAS swap value and execute map.
+    swp: u64,
+    map: u32,
+    at: SimTime,
+    acked: Option<SimTime>,
+    /// gCAS: every member held the compare value.
+    swapped: bool,
+}
+
+impl Issued {
+    fn new(prim: Prim, offset: u64, arg: u64) -> Self {
+        Issued {
+            prim,
+            offset,
+            arg,
+            swp: 0,
+            map: 0,
+            at: SimTime::ZERO,
+            acked: None,
+            swapped: false,
+        }
+    }
+}
+
+/// A [`GroupClient`] that records every operation it forwards (issue
+/// and ACK instants) and can refuse the `n`-th unlock gCAS or gMEMCPY
+/// as if its ring were out of credits.
+struct Probe {
+    inner: Rc<HyperLoopClient>,
+    ops: Rc<RefCell<Vec<Issued>>>,
+    unlocks: Cell<u32>,
+    refuse_unlock: u32,
+    copies: Cell<u32>,
+    refuse_copy: u32,
+}
+
+impl Probe {
+    fn new(inner: Rc<HyperLoopClient>) -> Self {
+        Probe {
+            inner,
+            ops: Rc::new(RefCell::new(Vec::new())),
+            unlocks: Cell::new(0),
+            refuse_unlock: 0,
+            copies: Cell::new(0),
+            refuse_copy: 0,
+        }
+    }
+
+    fn record(&self, eng: &Engine<World>, op: Issued, done: OnDone) -> OnDone {
+        let ops = self.ops.clone();
+        let i = ops.borrow().len();
+        let arg = op.arg;
+        ops.borrow_mut().push(Issued {
+            at: eng.now(),
+            ..op
+        });
+        Box::new(move |w, eng, r| {
+            {
+                let mut ops = ops.borrow_mut();
+                ops[i].acked = Some(eng.now());
+                ops[i].swapped = r.results.iter().all(|&orig| orig == arg);
+            }
+            done(w, eng, r);
+        })
+    }
+
+    /// Forget a record whose issue the inner client refused.
+    fn unrecord<T>(&self, res: Result<T, Backpressure>) -> Result<T, Backpressure> {
+        if res.is_err() {
+            self.ops.borrow_mut().pop();
+        }
+        res
+    }
+
+    fn ops(&self) -> Vec<Issued> {
+        self.ops.borrow().clone()
+    }
+}
+
+impl GroupClient for Probe {
+    fn gwrite(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        data: &[u8],
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        let done = self.record(eng, Issued::new(Prim::Write, offset, 0), done);
+        let res = self.inner.gwrite(w, eng, offset, data, flush, done);
+        self.unrecord(res)
+    }
+    fn gmemcpy(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        src_off: u64,
+        dst_off: u64,
+        len: u32,
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        self.copies.set(self.copies.get() + 1);
+        if self.copies.get() == self.refuse_copy {
+            return Err(Backpressure);
+        }
+        let done = self.record(eng, Issued::new(Prim::Copy, src_off, dst_off), done);
+        let res = GroupClient::gmemcpy(&*self.inner, w, eng, src_off, dst_off, len, flush, done);
+        self.unrecord(res)
+    }
+    fn gcas(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        cmp: u64,
+        swp: u64,
+        exec_map: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        if swp == lockword::FREE {
+            self.unlocks.set(self.unlocks.get() + 1);
+            if self.unlocks.get() == self.refuse_unlock {
+                return Err(Backpressure);
+            }
+        }
+        let done = self.record(
+            eng,
+            Issued {
+                swp,
+                map: exec_map,
+                ..Issued::new(Prim::Cas, offset, cmp)
+            },
+            done,
+        );
+        let res = GroupClient::gcas(&*self.inner, w, eng, offset, cmp, swp, exec_map, done);
+        self.unrecord(res)
+    }
+    fn gflush(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        len: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gflush(&*self.inner, w, eng, offset, len, done)
+    }
+    fn group_size(&self) -> usize {
+        self.inner.group_size()
+    }
+    fn member_addr(&self, m: usize, offset: u64) -> u64 {
+        self.inner.member_addr(m, offset)
+    }
+    fn member_host(&self, m: usize) -> HostId {
+        GroupClient::member_host(&*self.inner, m)
+    }
+}
+
+/// The group word at `offset` on every member.
+fn words<C: GroupClient>(w: &World, c: &C, offset: u64) -> Vec<u64> {
+    (0..c.group_size())
+        .map(|m| {
+            w.hosts[c.member_host(m).0]
+                .mem
+                .read_u64(c.member_addr(m, offset))
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Run the engine until `settled()` holds, failing (rather than
+/// hanging) if 50 ms of simulated time pass first.
+fn run_until_settled(w: &mut World, eng: &mut Engine<World>, settled: impl Fn() -> bool + 'static) {
+    let expired = Rc::new(Cell::new(false));
+    let e = expired.clone();
+    eng.schedule(SimDuration::from_millis(50), move |_, _| e.set(true));
+    let settled = Rc::new(settled);
+    let s = settled.clone();
+    eng.run_while(w, move |_| !s() && !expired.get());
+    assert!(settled(), "not settled after 50 ms of simulated time");
+}
+
+/// Run upserts of `docs` one after another; `done` instants in order.
+fn upsert_each<C: GroupClient + 'static>(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    store: &DocStore<C>,
+    docs: &[Document],
+) -> Vec<SimTime> {
+    let fired = Rc::new(RefCell::new(Vec::new()));
+    for (k, d) in docs.iter().enumerate() {
+        let f = fired.clone();
+        store
+            .upsert(
+                w,
+                eng,
+                d,
+                Box::new(move |_w, eng, _r| f.borrow_mut().push(eng.now())),
+            )
+            .unwrap();
+        let probe = fired.clone();
+        run_until_settled(w, eng, move || probe.borrow().len() > k);
+    }
+    let fired = fired.borrow().clone();
+    fired
+}
+
+/// One upsert is three dependent round trips: the append's gWRITEs and
+/// the wrLock gCAS leave together, the gMEMCPY leaves when both are
+/// ACKed, wrUnlock and the head gWRITE leave together when the copy is
+/// ACKed, and `done` fires when both of those are.
+#[test]
+fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
+    let (mut w, mut eng, client) = setup();
+    let probe = Rc::new(Probe::new(client));
+    let layout = DocLayout::default();
+    let log_off = layout.log.log_off;
+    let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
+    let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
+
+    let ops = probe.ops();
+    let find = |what: &str, f: &dyn Fn(&Issued) -> bool| -> Issued {
+        let hits: Vec<_> = ops.iter().filter(|o| f(o)).copied().collect();
+        assert_eq!(hits.len(), 1, "one {what}: {ops:?}");
+        hits[0]
+    };
+    let record = find("record gWRITE", &|o| {
+        o.prim == Prim::Write && o.offset >= log_off + 64
+    });
+    let tail = find("tail gWRITE", &|o| {
+        o.prim == Prim::Write && o.offset == log_off + 8
+    });
+    let head = find("head gWRITE", &|o| {
+        o.prim == Prim::Write && o.offset == log_off
+    });
+    let lock = find("wrLock", &|o| {
+        o.prim == Prim::Cas && o.swp == lockword::writer(1)
+    });
+    let unlock = find("wrUnlock", &|o| {
+        o.prim == Prim::Cas && o.swp == lockword::FREE
+    });
+    let copy = find("gMEMCPY", &|o| o.prim == Prim::Copy);
+    assert_eq!(ops.len(), 6, "{ops:?}");
+
+    assert_eq!(record.at, lock.at, "append ∥ wrLock");
+    assert_eq!(tail.at, lock.at, "append ∥ wrLock");
+    let both = tail.acked.unwrap().max(lock.acked.unwrap());
+    assert_eq!(copy.at, both, "execute waits for the append and the lock");
+    assert_eq!(unlock.at, copy.acked.unwrap(), "wrUnlock at apply time");
+    assert_eq!(head.at, unlock.at, "wrUnlock ∥ head gWRITE");
+    let last = unlock.acked.unwrap().max(head.acked.unwrap());
+    assert_eq!(fired, vec![last], "done after both");
+    assert_eq!(store.committed(), 1);
+}
+
+/// A refused unlock gCAS is re-issued after a backoff: `done` fires, the
+/// upsert counts, and the lock word ends free everywhere, so the next
+/// upsert takes the lock at once.
+#[test]
+fn refused_unlock_is_retried() {
+    let (mut w, mut eng, client) = setup();
+    let probe = Rc::new(Probe {
+        refuse_unlock: 1,
+        ..Probe::new(client)
+    });
+    let layout = DocLayout::default();
+    let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
+    let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
+    assert_eq!(fired.len(), 1);
+    assert_eq!(store.committed(), 1);
+    assert_eq!(probe.unlocks.get(), 2, "refused once, then issued");
+    assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
+
+    upsert_each(&mut w, &mut eng, &store, &[doc(6, "y")]);
+    let locks = probe
+        .ops()
+        .iter()
+        .filter(|o| o.prim == Prim::Cas && o.swp != lockword::FREE)
+        .count();
+    assert_eq!(locks, 2, "the second upsert's wrLock was not contended");
+    assert_eq!(store.committed(), 2);
+}
+
+/// A refused gMEMCPY leaves the journal as it was and the execute is
+/// re-issued: every upsert completes, applied on every member, with the
+/// head at the tail.
+#[test]
+fn refused_copy_is_retried() {
+    let (mut w, mut eng, client) = setup();
+    let probe = Rc::new(Probe {
+        refuse_copy: 2,
+        ..Probe::new(client)
+    });
+    let layout = DocLayout::default();
+    let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
+    let docs = [doc(1, "a"), doc(2, "b"), doc(3, "c")];
+    let fired = upsert_each(&mut w, &mut eng, &store, &docs);
+    assert_eq!(fired.len(), 3);
+    assert_eq!(store.committed(), 3);
+    assert_eq!(probe.copies.get(), 4, "three copies plus the refused one");
+    for d in &docs {
+        for m in 0..3 {
+            assert_eq!(
+                store.read_at(&mut w, m, d.id).as_ref(),
+                Some(d),
+                "member {m}"
+            );
+        }
+    }
+    let head = words(&w, &*probe, layout.log.log_off);
+    assert_eq!(head, words(&w, &*probe, layout.log.log_off + 8));
+    assert!(head[0] > 0);
+    assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
+}
+
+/// Four back-to-back upserts from one store and two from a second store
+/// (another owner, its own journal) contend for one group lock over one
+/// database area. Every upsert commits; every gMEMCPY is issued while
+/// its store holds the lock; each slot ends with its last writer's
+/// document on every member; the lock ends free.
+#[test]
+fn two_stores_contend_for_one_group_lock() {
+    let (mut w, mut eng, client) = setup();
+    let probe = Rc::new(Probe::new(client));
+    let one = DocLayout::default();
+    let two = DocLayout {
+        log: LogLayout {
+            log_off: 300 << 10,
+            log_cap: 128 << 10,
+            ..one.log.clone()
+        },
+        ..one.clone()
+    };
+    let stores = [
+        DocStore::open(probe.clone(), one.clone(), 1, true),
+        DocStore::open(probe.clone(), two.clone(), 2, true),
+    ];
+    let writes = [
+        (0, doc(5, "1a")),
+        (0, doc(6, "1b")),
+        (1, doc(6, "2a")),
+        (0, doc(5, "1c")),
+        (1, doc(7, "2b")),
+        (0, doc(6, "1d")),
+    ];
+    let fired = Rc::new(Cell::new(0));
+    for (s, d) in &writes {
+        let f = fired.clone();
+        stores[*s]
+            .upsert(
+                &mut w,
+                &mut eng,
+                d,
+                Box::new(move |_w, _e, _r| f.set(f.get() + 1)),
+            )
+            .unwrap();
+    }
+    let f = fired.clone();
+    let n = writes.len();
+    run_until_settled(&mut w, &mut eng, move || f.get() == n);
+    assert_eq!((stores[0].committed(), stores[1].committed()), (4, 2));
+
+    // Replay the probe's record: lock handovers, and which copy landed
+    // in each slot last (the gMEMCPY ring is FIFO).
+    let owner_of_log = |src: u64| if src >= two.log.log_off { 2 } else { 1 };
+    let mut events: Vec<(SimTime, u8, Issued)> = Vec::new();
+    for o in probe.ops() {
+        events.push((o.at, 1, o));
+        events.push((o.acked.expect("every op ACKed"), 0, o));
+    }
+    events.sort_by_key(|(t, phase, _)| (*t, *phase));
+    let mut holder = None;
+    let mut last_copy = std::collections::BTreeMap::new();
+    for (_, phase, o) in &events {
+        match (o.prim, phase) {
+            (Prim::Cas, 0) if o.swp != lockword::FREE && o.swapped => {
+                assert_eq!(holder, None, "two holders");
+                holder = Some(o.swp & !lockword::WRITER);
+            }
+            // A release on every member; a partial `wrLock`'s undo
+            // covers only the members it swapped.
+            (Prim::Cas, 1) if o.swp == lockword::FREE && o.map == 0b111 => {
+                assert_eq!(
+                    holder,
+                    Some(o.arg & !lockword::WRITER),
+                    "unlock by the holder"
+                );
+                holder = None;
+            }
+            (Prim::Copy, 1) => {
+                assert_eq!(
+                    holder,
+                    Some(owner_of_log(o.offset)),
+                    "copy outside the lock"
+                );
+                last_copy.insert(o.arg, o.offset);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(holder, None);
+
+    for id in [5u64, 6, 7] {
+        let dst = one.log.db_off + id * one.slot_size;
+        // Within a store the journal order is the apply order, so the
+        // last writer is the last upsert to the slot of the store whose
+        // copy landed last.
+        let winner = owner_of_log(last_copy[&dst]) as usize - 1;
+        let want = &writes
+            .iter()
+            .rev()
+            .find(|(s, d)| *s == winner && d.id == id)
+            .expect("that store wrote this slot")
+            .1;
+        for m in 0..3 {
+            assert_eq!(
+                stores[0].read_at(&mut w, m, id).as_ref(),
+                Some(want),
+                "slot {id} member {m}"
+            );
+        }
+    }
+    assert_eq!(
+        stores[0].read(&mut w, 5).unwrap().get("m"),
+        Some(b"1c".as_slice())
+    );
+    assert_eq!(words(&w, &*probe, one.lock_off), vec![0; 3]);
+}
+
+/// Power-failing every member at the instant `done` fires loses
+/// nothing the upsert promised: the document and `head == tail` are
+/// durable everywhere.
+#[test]
+fn crash_at_done_keeps_document_and_truncation() {
+    let (mut w, mut eng, client) = setup();
+    let layout = DocLayout::default();
+    let store = DocStore::open(client.clone(), layout.clone(), 1, true);
+    upsert_each(&mut w, &mut eng, &store, &[doc(3, "warm")]);
+
+    let crashed = Rc::new(Cell::new(false));
+    let c = crashed.clone();
+    let members: Vec<HostId> = (0..3)
+        .map(|m| GroupClient::member_host(&*client, m))
+        .collect();
+    store
+        .upsert(
+            &mut w,
+            &mut eng,
+            &doc(9, "durable"),
+            Box::new(move |w, _e, _r| {
+                for h in &members {
+                    w.hosts[h.0].mem.crash();
+                }
+                c.set(true);
+            }),
+        )
+        .unwrap();
+    let c = crashed.clone();
+    run_until_settled(&mut w, &mut eng, move || c.get());
+    for m in 0..3 {
+        let got = store.read_at(&mut w, m, 9).expect("document survived");
+        assert_eq!(got.get("m"), Some(b"durable".as_slice()), "member {m}");
+    }
+    let head = words(&w, &*client, layout.log.log_off);
+    assert_eq!(head, words(&w, &*client, layout.log.log_off + 8));
+    assert!(head.iter().all(|&h| h > 0 && h == head[0]));
 }

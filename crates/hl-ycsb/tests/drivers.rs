@@ -67,8 +67,9 @@ fn hl_driver_runs_workload_a() {
     assert!(s.kind(OpKind::Read).count() > 20);
     assert!(s.kind(OpKind::Update).count() > 20);
     assert!(s.writes.count() > 20);
-    // Reads are client-local: fast. Writes traverse the chain 5+ times
-    // (lock, append×2, execute, unlock) plus front-end cost.
+    // Reads are client-local: fast. Writes take three dependent chain
+    // round trips (append ∥ lock, execute, unlock ∥ truncate) plus
+    // front-end cost.
     assert!(s.kind(OpKind::Read).mean() < 200_000.0);
     let wmean = s.writes.mean();
     assert!(

@@ -16,8 +16,9 @@
 use crate::group::{Backpressure, OnDone, OpResult};
 use crate::{naive::NaiveClient, HyperLoopClient};
 use hl_cluster::World;
-use hl_sim::Engine;
-use std::cell::RefCell;
+use hl_sim::{Engine, SimDuration};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Uniform surface over [`HyperLoopClient`] and
@@ -280,6 +281,18 @@ pub struct LogLayout {
 /// syncers) know to jump to the next ring lap.
 pub const PAD_MARKER: u32 = 0xffff_ffff;
 
+/// Backoff before re-issuing a head gWRITE the client refused.
+const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
+
+/// A record appended but not yet executed.
+struct Unapplied {
+    /// Offset of the record within the replicated region.
+    rec_off: u64,
+    rec: LogRecord,
+    /// Tail cursor just past the record: the head once it is applied.
+    end: u64,
+}
+
 /// Client-side handle to the replicated write-ahead log.
 pub struct ReplicatedLog<C: GroupClient> {
     client: Rc<C>,
@@ -288,11 +301,20 @@ pub struct ReplicatedLog<C: GroupClient> {
     head: u64,
     /// One past the newest record.
     tail: u64,
-    /// Byte cursors of records appended but not yet executed.
-    unapplied: Rc<RefCell<Vec<(u64, LogRecord)>>>,
+    /// One past the newest record whose append has been ACKed: every
+    /// record before it is durable on every member.
+    acked: Rc<Cell<u64>>,
+    /// One past the newest record whose copies have all landed: the
+    /// head a head gWRITE may persist.
+    landed: Rc<Cell<u64>>,
+    /// Records appended but not yet executed, oldest first.
+    unapplied: VecDeque<Unapplied>,
     /// Track appended records for `execute_and_advance` (on by default;
     /// kvlite applies at replicas instead and truncates explicitly).
     track_unapplied: bool,
+    /// The newest execute issued, so an execute with nothing of its own
+    /// to apply can wait for the copies still in flight.
+    last: Option<Rc<RefCell<Execution<C>>>>,
 }
 
 impl<C: GroupClient + 'static> ReplicatedLog<C> {
@@ -304,8 +326,11 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
             layout,
             head: 0,
             tail: 0,
-            unapplied: Rc::new(RefCell::new(Vec::new())),
+            acked: Rc::new(Cell::new(0)),
+            landed: Rc::new(Cell::new(0)),
+            unapplied: VecDeque::new(),
             track_unapplied: true,
+            last: None,
         }
     }
 
@@ -396,9 +421,21 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         self.client
             .gwrite(w, eng, rec_off, &bytes, true, Box::new(|_, _, _| {}))?;
         self.tail += len;
-        if self.track_unapplied {
-            self.unapplied.borrow_mut().push((rec_off, rec.clone()));
-        }
+        let done: OnDone = if self.track_unapplied {
+            let end = self.tail;
+            self.unapplied.push_back(Unapplied {
+                rec_off,
+                rec: rec.clone(),
+                end,
+            });
+            let acked = self.acked.clone();
+            Box::new(move |w, eng, r| {
+                acked.set(acked.get().max(end));
+                done(w, eng, r);
+            })
+        } else {
+            done
+        };
         // Persist the tail control word; its ACK means the whole append
         // is durable everywhere (per-ring FIFO guarantees order).
         let tail_bytes = self.tail.to_le_bytes();
@@ -407,66 +444,174 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         Ok(())
     }
 
-    /// `ExecuteAndAdvance`: apply every unapplied record to the database
-    /// area on all members (one gMEMCPY + flush per redo entry, executed
-    /// by the replicas' NICs from their own log copies), then advance
-    /// and persist the head pointer (truncation).
+    /// `ExecuteAndAdvance`: apply every record whose append has been
+    /// ACKed to the database area on all members (one gMEMCPY + flush
+    /// per redo entry, executed by the replicas' NICs from their own log
+    /// copies), then advance and persist the head pointer (truncation).
+    ///
+    /// It reports two moments. `applied` fires when every copy has
+    /// landed, durably, on every member — the moment the head gWRITE is
+    /// issued. `persisted` fires when that gWRITE is ACKed. An execute
+    /// with nothing of its own to apply (an earlier one took its record)
+    /// reports when the copies still in flight have landed, or from a
+    /// scheduled event if there are none; never re-entrantly.
+    ///
+    /// All or nothing: on `Err` the unapplied records and the head are
+    /// as they were and neither callback will fire. Copies issued before
+    /// the refusal still land; redo is idempotent, so the retry that
+    /// issues them again writes the same bytes.
     pub fn execute_and_advance(
         &mut self,
         w: &mut World,
         eng: &mut Engine<World>,
-        done: OnDone,
+        applied: OnDone,
+        persisted: OnDone,
     ) -> Result<(), Backpressure> {
-        let records: Vec<(u64, LogRecord)> = self.unapplied.borrow_mut().drain(..).collect();
-        if records.is_empty() {
-            // Nothing to do; still advance head to tail for symmetry.
-            let head_bytes = self.tail.to_le_bytes();
-            self.head = self.tail;
-            self.client
-                .gwrite(w, eng, self.layout.log_off, &head_bytes, true, done)?;
-            return Ok(());
+        // Records are ACKed in append order (one gWRITE ring), so the
+        // ready ones are a prefix. A record still in flight on the
+        // gWRITE ring must not be copied on the gMEMCPY ring.
+        let acked = self.acked.get();
+        let ready = self.unapplied.iter().take_while(|u| u.end <= acked).count();
+        let head = match ready {
+            0 => self.head,
+            n => self.unapplied[n - 1].end,
+        };
+        let copies: usize = self
+            .unapplied
+            .iter()
+            .take(ready)
+            .map(|u| u.rec.entries.len())
+            .sum();
+        let ex = Rc::new(RefCell::new(Execution {
+            client: self.client.clone(),
+            head_off: self.layout.log_off,
+            head,
+            landed: self.landed.clone(),
+            copies_left: copies,
+            applied: Some(applied),
+            persisted: Some(persisted),
+            next: None,
+        }));
+        if copies == 0 {
+            match &self.last {
+                Some(prev) if prev.borrow().applied.is_some() => {
+                    prev.borrow_mut().next = Some(ex.clone());
+                }
+                _ => {
+                    let ex = ex.clone();
+                    eng.schedule(SimDuration::ZERO, move |w, eng| {
+                        Execution::all_applied(&ex, w, eng, OpResult::default())
+                    });
+                }
+            }
         }
-        // Fan-in: the last copy's completion issues the head update,
-        // whose own completion fires the caller's `done`.
-        let total: usize = records.iter().map(|(_, r)| r.entries.len()).sum();
-        let remaining = Rc::new(RefCell::new(total));
-        let final_done: Rc<RefCell<Option<OnDone>>> = Rc::new(RefCell::new(Some(done)));
-        let client = self.client.clone();
-        let log_off = self.layout.log_off;
-        self.head = self.tail;
-        let new_head = self.tail;
-
-        for (rec_off, rec) in &records {
+        for u in self.unapplied.iter().take(ready) {
             // Per-entry source offset: skip the record header (4) and
             // prior entries' (12 + len) prefixes.
-            let mut src = rec_off + 4;
-            for e in &rec.entries {
+            let mut src = u.rec_off + 4;
+            for e in &u.rec.entries {
                 src += 12; // entry header
                 let dst = self.layout.db_off + e.db_offset;
-                let cb: OnDone = {
-                    let remaining = remaining.clone();
-                    let final_done = final_done.clone();
-                    let client = client.clone();
-                    Box::new(move |w, eng, _r| {
-                        let mut left = remaining.borrow_mut();
-                        *left -= 1;
-                        if *left == 0 {
-                            drop(left);
-                            // All copies applied: advance + persist head.
-                            let head_bytes = new_head.to_le_bytes();
-                            let done = final_done
-                                .borrow_mut()
-                                .take()
-                                .unwrap_or_else(|| Box::new(|_, _, _| {}));
-                            let _ = client.gwrite(w, eng, log_off, &head_bytes, true, done);
-                        }
-                    })
-                };
-                client.gmemcpy(w, eng, src, dst, e.data.len() as u32, true, cb)?;
+                let on_copy = ex.clone();
+                let res = self.client.gmemcpy(
+                    w,
+                    eng,
+                    src,
+                    dst,
+                    e.data.len() as u32,
+                    true,
+                    Box::new(move |w, eng, r| Execution::copied(&on_copy, w, eng, r)),
+                );
+                if res.is_err() {
+                    // The copies already issued report to no one.
+                    let mut abandoned = ex.borrow_mut();
+                    abandoned.applied = None;
+                    abandoned.persisted = None;
+                    return Err(Backpressure);
+                }
                 src += e.data.len() as u64;
             }
         }
+        self.unapplied.drain(..ready);
+        self.head = head;
+        self.last = Some(ex);
         Ok(())
+    }
+}
+
+/// One `execute_and_advance` in flight.
+struct Execution<C: GroupClient> {
+    client: Rc<C>,
+    /// Offset of the head control word.
+    head_off: u64,
+    /// Head cursor past this execute's records.
+    head: u64,
+    /// The log's [`ReplicatedLog::landed`] cursor. A head gWRITE writes
+    /// it rather than `head`, so one re-issued after a refusal cannot
+    /// move the head back behind a later execute's.
+    landed: Rc<Cell<u64>>,
+    /// gMEMCPYs not yet ACKed.
+    copies_left: usize,
+    /// `None` once fired (or abandoned on refusal).
+    applied: Option<OnDone>,
+    persisted: Option<OnDone>,
+    /// An execute with no copies of its own, waiting on this one's.
+    next: Option<Rc<RefCell<Execution<C>>>>,
+}
+
+impl<C: GroupClient + 'static> Execution<C> {
+    fn copied(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
+        let mut e = ex.borrow_mut();
+        e.copies_left -= 1;
+        if e.copies_left == 0 && e.applied.is_some() {
+            drop(e);
+            Self::all_applied(ex, w, eng, r);
+        }
+    }
+
+    /// Every copy has landed: issue the head gWRITE, then report
+    /// `applied`, then release an execute waiting on this one.
+    fn all_applied(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
+        {
+            let e = ex.borrow();
+            e.landed.set(e.landed.get().max(e.head));
+        }
+        Self::persist_head(ex, w, eng);
+        let applied = ex.borrow_mut().applied.take();
+        if let Some(applied) = applied {
+            applied(w, eng, r);
+        }
+        let next = ex.borrow_mut().next.take();
+        if let Some(next) = next {
+            Self::all_applied(&next, w, eng, OpResult::default());
+        }
+    }
+
+    fn persist_head(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>) {
+        let (client, off, head) = {
+            let e = ex.borrow();
+            (e.client.clone(), e.head_off, e.landed.get())
+        };
+        let on_ack = ex.clone();
+        let res = client.gwrite(
+            w,
+            eng,
+            off,
+            &head.to_le_bytes(),
+            true,
+            Box::new(move |w, eng, r| {
+                let persisted = on_ack.borrow_mut().persisted.take();
+                if let Some(persisted) = persisted {
+                    persisted(w, eng, r);
+                }
+            }),
+        );
+        if res.is_err() {
+            let ex = ex.clone();
+            eng.schedule(REFUSED_BACKOFF, move |w, eng| {
+                Self::persist_head(&ex, w, eng)
+            });
+        }
     }
 }
 

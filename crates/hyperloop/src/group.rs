@@ -62,7 +62,7 @@ impl Default for GroupConfig {
 }
 
 /// Per-op completion data handed to the issuer's callback.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpResult {
     /// Operation sequence number.
     pub seq: u32,

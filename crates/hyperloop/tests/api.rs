@@ -7,8 +7,8 @@ use hl_sim::{Engine, SimTime};
 use hyperloop::api::{
     lockword, GroupClient, GroupLock, LockOutcome, LogLayout, LogRecord, RedoEntry, ReplicatedLog,
 };
-use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
-use std::cell::RefCell;
+use hyperloop::{replica, Backpressure, GroupBuilder, GroupConfig, HyperLoopClient, OnDone};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
@@ -119,11 +119,19 @@ fn execute_and_advance_applies_to_db_everywhere() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
     assert_eq!(*a_done.borrow(), 1);
 
-    let (e_done, e_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, e_cb).unwrap();
-    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!(*e_done.borrow(), 1);
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    let probe = applied.clone();
+    eng.run_while(&mut w, move |_| *probe.borrow() == 0);
+    assert_eq!(
+        *persisted.borrow(),
+        0,
+        "the head gWRITE is issued at apply time"
+    );
 
+    // Applied: both entries durable in every member's database area.
     for m in 0..3 {
         let host = if m == 0 { 0 } else { m };
         let a = client.member_addr(m, 128 << 10);
@@ -135,7 +143,13 @@ fn execute_and_advance_applies_to_db_everywhere() {
         );
         assert_eq!(w.hosts[host].mem.read(b, 4).unwrap(), b"beta", "member {m}");
         assert!(w.hosts[host].mem.is_durable(a, 5));
-        // Head pointer advanced to tail.
+        assert!(w.hosts[host].mem.is_durable(b, 4));
+    }
+    let probe = persisted.clone();
+    eng.run_while(&mut w, move |_| *probe.borrow() == 0);
+    // Persisted: the head pointer advanced to the tail everywhere.
+    for m in 0..3 {
+        let host = if m == 0 { 0 } else { m };
         let head = w.hosts[host]
             .mem
             .read_u64(client.member_addr(m, 0))
@@ -148,6 +162,8 @@ fn execute_and_advance_applies_to_db_everywhere() {
     }
     let (h, t) = log.cursors();
     assert_eq!(h, t);
+    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
 }
 
 #[test]
@@ -175,13 +191,303 @@ fn log_backpressures_when_full() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
 
     // After execute (truncation) there is room again.
+    let (applied, applied_cb) = flag();
     let (done, cbe) = flag();
-    log.execute_and_advance(&mut w, &mut eng, cbe).unwrap();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, cbe)
+        .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!(*done.borrow(), 1);
+    assert_eq!((*applied.borrow(), *done.borrow()), (1, 1));
     let (_, cb4) = flag();
     log.append(&mut w, &mut eng, &rec, cb4).unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
+}
+
+/// A [`GroupClient`] that refuses the `refuse_copy`-th gMEMCPY and the
+/// `refuse_write`-th gWRITE (1-based; 0 = none) as if their rings were
+/// out of credits, and forwards everything else.
+struct Refusing {
+    inner: Rc<HyperLoopClient>,
+    copies: Cell<u32>,
+    refuse_copy: u32,
+    writes: Cell<u32>,
+    refuse_write: u32,
+}
+
+impl Refusing {
+    fn new(inner: Rc<HyperLoopClient>, refuse_copy: u32, refuse_write: u32) -> Self {
+        Refusing {
+            inner,
+            copies: Cell::new(0),
+            refuse_copy,
+            writes: Cell::new(0),
+            refuse_write,
+        }
+    }
+}
+
+impl GroupClient for Refusing {
+    fn gwrite(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        data: &[u8],
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        self.writes.set(self.writes.get() + 1);
+        if self.writes.get() == self.refuse_write {
+            return Err(Backpressure);
+        }
+        self.inner.gwrite(w, eng, offset, data, flush, done)
+    }
+    fn gmemcpy(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        src_off: u64,
+        dst_off: u64,
+        len: u32,
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        self.copies.set(self.copies.get() + 1);
+        if self.copies.get() == self.refuse_copy {
+            return Err(Backpressure);
+        }
+        GroupClient::gmemcpy(&*self.inner, w, eng, src_off, dst_off, len, flush, done)
+    }
+    fn gcas(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        cmp: u64,
+        swp: u64,
+        exec_map: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gcas(&*self.inner, w, eng, offset, cmp, swp, exec_map, done)
+    }
+    fn gflush(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        len: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gflush(&*self.inner, w, eng, offset, len, done)
+    }
+    fn group_size(&self) -> usize {
+        self.inner.group_size()
+    }
+    fn member_addr(&self, m: usize, offset: u64) -> u64 {
+        self.inner.member_addr(m, offset)
+    }
+    fn member_host(&self, m: usize) -> HostId {
+        GroupClient::member_host(&*self.inner, m)
+    }
+}
+
+fn two_entry_record() -> LogRecord {
+    LogRecord {
+        entries: vec![
+            RedoEntry {
+                db_offset: 0,
+                data: b"alpha".to_vec(),
+            },
+            RedoEntry {
+                db_offset: 0x100,
+                data: b"beta".to_vec(),
+            },
+        ],
+    }
+}
+
+fn db_layout() -> LogLayout {
+    LogLayout {
+        log_off: 0,
+        log_cap: 64 << 10,
+        db_off: 128 << 10,
+    }
+}
+
+/// Every member's bytes at `offset`.
+fn on_members<C: GroupClient>(w: &World, c: &C, offset: u64, len: usize) -> Vec<Vec<u8>> {
+    (0..c.group_size())
+        .map(|m| {
+            let host = c.member_host(m);
+            w.hosts[host.0]
+                .mem
+                .read_vec(c.member_addr(m, offset), len)
+                .unwrap()
+        })
+        .collect()
+}
+
+/// An execute issued while the append's gWRITEs are still in flight
+/// must not copy the record: the gMEMCPY ring is not ordered after the
+/// gWRITE ring. It applies nothing and the record waits for the next.
+#[test]
+fn execute_applies_only_acked_appends() {
+    let (mut w, mut eng, client) = setup();
+    let mut log = ReplicatedLog::new(client.clone(), db_layout());
+    let (appended, a_cb) = flag();
+    log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
+        .unwrap();
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    assert_eq!(log.cursors().0, 0, "head stays before the unacked record");
+    assert_eq!(*applied.borrow(), 0, "never reported re-entrantly");
+    eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+    assert_eq!(
+        (*appended.borrow(), *applied.borrow(), *persisted.borrow()),
+        (1, 1, 1)
+    );
+    assert_eq!(on_members(&w, &*client, 128 << 10, 5), vec![vec![0; 5]; 3]);
+
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(
+        on_members(&w, &*client, 128 << 10, 5),
+        vec![b"alpha".to_vec(); 3]
+    );
+    let (h, t) = log.cursors();
+    assert_eq!(h, t);
+    assert_eq!(
+        on_members(&w, &*client, 0, 8),
+        vec![h.to_le_bytes().to_vec(); 3]
+    );
+}
+
+/// A refusal after the first copy leaves the log as it was: the record
+/// is still unapplied, the head has not moved and no callback fires.
+/// The retry issues both copies and completes.
+#[test]
+fn refused_copy_leaves_the_log_unchanged() {
+    let (mut w, mut eng, inner) = setup();
+    let client = Rc::new(Refusing::new(inner, 2, 0));
+    let mut log = ReplicatedLog::new(client.clone(), db_layout());
+    let (_, a_cb) = flag();
+    log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+    let before = log.cursors();
+
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    assert!(log
+        .execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .is_err());
+    assert_eq!(log.cursors(), before);
+    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (0, 0));
+    // The first copy was issued before the refusal and landed.
+    assert_eq!(
+        on_members(&w, &*client, 128 << 10, 5),
+        vec![b"alpha".to_vec(); 3]
+    );
+    assert_eq!(on_members(&w, &*client, 0, 8), vec![vec![0; 8]; 3]);
+
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(client.copies.get(), 4, "1 + refused + both again");
+    assert_eq!(
+        on_members(&w, &*client, (128 << 10) + 0x100, 4),
+        vec![b"beta".to_vec(); 3]
+    );
+    let (h, t) = log.cursors();
+    assert_eq!((h, t), (before.1, before.1));
+    assert_eq!(
+        on_members(&w, &*client, 0, 8),
+        vec![t.to_le_bytes().to_vec(); 3]
+    );
+}
+
+/// A refused head gWRITE is re-issued after a backoff: "persisted"
+/// still fires, and the head lands at the tail on every member.
+#[test]
+fn refused_head_write_is_reissued() {
+    let (mut w, mut eng, inner) = setup();
+    // gWRITEs 1 and 2 are the append's record and tail; 3 is the head.
+    let client = Rc::new(Refusing::new(inner, 0, 3));
+    let mut log = ReplicatedLog::new(client.clone(), db_layout());
+    let (_, a_cb) = flag();
+    log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(client.writes.get(), 4, "the head gWRITE went out twice");
+    let (h, t) = log.cursors();
+    assert_eq!(h, t);
+    assert_eq!(
+        on_members(&w, &*client, 0, 8),
+        vec![t.to_le_bytes().to_vec(); 3]
+    );
+}
+
+/// An execute with nothing of its own to apply, issued while an earlier
+/// execute's copies are in flight, reports "applied" only when they have
+/// landed, and "persisted" only after its own head gWRITE.
+#[test]
+fn empty_execute_waits_for_copies_in_flight() {
+    let (mut w, mut eng, client) = setup();
+    let mut log = ReplicatedLog::new(client.clone(), db_layout());
+    let (_, a_cb) = flag();
+    log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
+        .unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+
+    let order = Rc::new(RefCell::new(Vec::new()));
+    let note = |what: &'static str| -> OnDone {
+        let order = order.clone();
+        Box::new(move |_w, eng: &mut Engine<World>, _r| order.borrow_mut().push((what, eng.now())))
+    };
+    log.execute_and_advance(&mut w, &mut eng, note("applied 1"), note("persisted 1"))
+        .unwrap();
+    log.execute_and_advance(&mut w, &mut eng, note("applied 2"), note("persisted 2"))
+        .unwrap();
+    assert!(order.borrow().is_empty());
+    eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
+    let order = order.borrow();
+    let names: Vec<_> = order.iter().map(|(n, _)| *n).collect();
+    assert_eq!(
+        names,
+        ["applied 1", "applied 2", "persisted 1", "persisted 2"]
+    );
+    assert_eq!(order[0].1, order[1].1, "released by the same copy ACK");
+}
+
+/// With nothing appended, an execute still reports both moments, the
+/// first from a scheduled event rather than inside the call.
+#[test]
+fn execute_of_an_empty_log_reports_both_moments() {
+    let (mut w, mut eng, client) = setup();
+    let mut log = ReplicatedLog::new(client, db_layout());
+    let (applied, applied_cb) = flag();
+    let (persisted, persisted_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
+        .unwrap();
+    assert_eq!(*applied.borrow(), 0);
+    eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
+    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(log.cursors(), (0, 0));
 }
 
 fn lock_sink(log: &Rc<RefCell<Vec<LockOutcome>>>) -> hyperloop::api::OnLock {

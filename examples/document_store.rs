@@ -29,9 +29,10 @@ fn main() {
     let client = Rc::new(HyperLoopClient::new(group, &mut world));
     let store = DocStore::open(client.clone(), DocLayout::default(), 1, true);
 
-    // Insert a few documents. Each upsert = Append (gWRITE+gFLUSH) →
-    // wrLock (gCAS) → ExecuteAndAdvance (gMEMCPY per redo entry +
-    // head-pointer gWRITE) → wrUnlock (gCAS).
+    // Insert a few documents. Each upsert is three dependent group
+    // round trips: Append (gWRITE+gFLUSH) ∥ wrLock (gCAS), then
+    // ExecuteAndAdvance (gMEMCPY per redo entry), then wrUnlock (gCAS)
+    // ∥ the head-pointer gWRITE.
     let done = Rc::new(RefCell::new(0u32));
     for id in 0..10u64 {
         let mut doc = Document::new(id);
