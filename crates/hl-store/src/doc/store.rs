@@ -68,7 +68,7 @@ const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
 struct Txn {
     done: Option<OnDone>,
     /// Round trips of the current step not yet completed: the append
-    /// and `wrLock`, then the head gWRITE and `wrUnlock`.
+    /// and `wrLock`, then the head copy and `wrUnlock`.
     pending: u8,
     /// Whether the execute has been issued (the step in flight is the
     /// last).
@@ -114,17 +114,19 @@ impl<C: GroupClient + 'static> DocStore<C> {
 
     /// Upsert a document in three dependent group round trips:
     ///
-    /// 1. the journal append ∥ `wrLock` (gWRITE ring ∥ gCAS ring);
+    /// 1. the journal append (one gWRITE of a self-delimiting frame) ∥
+    ///    `wrLock` (gWRITE ring ∥ gCAS ring);
     /// 2. `ExecuteAndAdvance`: one gMEMCPY per redo entry, applied by
     ///    every replica's NIC from its own journal copy;
-    /// 3. `wrUnlock` ∥ the head (truncation) gWRITE.
+    /// 3. `wrUnlock` ∥ the head (truncation) copy, an 8-byte gMEMCPY of
+    ///    the record's end cursor onto the head word.
     ///
     /// `done` fires once both of step 3 are ACKed: the document is
     /// applied and flushed on every member, the lock word is free and
     /// the head is persisted. Contended lock attempts back off 20 µs and
     /// retry; steps the client refuses for ring credits are re-issued
     /// after 50 µs. Without locks step 1 is the append alone and step 3
-    /// the head gWRITE alone. `Err` means the append itself was refused
+    /// the head copy alone. `Err` means the append itself was refused
     /// and nothing else was issued.
     pub fn upsert(
         &self,

@@ -1,17 +1,18 @@
 //! Replica-side log replay (kvlite).
 //!
 //! Each replica runs one syncer process that wakes periodically — *off*
-//! the write critical path — reads the tail pointer the NICs have been
-//! maintaining in its own NVM, decodes any new WAL records from its own
-//! log copy, and applies them to its in-memory table. This is the
-//! paper's "replicas need to wake up periodically off the critical path
-//! to bring the in-memory snapshot in sync with NVM".
+//! the write critical path — reads the WAL frames its NIC has landed in
+//! its own log copy (with [`FrameReader`], which stops at the first
+//! frame that is not there yet), and applies the new records to its
+//! in-memory table. This is the paper's "replicas need to wake up
+//! periodically off the critical path to bring the in-memory snapshot
+//! in sync with NVM".
 
 use super::db::decode_kv_op;
 use super::memtable::Memtable;
 use hl_cluster::{Ctx, ProcEvent, Process};
 use hl_sim::SimDuration;
-use hyperloop::api::{LogLayout, LogRecord, PAD_MARKER};
+use hyperloop::api::{FrameReader, LogLayout, LogRecord};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -75,59 +76,40 @@ impl KvSyncer {
         }
     }
 
-    /// Read the tail control word from this replica's own NVM.
-    fn read_tail(&self, ctx: &mut Ctx<'_>) -> u64 {
-        let host = ctx.me.host;
-        ctx.world.hosts[host.0]
+    /// This replica's own copy of the record ring.
+    fn ring<'w>(&self, ctx: &'w Ctx<'_>) -> &'w [u8] {
+        ctx.world.hosts[ctx.me.host.0]
             .mem
-            .read_u64(self.rep_base + self.layout.log_off + 8)
-            .unwrap_or(0)
+            .read(
+                self.rep_base + self.layout.ring_off(),
+                self.layout.log_cap as usize,
+            )
+            .expect("the log lies in the replicated region")
     }
 
-    /// Decode and apply records in `[applied, tail)`.
+    /// The cursor just past the newest record landed here.
+    fn landed(&self, ctx: &Ctx<'_>) -> u64 {
+        let mut frames = FrameReader::new(self.ring(ctx), self.applied);
+        frames.by_ref().for_each(drop);
+        frames.cursor()
+    }
+
+    /// Decode and apply every record landed past `applied`.
     fn apply_new(&mut self, ctx: &mut Ctx<'_>) {
-        let tail = self.read_tail(ctx);
-        let host = ctx.me.host;
-        let rec_area = self.rep_base + self.layout.log_off + 64;
-        while self.applied < tail {
-            let at = self.applied % self.layout.log_cap;
-            let room = self.layout.log_cap - at;
-            // Wrap-point padding: marker or not enough room for a header.
-            if room < 4 {
-                self.applied += room;
-                continue;
-            }
-            let hdr = ctx.world.hosts[host.0]
-                .mem
-                .read_u32(rec_area + at)
-                .unwrap_or(0);
-            if hdr == PAD_MARKER {
-                self.applied += room;
-                continue;
-            }
-            // Read the remaining lap and decode one record.
-            let avail = room.min(tail - self.applied) as usize;
-            let bytes = ctx.world.hosts[host.0]
-                .mem
-                .read_vec(rec_area + at, avail)
-                .unwrap();
-            let Some(rec) = LogRecord::decode(&bytes) else {
-                // Torn/foreign bytes should be impossible below tail.
-                debug_assert!(false, "undecodable record below tail");
-                break;
-            };
-            let len = rec.encoded_len();
+        let mut frames = FrameReader::new(self.ring(ctx), self.applied);
+        let mut sh = self.shared.borrow_mut();
+        for bytes in frames.by_ref() {
+            let rec = LogRecord::decode(bytes).expect("a valid frame holds a record");
             if let Some((put, key, value)) = decode_kv_op(&rec) {
-                let mut sh = self.shared.borrow_mut();
                 if put {
                     sh.tables[self.idx].put(&key, &value);
                 } else {
                     sh.tables[self.idx].delete(&key);
                 }
             }
-            self.applied += len;
         }
-        self.shared.borrow_mut().applied[self.idx] = self.applied;
+        self.applied = frames.cursor();
+        sh.applied[self.idx] = self.applied;
     }
 }
 
@@ -138,10 +120,10 @@ impl Process for KvSyncer {
                 ctx.set_timer(self.period, TAG_SYNC, SimDuration::from_nanos(500));
             }
             ProcEvent::Timer { tag: TAG_SYNC } => {
-                let tail = self.read_tail(ctx);
-                if tail > self.applied {
+                let landed = self.landed(ctx);
+                if landed > self.applied {
                     // Charge CPU proportional to the backlog, then apply.
-                    let backlog = tail - self.applied;
+                    let backlog = landed - self.applied;
                     ctx.submit_work(
                         SYNC_FIXED + SimDuration::from_nanos(backlog * APPLY_NS_PER_BYTE),
                         TAG_APPLY,

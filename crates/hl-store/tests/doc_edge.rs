@@ -6,7 +6,7 @@ use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
 use hl_sim::{Engine, SimDuration, SimTime};
 use hl_store::doc::{DocLayout, DocStore, Document};
-use hyperloop::api::{lockword, GroupClient, LogLayout};
+use hyperloop::api::{lockword, FrameReader, GroupClient, LogLayout, LogRecord, RedoEntry};
 use hyperloop::{replica, Backpressure, GroupBuilder, GroupConfig, HyperLoopClient, OnDone};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -354,6 +354,27 @@ fn words<C: GroupClient>(w: &World, c: &C, offset: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Member `m`'s journal as the frame reader finds it from cursor
+/// `from` in its durable bytes: the records and the stop cursor.
+fn journal<C: GroupClient>(
+    w: &World,
+    c: &C,
+    log: &LogLayout,
+    m: usize,
+    from: u64,
+) -> (Vec<LogRecord>, u64) {
+    let ring = w.hosts[c.member_host(m).0]
+        .mem
+        .read_durable(c.member_addr(m, log.ring_off()), log.log_cap as usize)
+        .unwrap();
+    let mut frames = FrameReader::new(&ring, from);
+    let recs = frames
+        .by_ref()
+        .map(|b| LogRecord::decode(b).unwrap())
+        .collect();
+    (recs, frames.cursor())
+}
+
 /// Run the engine until `settled()` holds, failing (rather than
 /// hanging) if 50 ms of simulated time pass first.
 fn run_until_settled(w: &mut World, eng: &mut Engine<World>, settled: impl Fn() -> bool + 'static) {
@@ -391,16 +412,17 @@ fn upsert_each<C: GroupClient + 'static>(
     fired
 }
 
-/// One upsert is three dependent round trips: the append's gWRITEs and
-/// the wrLock gCAS leave together, the gMEMCPY leaves when both are
-/// ACKed, wrUnlock and the head gWRITE leave together when the copy is
-/// ACKed, and `done` fires when both of those are.
+/// One upsert is three dependent round trips of five operations: the
+/// append's one gWRITE and the wrLock gCAS leave together, the document
+/// gMEMCPY leaves when both are ACKed, wrUnlock and the head gMEMCPY
+/// (the record's end cursor onto the head word) leave together when the
+/// document copy is ACKed, and `done` fires when both of those are.
 #[test]
 fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
     let (mut w, mut eng, client) = setup();
     let probe = Rc::new(Probe::new(client));
     let layout = DocLayout::default();
-    let log_off = layout.log.log_off;
+    let log = layout.log.clone();
     let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
     let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
 
@@ -410,14 +432,12 @@ fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
         assert_eq!(hits.len(), 1, "one {what}: {ops:?}");
         hits[0]
     };
-    let record = find("record gWRITE", &|o| {
-        o.prim == Prim::Write && o.offset >= log_off + 64
+    let record = find("record gWRITE", &|o| o.prim == Prim::Write);
+    let copy = find("document gMEMCPY", &|o| {
+        o.prim == Prim::Copy && o.arg >= log.db_off
     });
-    let tail = find("tail gWRITE", &|o| {
-        o.prim == Prim::Write && o.offset == log_off + 8
-    });
-    let head = find("head gWRITE", &|o| {
-        o.prim == Prim::Write && o.offset == log_off
+    let head = find("head gMEMCPY", &|o| {
+        o.prim == Prim::Copy && o.arg == log.log_off
     });
     let lock = find("wrLock", &|o| {
         o.prim == Prim::Cas && o.swp == lockword::writer(1)
@@ -425,15 +445,21 @@ fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
     let unlock = find("wrUnlock", &|o| {
         o.prim == Prim::Cas && o.swp == lockword::FREE
     });
-    let copy = find("gMEMCPY", &|o| o.prim == Prim::Copy);
-    assert_eq!(ops.len(), 6, "{ops:?}");
+    assert_eq!(ops.len(), 5, "{ops:?}");
+
+    // The journal holds the one record; the head copy read its end
+    // cursor, and every member's head word now holds it.
+    let (recs, end) = journal(&w, &*probe, &log, 0, 0);
+    assert_eq!(recs.len(), 1);
+    assert_eq!(record.offset, log.ring_off());
+    assert_eq!(head.offset, log.ring_off() + end - 8, "the end cursor");
+    assert_eq!(words(&w, &*probe, log.log_off), vec![end; 3]);
 
     assert_eq!(record.at, lock.at, "append ∥ wrLock");
-    assert_eq!(tail.at, lock.at, "append ∥ wrLock");
-    let both = tail.acked.unwrap().max(lock.acked.unwrap());
+    let both = record.acked.unwrap().max(lock.acked.unwrap());
     assert_eq!(copy.at, both, "execute waits for the append and the lock");
     assert_eq!(unlock.at, copy.acked.unwrap(), "wrUnlock at apply time");
-    assert_eq!(head.at, unlock.at, "wrUnlock ∥ head gWRITE");
+    assert_eq!(head.at, unlock.at, "wrUnlock ∥ head copy");
     let last = unlock.acked.unwrap().max(head.acked.unwrap());
     assert_eq!(fired, vec![last], "done after both");
     assert_eq!(store.committed(), 1);
@@ -473,8 +499,10 @@ fn refused_unlock_is_retried() {
 #[test]
 fn refused_copy_is_retried() {
     let (mut w, mut eng, client) = setup();
+    // gMEMCPY 2 is the first upsert's head copy; 3 is the second
+    // upsert's document copy.
     let probe = Rc::new(Probe {
-        refuse_copy: 2,
+        refuse_copy: 3,
         ..Probe::new(client)
     });
     let layout = DocLayout::default();
@@ -483,7 +511,11 @@ fn refused_copy_is_retried() {
     let fired = upsert_each(&mut w, &mut eng, &store, &docs);
     assert_eq!(fired.len(), 3);
     assert_eq!(store.committed(), 3);
-    assert_eq!(probe.copies.get(), 4, "three copies plus the refused one");
+    assert_eq!(
+        probe.copies.get(),
+        7,
+        "three document copies, three head copies and the refused one"
+    );
     for d in &docs {
         for m in 0..3 {
             assert_eq!(
@@ -493,9 +525,10 @@ fn refused_copy_is_retried() {
             );
         }
     }
+    let (recs, end) = journal(&w, &*probe, &layout.log, 0, 0);
+    assert_eq!(recs.len(), 3);
     let head = words(&w, &*probe, layout.log.log_off);
-    assert_eq!(head, words(&w, &*probe, layout.log.log_off + 8));
-    assert!(head[0] > 0);
+    assert_eq!(head, vec![end; 3], "truncated through the last record");
     assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
 }
 
@@ -614,8 +647,8 @@ fn two_stores_contend_for_one_group_lock() {
 }
 
 /// Power-failing every member at the instant `done` fires loses
-/// nothing the upsert promised: the document and `head == tail` are
-/// durable everywhere.
+/// nothing the upsert promised: the document is durable everywhere, and
+/// so is a head at the end of the journal.
 #[test]
 fn crash_at_done_keeps_document_and_truncation() {
     let (mut w, mut eng, client) = setup();
@@ -647,7 +680,233 @@ fn crash_at_done_keeps_document_and_truncation() {
         let got = store.read_at(&mut w, m, 9).expect("document survived");
         assert_eq!(got.get("m"), Some(b"durable".as_slice()), "member {m}");
     }
-    let head = words(&w, &*client, layout.log.log_off);
-    assert_eq!(head, words(&w, &*client, layout.log.log_off + 8));
-    assert!(head.iter().all(|&h| h > 0 && h == head[0]));
+    for m in 0..3 {
+        let (recs, end) = journal(&w, &*client, &layout.log, m, 0);
+        assert_eq!(recs.len(), 2, "member {m}: both records durable");
+        let head = words(&w, &*client, layout.log.log_off)[m];
+        assert_eq!(head, end, "member {m}: truncated through both");
+    }
+}
+
+/// A wrLock that finds one member held by another owner swaps the
+/// others and undoes them. An undo the client refuses is re-issued, not
+/// dropped (dropped, it would leave those members held by this store
+/// forever): once the other owner lets go, the upsert takes the lock
+/// and completes, and the lock word ends free on every member.
+#[test]
+fn refused_lock_undo_is_retried() {
+    let (mut w, mut eng, client) = setup();
+    // The first gCAS that frees the word is the partial wrLock's undo.
+    let probe = Rc::new(Probe {
+        refuse_unlock: 1,
+        ..Probe::new(client)
+    });
+    let layout = DocLayout::default();
+    let (host, addr) = (probe.member_host(2), probe.member_addr(2, layout.lock_off));
+    w.hosts[host.0]
+        .mem
+        .write_u64(addr, lockword::writer(99))
+        .unwrap();
+    eng.schedule(SimDuration::from_micros(300), move |w, _| {
+        w.hosts[host.0].mem.write_u64(addr, lockword::FREE).unwrap()
+    });
+    let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
+    let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
+    assert_eq!(fired.len(), 1);
+    assert_eq!(store.committed(), 1);
+    let undos: Vec<Issued> = probe
+        .ops()
+        .into_iter()
+        .filter(|o| o.prim == Prim::Cas && o.swp == lockword::FREE && o.map != 0b111)
+        .collect();
+    assert!(!undos.is_empty());
+    assert_eq!(
+        probe.unlocks.get() as usize,
+        undos.len() + 2,
+        "the refused undo, every undo issued, and the wrUnlock"
+    );
+    assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
+}
+
+/// The record of journal append `i`: `n` bytes that name `i`.
+fn numbered_record(i: usize, n: usize) -> LogRecord {
+    LogRecord {
+        entries: vec![RedoEntry {
+            db_offset: 0,
+            data: (0..n).map(|k| (i * 31 + k) as u8).collect(),
+        }],
+    }
+}
+
+/// What survives a power failure of every member at any event boundary
+/// of a stream of pipelined upserts and of appends to a second journal:
+/// on each member, the durable scan of each journal is a prefix of what
+/// was appended that holds every ACKed record, and the durable head is
+/// the end of a record and never passes one whose document copy is not
+/// durable there, nor one whose document copy the group has not ACKed
+/// (a head copy issued beside the document copies breaks that on the
+/// first member it reaches).
+#[test]
+fn crash_at_every_event_boundary_keeps_acked_records_and_applied_heads() {
+    // Small arenas: every member's NVM is cloned at every boundary.
+    let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(1 << 20).seed(73).build();
+    let group = GroupBuilder::new(GroupConfig {
+        client: HostId(0),
+        replicas: vec![HostId(1), HostId(2)],
+        rep_bytes: 256 << 10,
+        ring_slots: 64,
+        ..Default::default()
+    })
+    .build(&mut w);
+    replica::start_replenishers(&group, &mut w, &mut eng);
+    let probe = Rc::new(Probe::new(Rc::new(HyperLoopClient::new(group, &mut w))));
+    let layout = DocLayout {
+        log: LogLayout {
+            log_off: 64,
+            log_cap: 32 << 10,
+            db_off: 64 << 10,
+        },
+        n_slots: 16,
+        ..Default::default()
+    };
+    let wal = LogLayout {
+        log_off: 128 << 10,
+        log_cap: 4 << 10,
+        db_off: 192 << 10,
+    };
+    let store = DocStore::open(probe.clone(), layout.clone(), 1, true);
+    let mut plain = hyperloop::api::ReplicatedLog::new(probe.clone(), wal.clone());
+    plain.set_tracking(false);
+
+    let docs: Vec<Document> = (0..4)
+        .map(|id| doc(id, &"v".repeat(id as usize + 1)))
+        .collect();
+    let records: Vec<LogRecord> = (0..4).map(|i| numbered_record(i, 40 + 60 * i)).collect();
+    let done = Rc::new(Cell::new(0));
+    let wal_acked = Rc::new(Cell::new(0));
+    for (d, rec) in docs.iter().zip(&records) {
+        let f = done.clone();
+        store
+            .upsert(
+                &mut w,
+                &mut eng,
+                d,
+                Box::new(move |_, _, _| f.set(f.get() + 1)),
+            )
+            .unwrap();
+        let a = wal_acked.clone();
+        plain
+            .append(
+                &mut w,
+                &mut eng,
+                rec,
+                Box::new(move |_, _, _| a.set(a.get() + 1)),
+            )
+            .unwrap();
+    }
+    // The journal records the upserts append, in issue order.
+    let journaled: Vec<LogRecord> = docs
+        .iter()
+        .map(|d| LogRecord {
+            entries: vec![RedoEntry {
+                db_offset: d.id * layout.slot_size,
+                data: d.encode_slot(layout.slot_size as usize),
+            }],
+        })
+        .collect();
+    let mut ends = Vec::new();
+    for r in &journaled {
+        ends.push(ends.last().copied().unwrap_or(0) + r.frame_len());
+    }
+
+    let ring = layout.log.ring_off();
+    let deadline = SimTime::from_nanos(50_000_000);
+    let mut boundaries = 0;
+    while done.get() < docs.len() {
+        assert!(eng.now() < deadline, "not settled after 50 ms");
+        assert!(eng.step(&mut w));
+        boundaries += 1;
+        // Appends whose one gWRITE has been ACKed, per journal.
+        let acked = |lo: u64, hi: u64| {
+            probe
+                .ops()
+                .iter()
+                .filter(|o| o.prim == Prim::Write && o.acked.is_some())
+                .filter(|o| (lo..hi).contains(&o.offset))
+                .count()
+        };
+        let doc_acked = acked(ring, ring + layout.log.log_cap);
+        // Records whose document copy the group has ACKed: the copy's
+        // source lies in the record's frame.
+        let applied_everywhere = |i: usize| {
+            let frame = ring + ends[i] - journaled[i].frame_len()..ring + ends[i];
+            probe.ops().iter().any(|o| {
+                o.prim == Prim::Copy
+                    && o.arg != layout.log.log_off
+                    && frame.contains(&o.offset)
+                    && o.acked.is_some()
+            })
+        };
+        for m in 0..3 {
+            let mut mem = w.hosts[probe.member_host(m).0].mem.clone();
+            mem.crash();
+            let base = probe.member_addr(m, 0);
+            let read = |off: u64, len: u64| mem.read(base + off, len as usize).unwrap();
+
+            let mut frames = FrameReader::new(read(ring, layout.log.log_cap), 0);
+            let got: Vec<LogRecord> = frames
+                .by_ref()
+                .take(docs.len() + 1)
+                .map(|b| LogRecord::decode(b).unwrap())
+                .collect();
+            assert!(
+                got.len() <= docs.len() && got[..] == journaled[..got.len()],
+                "member {m}: the durable journal is not a prefix"
+            );
+            assert!(
+                got.len() >= doc_acked,
+                "member {m}: an ACKed append is lost"
+            );
+            let head = u64::from_le_bytes(read(layout.log.log_off, 8).try_into().unwrap());
+            let applied = ends.iter().take_while(|&&e| e <= head).count();
+            assert!(
+                head == 0 || (applied > 0 && ends[applied - 1] == head && applied <= got.len()),
+                "member {m}: durable head {head} is not the end of a durable record"
+            );
+            for (i, d) in docs[..applied].iter().enumerate() {
+                assert!(
+                    applied_everywhere(i),
+                    "member {m}: the durable head passed doc {} before its copy was ACKed",
+                    d.id
+                );
+                let slot = read(
+                    layout.log.db_off + d.id * layout.slot_size,
+                    layout.slot_size,
+                );
+                assert_eq!(
+                    Document::decode_slot(slot).as_ref(),
+                    Some(d),
+                    "member {m}: the durable head passed doc {} before its copy was durable",
+                    d.id
+                );
+            }
+
+            let mut frames = FrameReader::new(read(wal.ring_off(), wal.log_cap), 0);
+            let got: Vec<LogRecord> = frames
+                .by_ref()
+                .take(records.len() + 1)
+                .map(|b| LogRecord::decode(b).unwrap())
+                .collect();
+            assert!(
+                got.len() <= records.len() && got[..] == records[..got.len()],
+                "member {m}: the durable WAL is not a prefix"
+            );
+            assert!(
+                got.len() >= wal_acked.get(),
+                "member {m}: an ACKed WAL append is lost"
+            );
+        }
+    }
+    assert_eq!(wal_acked.get(), records.len());
+    assert!(boundaries > 100, "{boundaries} boundaries");
 }

@@ -7,7 +7,7 @@ use hl_sim::{Engine, SimDuration, SimTime};
 use hl_store::doc::native::{self, ClientOp, ClientReply, DocOp, NativeDocCosts};
 use hl_store::doc::{DocLayout, DocStore, Document};
 use hl_store::kv::{KvConfig, KvDb};
-use hyperloop::api::{GroupClient, LogLayout};
+use hyperloop::api::{FrameReader, GroupClient, LogLayout, LogRecord};
 use hyperloop::naive::{Mode, NaiveBuilder, NaiveConfig};
 use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
 use std::cell::RefCell;
@@ -91,18 +91,33 @@ fn kvlite_survives_crash_after_ack() {
     let a2 = acks.clone();
     eng.run_while(&mut w, move |_| *a2.borrow() < 1);
 
-    // Power-fail both replicas: the WAL record must survive in NVM.
+    // Power-fail both replicas: the WAL record must survive in NVM. The
+    // frame reader finds exactly that record from cursor 0 and stops at
+    // the log's tail.
     w.hosts[1].mem.crash();
     w.hosts[2].mem.crash();
+    let layout = KvConfig::default().layout;
+    let (_, tail) = db.log_cursors();
     for m in 1..3usize {
-        let tail_addr = client.member_addr(m, 8);
-        let tail = w.hosts[m].mem.read_u64(tail_addr).unwrap();
-        assert!(tail > 0, "replica {m} tail pointer survives");
-        // The record bytes survive too (record area starts at +64).
-        let rec_addr = client.member_addr(m, 64);
-        let bytes = w.hosts[m].mem.read_vec(rec_addr, tail as usize).unwrap();
-        let rec = hyperloop::api::LogRecord::decode(&bytes).unwrap();
-        let (put, key, value) = hl_store::kv::decode_kv_op(&rec).unwrap();
+        let ring = w.hosts[m]
+            .mem
+            .read(
+                client.member_addr(m, layout.ring_off()),
+                layout.log_cap as usize,
+            )
+            .unwrap();
+        let mut frames = FrameReader::new(ring, 0);
+        let recs: Vec<LogRecord> = frames
+            .by_ref()
+            .map(|b| LogRecord::decode(b).unwrap())
+            .collect();
+        assert_eq!(recs.len(), 1, "replica {m} keeps the record");
+        assert_eq!(
+            frames.cursor(),
+            tail,
+            "replica {m} journal ends at the tail"
+        );
+        let (put, key, value) = hl_store::kv::decode_kv_op(&recs[0]).unwrap();
         assert!(put);
         assert_eq!(key, b"durable-key");
         assert_eq!(value, b"durable-value");

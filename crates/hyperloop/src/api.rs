@@ -8,7 +8,9 @@
 //! * [`ReplicatedLog`] — `Initialize` / `Append` / `ExecuteAndAdvance`:
 //!   a replicated write-ahead log whose records are lists of
 //!   `(db_offset, bytes)` redo entries (ARIES-style, paper §5 "each log
-//!   record is a redo-log ... list of modifications").
+//!   record is a redo-log ... list of modifications"), stored as
+//!   self-delimiting frames that [`FrameReader`] reads back from any
+//!   member's copy ([`LogLayout`] has the format).
 //! * [`GroupLock`] — `wrLock`/`wrUnlock` (group-wide, via gCAS with
 //!   undo on partial acquisition) and `rdLock`/`rdUnlock` (per-member
 //!   reader counting, letting every replica serve consistent reads).
@@ -229,16 +231,37 @@ impl LogRecord {
             .sum::<u64>()
     }
 
+    /// Size of the record's journal frame: the encoding, zero-filled to
+    /// a multiple of 8, then the 8-byte end cursor ([`LogLayout`]).
+    pub fn frame_len(&self) -> u64 {
+        self.encoded_len().next_multiple_of(8) + 8
+    }
+
     /// Serialize.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len() as usize);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The record's journal frame ending at cursor `end`, built in one
+    /// buffer of exactly [`LogRecord::frame_len`] bytes.
+    pub fn encode_frame(&self, end: u64) -> Vec<u8> {
+        let len = self.frame_len() as usize;
+        let mut out = Vec::with_capacity(len);
+        self.encode_into(&mut out);
+        out.resize(len - 8, 0);
+        out.extend_from_slice(&end.to_le_bytes());
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for e in &self.entries {
             out.extend_from_slice(&e.db_offset.to_le_bytes());
             out.extend_from_slice(&(e.data.len() as u32).to_le_bytes());
             out.extend_from_slice(&e.data);
         }
-        out
     }
 
     /// Deserialize; `None` on malformed input.
@@ -260,54 +283,183 @@ impl LogRecord {
     }
 }
 
+/// Length of the record encoded at the start of `b`, from its headers
+/// alone; `None` if it would run past the end of `b`.
+fn encoded_len_at(b: &[u8]) -> Option<usize> {
+    let n = u32::from_le_bytes(b.get(..4)?.try_into().ok()?);
+    let mut at = 4usize;
+    for _ in 0..n {
+        let len = u32::from_le_bytes(b.get(at + 8..at + 12)?.try_into().ok()?) as usize;
+        at += 12 + len;
+        if at > b.len() {
+            return None;
+        }
+    }
+    Some(at)
+}
+
 /// Layout of the log within the replicated region:
 ///
 /// ```text
-/// log_off:      [ head u64 | tail u64 ]   (control words)
-/// log_off+64:   [ record area, ring of log_cap bytes ]
+/// log_off:      [ head u64 ]                      (control word)
+/// log_off+64:   [ record ring of log_cap bytes ]  (frames)
 /// db_off:       [ database area ]
 /// ```
+///
+/// Cursors are absolute byte counts since the log was created, so they
+/// keep growing across laps of the ring. The ring holds frames, each a
+/// multiple of 8 bytes long and ending with its *end cursor*, the cursor
+/// just past it:
+///
+/// ```text
+/// record frame: [ LogRecord::encode() | zero fill to 8 | end u64 ]
+/// pad frame:    [ PAD_MARKER u32 | zero fill | end u64 ]   (rest of the lap)
+/// ```
+///
+/// A record never straddles the end of the ring: the append that does
+/// not fit closes the lap with a pad frame (only the end cursor when 8
+/// bytes are left). A reader at cursor `c` accepts the frame there only
+/// if its end cursor equals `c` plus its length ([`FrameReader`]). Bytes
+/// left from an earlier lap carry smaller cursors, so neither a stale
+/// frame nor one whose gWRITE has not landed passes. That rests on two
+/// facts of the model: a gWRITE lands whole (RC is modelled at message
+/// granularity; MTU segmentation would revisit this) and one member's
+/// gWRITEs land in issue order (they share one ring).
+///
+/// The head word holds the cursor of the oldest record not yet applied.
+/// An execute persists it by copying the newest applied record's end
+/// cursor onto it ([`ReplicatedLog::execute_and_advance`]); a log whose
+/// records are applied elsewhere writes it ([`ReplicatedLog::truncate_to`]).
 #[derive(Debug, Clone)]
 pub struct LogLayout {
-    /// Offset of the control words.
+    /// Offset of the head word.
     pub log_off: u64,
-    /// Capacity of the record area.
+    /// Capacity of the record ring (a multiple of 8).
     pub log_cap: u64,
     /// Offset of the database area.
     pub db_off: u64,
 }
 
-/// Marker written at the wrap-point padding so log readers (replica
-/// syncers) know to jump to the next ring lap.
+impl LogLayout {
+    /// Offset of the record ring.
+    pub fn ring_off(&self) -> u64 {
+        self.log_off + 64
+    }
+}
+
+/// First word of a pad frame, where a record frame has its entry count.
 pub const PAD_MARKER: u32 = 0xffff_ffff;
 
-/// Backoff before re-issuing a head gWRITE the client refused.
+/// The shortest record frame: an empty record's count, zero fill, end.
+const MIN_RECORD_FRAME: usize = 16;
+
+/// Reads one member's copy of a journal: the record frames from a
+/// cursor on, oldest first, up to the first frame that is not valid at
+/// its cursor (see [`LogLayout`]). Pad frames are stepped over.
+///
+/// ```
+/// use hyperloop::api::{FrameReader, LogRecord, RedoEntry};
+/// let rec = LogRecord { entries: vec![RedoEntry { db_offset: 8, data: b"doc".to_vec() }] };
+/// let mut ring = vec![0u8; 64];
+/// let frame = rec.encode_frame(rec.frame_len());
+/// ring[..frame.len()].copy_from_slice(&frame);
+/// let mut reader = FrameReader::new(&ring, 0);
+/// assert_eq!(reader.next().and_then(LogRecord::decode), Some(rec.clone()));
+/// assert_eq!(reader.next(), None);
+/// assert_eq!(reader.cursor(), rec.frame_len());
+/// ```
+pub struct FrameReader<'a> {
+    ring: &'a [u8],
+    cursor: u64,
+}
+
+impl<'a> FrameReader<'a> {
+    /// Read `ring` (the `log_cap` bytes at [`LogLayout::ring_off`]) from
+    /// cursor `from`, e.g. the member's head word.
+    pub fn new(ring: &'a [u8], from: u64) -> Self {
+        assert!(
+            ring.len().is_multiple_of(8) && from.is_multiple_of(8),
+            "frames are 8-byte aligned"
+        );
+        FrameReader { ring, cursor: from }
+    }
+
+    /// The cursor just past the last valid frame read.
+    pub fn cursor(&self) -> u64 {
+        self.cursor
+    }
+
+    /// The valid frame at the cursor: its offset in the ring, its length
+    /// and whether it holds a record.
+    fn frame(&self) -> Option<(usize, usize, bool)> {
+        let at = (self.cursor % self.ring.len() as u64) as usize;
+        let room = &self.ring[at..];
+        let pad = room.len() < MIN_RECORD_FRAME || room[..4] == PAD_MARKER.to_le_bytes();
+        let len = if pad {
+            room.len()
+        } else {
+            encoded_len_at(room)?.next_multiple_of(8) + 8
+        };
+        let end = u64::from_le_bytes(room.get(len - 8..len)?.try_into().unwrap());
+        (end == self.cursor + len as u64).then_some((at, len, !pad))
+    }
+}
+
+impl<'a> Iterator for FrameReader<'a> {
+    /// A record frame's bytes before its end cursor: the record's
+    /// encoding (for [`LogRecord::decode`]) and its zero fill.
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        loop {
+            let (at, len, record) = self.frame()?;
+            self.cursor += len as u64;
+            if record {
+                return Some(&self.ring[at..at + len - 8]);
+            }
+        }
+    }
+}
+
+/// Backoff before re-issuing a head copy or a lock-path gCAS the client
+/// refused.
 const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
 
-/// A record appended but not yet executed.
+/// One redo entry of a record appended but not yet executed: a gMEMCPY
+/// from the journal to the database area. A record with no entries is
+/// one descriptor of length 0; execute issues no copy of length 0.
 struct Unapplied {
-    /// Offset of the record within the replicated region.
-    rec_off: u64,
-    rec: LogRecord,
-    /// Tail cursor just past the record: the head once it is applied.
+    /// Offset of the entry's data in the journal.
+    src: u64,
+    /// Offset it is applied to.
+    dst: u64,
+    len: u32,
+    /// End cursor of the entry's record: the head once it is applied.
     end: u64,
+}
+
+/// What a log shares with its appends and executes in flight.
+struct LogShared<C: GroupClient> {
+    client: Rc<C>,
+    layout: LogLayout,
+    /// One past the newest record whose append has been ACKed: every
+    /// record before it is durable on every member.
+    acked: Cell<u64>,
+    /// One past the newest record whose copies have all landed: the
+    /// head a head copy may persist.
+    landed: Cell<u64>,
+    /// The newest head a head copy has persisted on every member.
+    durable: Cell<u64>,
 }
 
 /// Client-side handle to the replicated write-ahead log.
 pub struct ReplicatedLog<C: GroupClient> {
-    client: Rc<C>,
-    layout: LogLayout,
+    log: Rc<LogShared<C>>,
     /// Oldest unapplied record (byte cursor into the record ring).
     head: u64,
     /// One past the newest record.
     tail: u64,
-    /// One past the newest record whose append has been ACKed: every
-    /// record before it is durable on every member.
-    acked: Rc<Cell<u64>>,
-    /// One past the newest record whose copies have all landed: the
-    /// head a head gWRITE may persist.
-    landed: Rc<Cell<u64>>,
-    /// Records appended but not yet executed, oldest first.
+    /// Redo entries appended but not yet executed, oldest first.
     unapplied: VecDeque<Unapplied>,
     /// Track appended records for `execute_and_advance` (on by default;
     /// kvlite applies at replicas instead and truncates explicitly).
@@ -319,15 +471,23 @@ pub struct ReplicatedLog<C: GroupClient> {
 
 impl<C: GroupClient + 'static> ReplicatedLog<C> {
     /// `Initialize` (paper §5): bind the log layout. The region is
-    /// already zeroed NVM, so head = tail = 0 is a valid empty log.
+    /// already zeroed NVM, so head = tail = 0 is a valid empty log: no
+    /// frame ends at cursor 0, so a zeroed ring holds no valid frame.
     pub fn new(client: Rc<C>, layout: LogLayout) -> Self {
+        assert!(
+            layout.log_cap.is_multiple_of(8) && layout.log_cap >= MIN_RECORD_FRAME as u64,
+            "the record ring holds whole 8-byte words"
+        );
         ReplicatedLog {
-            client,
-            layout,
+            log: Rc::new(LogShared {
+                client,
+                layout,
+                acked: Cell::new(0),
+                landed: Cell::new(0),
+                durable: Cell::new(0),
+            }),
             head: 0,
             tail: 0,
-            acked: Rc::new(Cell::new(0)),
-            landed: Rc::new(Cell::new(0)),
             unapplied: VecDeque::new(),
             track_unapplied: true,
             last: None,
@@ -342,12 +502,13 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
 
     /// The log layout.
     pub fn layout(&self) -> &LogLayout {
-        &self.layout
+        &self.log.layout
     }
 
     /// Advance and persist the head (truncation) to absolute byte
-    /// cursor `to` (≤ tail). Used by engines that confirm application
-    /// out of band (kvlite replica syncers).
+    /// cursor `to` (≤ tail) with a gWRITE of the head word. Used by
+    /// engines that confirm application out of band (kvlite replica
+    /// syncers).
     pub fn truncate_to(
         &mut self,
         w: &mut World,
@@ -358,18 +519,22 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         assert!(to >= self.head && to <= self.tail);
         self.head = to;
         let head_bytes = to.to_le_bytes();
-        self.client
-            .gwrite(w, eng, self.layout.log_off, &head_bytes, true, done)?;
+        self.log
+            .client
+            .gwrite(w, eng, self.log.layout.log_off, &head_bytes, true, done)?;
         Ok(())
     }
 
-    fn rec_area(&self) -> u64 {
-        self.layout.log_off + 64
-    }
-
-    /// Bytes of log space in use.
+    /// Bytes of log space in use. An executed log reclaims space only
+    /// once the head is persisted, and keeps the end cursor of the
+    /// newest persisted record, which a later head copy may still read.
     pub fn used(&self) -> u64 {
-        self.tail - self.head
+        let reclaimed = if self.track_unapplied {
+            self.log.durable.get().saturating_sub(8)
+        } else {
+            self.head
+        };
+        self.tail - reclaimed
     }
 
     /// Current (head, tail) cursors.
@@ -377,10 +542,15 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         (self.head, self.tail)
     }
 
-    /// `Append`: replicate a log record durably to all members (gWRITE +
-    /// interleaved gFLUSH), then advance and persist the tail pointer.
-    /// The completion fires when the *tail update* is ACKed, i.e. the
-    /// record is durable group-wide.
+    /// `Append`: replicate a log record durably to all members as one
+    /// flushed gWRITE of its frame, which ends with its own end cursor.
+    /// The completion fires when that gWRITE is ACKed, i.e. the record
+    /// is durable group-wide.
+    ///
+    /// All or nothing: on `Err` the record is not in the log. A record
+    /// that does not fit in the rest of the ring's lap first closes the
+    /// lap with a pad frame; if the record is refused after the pad was
+    /// issued, the pad stays, a complete frame that readers step over.
     pub fn append(
         &mut self,
         w: &mut World,
@@ -388,71 +558,85 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         rec: &LogRecord,
         done: OnDone,
     ) -> Result<(), Backpressure> {
-        let bytes = rec.encode();
-        let len = bytes.len() as u64;
-        assert!(len <= self.layout.log_cap, "record larger than the log");
-        if self.used() + len > self.layout.log_cap {
+        let LogLayout {
+            log_cap: cap,
+            db_off,
+            ..
+        } = self.log.layout;
+        let len = rec.frame_len();
+        assert!(len <= cap, "record larger than the log");
+        let at = self.tail % cap;
+        let pad = if at + len > cap { cap - at } else { 0 };
+        if self.used() + pad + len > cap {
             return Err(Backpressure); // log full: caller must execute+truncate
         }
-        // Ring placement; records never straddle the wrap point.
-        let mut at = self.tail % self.layout.log_cap;
-        if at + len > self.layout.log_cap {
-            // Pad to the wrap (accounted as used space) and replicate a
-            // marker so log readers skip the dead bytes.
-            let pad = self.layout.log_cap - at;
-            if self.used() + pad + len > self.layout.log_cap {
-                return Err(Backpressure);
+        let ring = self.log.layout.ring_off();
+        if pad > 0 {
+            let mut frame = vec![0u8; pad as usize];
+            if pad as usize >= MIN_RECORD_FRAME {
+                frame[..4].copy_from_slice(&PAD_MARKER.to_le_bytes());
             }
-            if pad >= 4 {
-                let marker_off = self.rec_area() + at;
-                self.client.gwrite(
-                    w,
-                    eng,
-                    marker_off,
-                    &PAD_MARKER.to_le_bytes(),
-                    true,
-                    Box::new(|_, _, _| {}),
-                )?;
-            }
+            frame[pad as usize - 8..].copy_from_slice(&(self.tail + pad).to_le_bytes());
+            self.log
+                .client
+                .gwrite(w, eng, ring + at, &frame, true, Box::new(|_, _, _| {}))?;
             self.tail += pad;
-            at = 0;
         }
-        let rec_off = self.rec_area() + at;
-        self.client
-            .gwrite(w, eng, rec_off, &bytes, true, Box::new(|_, _, _| {}))?;
-        self.tail += len;
+        let rec_off = ring + self.tail % cap;
+        let end = self.tail + len;
         let done: OnDone = if self.track_unapplied {
-            let end = self.tail;
-            self.unapplied.push_back(Unapplied {
-                rec_off,
-                rec: rec.clone(),
-                end,
-            });
-            let acked = self.acked.clone();
+            let log = self.log.clone();
             Box::new(move |w, eng, r| {
-                acked.set(acked.get().max(end));
+                log.acked.set(log.acked.get().max(end));
                 done(w, eng, r);
             })
         } else {
             done
         };
-        // Persist the tail control word; its ACK means the whole append
-        // is durable everywhere (per-ring FIFO guarantees order).
-        let tail_bytes = self.tail.to_le_bytes();
-        self.client
-            .gwrite(w, eng, self.layout.log_off + 8, &tail_bytes, true, done)?;
+        self.log
+            .client
+            .gwrite(w, eng, rec_off, &rec.encode_frame(end), true, done)?;
+        self.tail = end;
+        if self.track_unapplied {
+            // Each entry's data follows the record header (4) and its
+            // own (12).
+            let mut src = rec_off + 4;
+            for e in &rec.entries {
+                src += 12;
+                self.unapplied.push_back(Unapplied {
+                    src,
+                    dst: db_off + e.db_offset,
+                    len: e.data.len() as u32,
+                    end,
+                });
+                src += e.data.len() as u64;
+            }
+            if rec.entries.is_empty() {
+                self.unapplied.push_back(Unapplied {
+                    src,
+                    dst: db_off,
+                    len: 0,
+                    end,
+                });
+            }
+        }
         Ok(())
     }
 
     /// `ExecuteAndAdvance`: apply every record whose append has been
-    /// ACKed to the database area on all members (one gMEMCPY + flush
-    /// per redo entry, executed by the replicas' NICs from their own log
-    /// copies), then advance and persist the head pointer (truncation).
+    /// ACKed to the database area on all members (one flushed gMEMCPY per
+    /// redo entry, executed by the replicas' NICs from their own log
+    /// copies), then advance and persist the head (truncation) with one
+    /// flushed 8-byte gMEMCPY of the newest applied record's end cursor
+    /// onto the head word.
     ///
     /// It reports two moments. `applied` fires when every copy has
-    /// landed, durably, on every member — the moment the head gWRITE is
-    /// issued. `persisted` fires when that gWRITE is ACKed. An execute
-    /// with nothing of its own to apply (an earlier one took its record)
+    /// landed, durably, on every member — the moment the head copy is
+    /// issued, and not before: the gMEMCPYs of one member are local DMAs
+    /// that may complete out of order, so a head copy issued beside the
+    /// document copies could make a head durable ahead of its apply.
+    /// `persisted` fires when the head copy is ACKed. An execute with
+    /// nothing of its own to apply (an earlier one took its record)
     /// reports when the copies still in flight have landed, or from a
     /// scheduled event if there are none; never re-entrantly.
     ///
@@ -468,31 +652,24 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         persisted: OnDone,
     ) -> Result<(), Backpressure> {
         // Records are ACKed in append order (one gWRITE ring), so the
-        // ready ones are a prefix. A record still in flight on the
+        // ready entries are a prefix. A record still in flight on the
         // gWRITE ring must not be copied on the gMEMCPY ring.
-        let acked = self.acked.get();
+        let acked = self.log.acked.get();
         let ready = self.unapplied.iter().take_while(|u| u.end <= acked).count();
         let head = match ready {
             0 => self.head,
             n => self.unapplied[n - 1].end,
         };
-        let copies: usize = self
-            .unapplied
-            .iter()
-            .take(ready)
-            .map(|u| u.rec.entries.len())
-            .sum();
+        let copies = || self.unapplied.iter().take(ready).filter(|u| u.len > 0);
         let ex = Rc::new(RefCell::new(Execution {
-            client: self.client.clone(),
-            head_off: self.layout.log_off,
+            log: self.log.clone(),
             head,
-            landed: self.landed.clone(),
-            copies_left: copies,
+            copies_left: copies().count(),
             applied: Some(applied),
             persisted: Some(persisted),
             next: None,
         }));
-        if copies == 0 {
+        if ex.borrow().copies_left == 0 {
             match &self.last {
                 Some(prev) if prev.borrow().applied.is_some() => {
                     prev.borrow_mut().next = Some(ex.clone());
@@ -505,31 +682,23 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
                 }
             }
         }
-        for u in self.unapplied.iter().take(ready) {
-            // Per-entry source offset: skip the record header (4) and
-            // prior entries' (12 + len) prefixes.
-            let mut src = u.rec_off + 4;
-            for e in &u.rec.entries {
-                src += 12; // entry header
-                let dst = self.layout.db_off + e.db_offset;
-                let on_copy = ex.clone();
-                let res = self.client.gmemcpy(
-                    w,
-                    eng,
-                    src,
-                    dst,
-                    e.data.len() as u32,
-                    true,
-                    Box::new(move |w, eng, r| Execution::copied(&on_copy, w, eng, r)),
-                );
-                if res.is_err() {
-                    // The copies already issued report to no one.
-                    let mut abandoned = ex.borrow_mut();
-                    abandoned.applied = None;
-                    abandoned.persisted = None;
-                    return Err(Backpressure);
-                }
-                src += e.data.len() as u64;
+        for u in copies() {
+            let on_copy = ex.clone();
+            let res = self.log.client.gmemcpy(
+                w,
+                eng,
+                u.src,
+                u.dst,
+                u.len,
+                true,
+                Box::new(move |w, eng, r| Execution::copied(&on_copy, w, eng, r)),
+            );
+            if res.is_err() {
+                // The copies already issued report to no one.
+                let mut abandoned = ex.borrow_mut();
+                abandoned.applied = None;
+                abandoned.persisted = None;
+                return Err(Backpressure);
             }
         }
         self.unapplied.drain(..ready);
@@ -541,15 +710,9 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
 
 /// One `execute_and_advance` in flight.
 struct Execution<C: GroupClient> {
-    client: Rc<C>,
-    /// Offset of the head control word.
-    head_off: u64,
+    log: Rc<LogShared<C>>,
     /// Head cursor past this execute's records.
     head: u64,
-    /// The log's [`ReplicatedLog::landed`] cursor. A head gWRITE writes
-    /// it rather than `head`, so one re-issued after a refusal cannot
-    /// move the head back behind a later execute's.
-    landed: Rc<Cell<u64>>,
     /// gMEMCPYs not yet ACKed.
     copies_left: usize,
     /// `None` once fired (or abandoned on refusal).
@@ -569,12 +732,12 @@ impl<C: GroupClient + 'static> Execution<C> {
         }
     }
 
-    /// Every copy has landed: issue the head gWRITE, then report
+    /// Every copy has landed: issue the head copy, then report
     /// `applied`, then release an execute waiting on this one.
     fn all_applied(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
         {
             let e = ex.borrow();
-            e.landed.set(e.landed.get().max(e.head));
+            e.log.landed.set(e.log.landed.get().max(e.head));
         }
         Self::persist_head(ex, w, eng);
         let applied = ex.borrow_mut().applied.take();
@@ -587,23 +750,36 @@ impl<C: GroupClient + 'static> Execution<C> {
         }
     }
 
+    /// Copy the end cursor of the newest record whose copies have landed
+    /// onto the head word. The log's `landed` cursor, not this execute's
+    /// own head, picks the record, so a copy re-issued after a refusal
+    /// cannot move the head back behind a later execute's. When an
+    /// earlier head copy has already persisted that far (or nothing was
+    /// ever applied), `persisted` fires from a scheduled event instead.
     fn persist_head(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>) {
-        let (client, off, head) = {
-            let e = ex.borrow();
-            (e.client.clone(), e.head_off, e.landed.get())
-        };
+        let log = ex.borrow().log.clone();
+        let head = log.landed.get();
+        if head <= log.durable.get() {
+            let ex = ex.clone();
+            eng.schedule(SimDuration::ZERO, move |w, eng| {
+                Self::fire_persisted(&ex, w, eng, OpResult::default())
+            });
+            return;
+        }
+        let trailer = log.layout.ring_off() + (head - 8) % log.layout.log_cap;
         let on_ack = ex.clone();
-        let res = client.gwrite(
+        let res = log.client.gmemcpy(
             w,
             eng,
-            off,
-            &head.to_le_bytes(),
+            trailer,
+            log.layout.log_off,
+            8,
             true,
             Box::new(move |w, eng, r| {
-                let persisted = on_ack.borrow_mut().persisted.take();
-                if let Some(persisted) = persisted {
-                    persisted(w, eng, r);
-                }
+                let e = on_ack.borrow();
+                e.log.durable.set(e.log.durable.get().max(head));
+                drop(e);
+                Self::fire_persisted(&on_ack, w, eng, r);
             }),
         );
         if res.is_err() {
@@ -611,6 +787,13 @@ impl<C: GroupClient + 'static> Execution<C> {
             eng.schedule(REFUSED_BACKOFF, move |w, eng| {
                 Self::persist_head(&ex, w, eng)
             });
+        }
+    }
+
+    fn fire_persisted(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
+        let persisted = ex.borrow_mut().persisted.take();
+        if let Some(persisted) = persisted {
+            persisted(w, eng, r);
         }
     }
 }
@@ -674,6 +857,8 @@ impl<C: GroupClient + 'static> GroupLock<C> {
     /// On partial success (some member held), a second gCAS with the
     /// execute map of the members that *did* swap rolls back (paper
     /// §4.2's undo flow), and the outcome is [`LockOutcome::Contended`].
+    /// The undo is re-issued after a backoff while the client refuses
+    /// it: dropped, it would leave those members held forever.
     pub fn wr_lock(
         &self,
         w: &mut World,
@@ -706,14 +891,20 @@ impl<C: GroupClient + 'static> GroupLock<C> {
                     done(w, eng, LockOutcome::Contended);
                 } else {
                     // Undo on the members that swapped.
-                    let _ = client.gcas(
+                    let undo = Cas {
+                        cmp: want,
+                        swp: lockword::FREE,
+                        map: succeeded,
+                    };
+                    let done = Box::new(move |w: &mut World, eng: &mut Engine<World>, _| {
+                        done(w, eng, LockOutcome::Contended)
+                    });
+                    undo.issue_until_accepted(
+                        client,
+                        lock_off,
                         w,
                         eng,
-                        lock_off,
-                        want,
-                        lockword::FREE,
-                        succeeded,
-                        Box::new(move |w, eng, _| done(w, eng, LockOutcome::Contended)),
+                        Rc::new(Cell::new(Some(done))),
                     );
                 }
             }),
@@ -747,6 +938,8 @@ impl<C: GroupClient + 'static> GroupLock<C> {
     /// `rdLock`: take a read share on member `m` only (readers scale
     /// across replicas). Retries the reader-count CAS up to `retries`
     /// times on races; fails as contended when a writer holds the word.
+    /// `Err` means the first CAS was refused; a retry the client refuses
+    /// is re-issued after a backoff.
     pub fn rd_lock(
         &self,
         w: &mut World,
@@ -755,66 +948,20 @@ impl<C: GroupClient + 'static> GroupLock<C> {
         retries: u32,
         done: OnLock,
     ) -> Result<(), Backpressure> {
-        self.rd_lock_step(
-            w,
-            eng,
-            member,
-            lockword::FREE,
-            lockword::readers(1),
-            retries,
-            done,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rd_lock_step(
-        &self,
-        w: &mut World,
-        eng: &mut Engine<World>,
-        member: usize,
-        cmp: u64,
-        swp: u64,
-        retries: u32,
-        done: OnLock,
-    ) -> Result<(), Backpressure> {
-        let client = self.client.clone();
-        let lock_off = self.lock_off;
-        let owner = self.owner;
-        let exec = 1u32 << member;
+        let first = Cas {
+            cmp: lockword::FREE,
+            swp: lockword::readers(1),
+            map: 1 << member,
+        };
+        let on_ack = self.reader_step(member, true, first.cmp, retries, done);
         self.client.gcas(
             w,
             eng,
             self.lock_off,
-            cmp,
-            swp,
-            exec,
-            Box::new(move |w, eng, r: OpResult| {
-                let orig = r.results[member];
-                if orig == cmp {
-                    done(w, eng, LockOutcome::Acquired);
-                    return;
-                }
-                if orig & lockword::WRITER != 0 || retries == 0 {
-                    done(w, eng, LockOutcome::Contended);
-                    return;
-                }
-                // Reader race: bump the observed count.
-                let count = (orig & !lockword::READER) as u32;
-                let lock = GroupLock {
-                    client,
-                    lock_off,
-                    owner,
-                };
-                let _ = lock.rd_lock_step(
-                    w,
-                    eng,
-                    member,
-                    orig,
-                    lockword::readers(count + 1),
-                    retries - 1,
-                    done,
-                );
-            }),
+            first.cmp,
+            first.swp,
+            first.map,
+            on_ack,
         )?;
         Ok(())
     }
@@ -829,62 +976,117 @@ impl<C: GroupClient + 'static> GroupLock<C> {
         retries: u32,
         done: OnLock,
     ) -> Result<(), Backpressure> {
-        self.rd_unlock_step(
-            w,
-            eng,
-            member,
-            lockword::readers(1),
-            lockword::FREE,
-            retries,
-            done,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rd_unlock_step(
-        &self,
-        w: &mut World,
-        eng: &mut Engine<World>,
-        member: usize,
-        cmp: u64,
-        swp: u64,
-        retries: u32,
-        done: OnLock,
-    ) -> Result<(), Backpressure> {
-        let client = self.client.clone();
-        let lock_off = self.lock_off;
-        let owner = self.owner;
+        let first = Cas {
+            cmp: lockword::readers(1),
+            swp: lockword::FREE,
+            map: 1 << member,
+        };
+        let on_ack = self.reader_step(member, false, first.cmp, retries, done);
         self.client.gcas(
             w,
             eng,
             self.lock_off,
-            cmp,
-            swp,
-            1u32 << member,
-            Box::new(move |w, eng, r: OpResult| {
-                let orig = r.results[member];
-                if orig == cmp {
-                    done(w, eng, LockOutcome::Acquired);
-                    return;
-                }
-                if retries == 0 || orig & lockword::READER == 0 {
-                    done(w, eng, LockOutcome::Contended);
-                    return;
-                }
-                let count = (orig & !lockword::READER) as u32;
-                let next = if count <= 1 {
-                    lockword::FREE
-                } else {
-                    lockword::readers(count - 1)
-                };
-                let lock = GroupLock {
-                    client,
-                    lock_off,
-                    owner,
-                };
-                let _ = lock.rd_unlock_step(w, eng, member, orig, next, retries - 1, done);
-            }),
+            first.cmp,
+            first.swp,
+            first.map,
+            on_ack,
         )?;
         Ok(())
+    }
+
+    /// The ACK handler of a reader-count CAS on `member` that expected
+    /// `cmp`: done on a match; on a race with another reader, the next
+    /// CAS from the count it found (re-issued while refused).
+    fn reader_step(
+        &self,
+        member: usize,
+        take: bool,
+        cmp: u64,
+        retries: u32,
+        done: OnLock,
+    ) -> OnDone {
+        let lock = GroupLock {
+            client: self.client.clone(),
+            lock_off: self.lock_off,
+            owner: self.owner,
+        };
+        Box::new(move |w, eng, r: OpResult| {
+            let orig = r.results[member];
+            if orig == cmp {
+                done(w, eng, LockOutcome::Acquired);
+                return;
+            }
+            // A writer blocks a reader; a release needs a read share.
+            let raced = if take {
+                orig & lockword::WRITER == 0
+            } else {
+                orig & lockword::READER != 0
+            };
+            if !raced || retries == 0 {
+                done(w, eng, LockOutcome::Contended);
+                return;
+            }
+            let count = (orig & !lockword::READER) as u32;
+            let swp = match (take, count) {
+                (true, _) => lockword::readers(count + 1),
+                (false, 0 | 1) => lockword::FREE,
+                (false, _) => lockword::readers(count - 1),
+            };
+            let next = Cas {
+                cmp: orig,
+                swp,
+                map: 1 << member,
+            };
+            let on_ack = lock.reader_step(member, take, orig, retries - 1, done);
+            next.issue_until_accepted(
+                lock.client.clone(),
+                lock.lock_off,
+                w,
+                eng,
+                Rc::new(Cell::new(Some(on_ack))),
+            );
+        })
+    }
+}
+
+/// A gCAS issued from inside a completion, where a refusal cannot be
+/// returned to the caller.
+#[derive(Clone, Copy)]
+struct Cas {
+    cmp: u64,
+    swp: u64,
+    map: u32,
+}
+
+impl Cas {
+    /// Issue the gCAS on the word at `offset`; while the client refuses
+    /// it, re-issue it after [`REFUSED_BACKOFF`]. `on_ack` runs once.
+    fn issue_until_accepted<C: GroupClient + 'static>(
+        self,
+        client: Rc<C>,
+        offset: u64,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        on_ack: Rc<Cell<Option<OnDone>>>,
+    ) {
+        let pending = on_ack.clone();
+        let res = client.gcas(
+            w,
+            eng,
+            offset,
+            self.cmp,
+            self.swp,
+            self.map,
+            Box::new(move |w, eng, r| {
+                if let Some(on_ack) = pending.take() {
+                    on_ack(w, eng, r);
+                }
+            }),
+        );
+        if res.is_err() {
+            eng.schedule(REFUSED_BACKOFF, move |w, eng| {
+                self.issue_until_accepted(client, offset, w, eng, on_ack)
+            });
+        }
     }
 }

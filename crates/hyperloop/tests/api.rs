@@ -5,9 +5,11 @@ use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
 use hl_sim::{Engine, SimTime};
 use hyperloop::api::{
-    lockword, GroupClient, GroupLock, LockOutcome, LogLayout, LogRecord, RedoEntry, ReplicatedLog,
+    lockword, FrameReader, GroupClient, GroupLock, LockOutcome, LogLayout, LogRecord, RedoEntry,
+    ReplicatedLog,
 };
 use hyperloop::{replica, Backpressure, GroupBuilder, GroupConfig, HyperLoopClient, OnDone};
+use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -24,6 +26,28 @@ fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
     replica::start_replenishers(&group, &mut w, &mut eng);
     let client = Rc::new(HyperLoopClient::new(group, &mut w));
     (w, eng, client)
+}
+
+/// Member `m`'s journal as a reader finds it after a power failure
+/// (its durable bytes), from cursor `from`: the records, and the cursor
+/// the reader stopped at.
+fn scan<C: GroupClient>(
+    w: &World,
+    c: &C,
+    layout: &LogLayout,
+    m: usize,
+    from: u64,
+) -> (Vec<LogRecord>, u64) {
+    let ring = w.hosts[c.member_host(m).0]
+        .mem
+        .read_durable(c.member_addr(m, layout.ring_off()), layout.log_cap as usize)
+        .unwrap();
+    let mut frames = FrameReader::new(&ring, from);
+    let recs = frames
+        .by_ref()
+        .map(|b| LogRecord::decode(b).unwrap())
+        .collect();
+    (recs, frames.cursor())
 }
 
 fn flag() -> (Rc<RefCell<u32>>, hyperloop::OnDone) {
@@ -60,7 +84,7 @@ fn append_replicates_record_and_tail_pointer() {
         log_cap: 64 << 10,
         db_off: 128 << 10,
     };
-    let mut log = ReplicatedLog::new(client.clone(), layout);
+    let mut log = ReplicatedLog::new(client.clone(), layout.clone());
     let rec = LogRecord {
         entries: vec![RedoEntry {
             db_offset: 8,
@@ -72,25 +96,26 @@ fn append_replicates_record_and_tail_pointer() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
     assert_eq!(*done.borrow(), 1);
 
-    // The encoded record sits at record-area offset 0 on every member,
-    // durably; the tail control word (offset 8) equals the record size.
-    let enc = rec.encode();
+    // The record's frame sits at record-ring offset 0 on every member,
+    // durably, and ends with its end cursor: the durable scan from 0
+    // yields exactly the record and stops at the end of its frame.
+    let frame = rec.encode_frame(rec.frame_len());
     for m in 0..3 {
         let host = if m == 0 { 0 } else { m };
         let addr = client.member_addr(m, 64);
         assert_eq!(
-            w.hosts[host].mem.read_vec(addr, enc.len()).unwrap(),
-            enc,
-            "member {m} record"
+            w.hosts[host].mem.read_vec(addr, frame.len()).unwrap(),
+            frame,
+            "member {m} frame"
         );
-        let tail = w.hosts[host]
-            .mem
-            .read_u64(client.member_addr(m, 8))
-            .unwrap();
-        assert_eq!(tail, enc.len() as u64, "member {m} tail");
-        assert!(w.hosts[host].mem.is_durable(addr, enc.len()));
+        assert!(w.hosts[host].mem.is_durable(addr, frame.len()));
+        assert_eq!(
+            scan(&w, &*client, &layout, m, 0),
+            (vec![rec.clone()], rec.frame_len()),
+            "member {m} journal"
+        );
     }
-    assert_eq!(log.cursors(), (0, enc.len() as u64));
+    assert_eq!(log.cursors(), (0, rec.frame_len()));
 }
 
 #[test]
@@ -101,7 +126,7 @@ fn execute_and_advance_applies_to_db_everywhere() {
         log_cap: 64 << 10,
         db_off: 128 << 10,
     };
-    let mut log = ReplicatedLog::new(client.clone(), layout);
+    let mut log = ReplicatedLog::new(client.clone(), layout.clone());
     let rec = LogRecord {
         entries: vec![
             RedoEntry {
@@ -147,21 +172,19 @@ fn execute_and_advance_applies_to_db_everywhere() {
     }
     let probe = persisted.clone();
     eng.run_while(&mut w, move |_| *probe.borrow() == 0);
-    // Persisted: the head pointer advanced to the tail everywhere.
+    // Persisted: the head word equals the log's tail on every member,
+    // and nothing is left in the durable journal past it.
+    let (h, t) = log.cursors();
+    assert_eq!(h, t);
     for m in 0..3 {
         let host = if m == 0 { 0 } else { m };
         let head = w.hosts[host]
             .mem
             .read_u64(client.member_addr(m, 0))
             .unwrap();
-        let tail = w.hosts[host]
-            .mem
-            .read_u64(client.member_addr(m, 8))
-            .unwrap();
-        assert_eq!(head, tail, "member {m} truncated");
+        assert_eq!(head, t, "member {m} truncated");
+        assert_eq!(scan(&w, &*client, &layout, m, head), (vec![], t));
     }
-    let (h, t) = log.cursors();
-    assert_eq!(h, t);
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
     assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
 }
@@ -202,15 +225,18 @@ fn log_backpressures_when_full() {
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
 }
 
-/// A [`GroupClient`] that refuses the `refuse_copy`-th gMEMCPY and the
-/// `refuse_write`-th gWRITE (1-based; 0 = none) as if their rings were
-/// out of credits, and forwards everything else.
+/// A [`GroupClient`] that refuses the `refuse_copy`-th gMEMCPY, the
+/// `refuse_write`-th gWRITE (1-based; 0 = none) and every gCAS numbered
+/// in `refuse_cas` as if their rings were out of credits, and forwards
+/// everything else.
 struct Refusing {
     inner: Rc<HyperLoopClient>,
     copies: Cell<u32>,
     refuse_copy: u32,
     writes: Cell<u32>,
     refuse_write: u32,
+    cas: Cell<u32>,
+    refuse_cas: Vec<u32>,
 }
 
 impl Refusing {
@@ -221,6 +247,8 @@ impl Refusing {
             refuse_copy,
             writes: Cell::new(0),
             refuse_write,
+            cas: Cell::new(0),
+            refuse_cas: Vec::new(),
         }
     }
 }
@@ -267,6 +295,10 @@ impl GroupClient for Refusing {
         exec_map: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
+        self.cas.set(self.cas.get() + 1);
+        if self.refuse_cas.contains(&self.cas.get()) {
+            return Err(Backpressure);
+        }
         GroupClient::gcas(&*self.inner, w, eng, offset, cmp, swp, exec_map, done)
     }
     fn gflush(
@@ -402,7 +434,11 @@ fn refused_copy_leaves_the_log_unchanged() {
         .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
     assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
-    assert_eq!(client.copies.get(), 4, "1 + refused + both again");
+    assert_eq!(
+        client.copies.get(),
+        5,
+        "1 + refused + both again + the head copy"
+    );
     assert_eq!(
         on_members(&w, &*client, (128 << 10) + 0x100, 4),
         vec![b"beta".to_vec(); 3]
@@ -415,13 +451,13 @@ fn refused_copy_leaves_the_log_unchanged() {
     );
 }
 
-/// A refused head gWRITE is re-issued after a backoff: "persisted"
-/// still fires, and the head lands at the tail on every member.
+/// A refused head copy is re-issued after a backoff: "persisted" still
+/// fires, and the head lands at the tail on every member.
 #[test]
-fn refused_head_write_is_reissued() {
+fn refused_head_copy_is_reissued() {
     let (mut w, mut eng, inner) = setup();
-    // gWRITEs 1 and 2 are the append's record and tail; 3 is the head.
-    let client = Rc::new(Refusing::new(inner, 0, 3));
+    // gMEMCPYs 1 and 2 apply the record's entries; 3 is the head copy.
+    let client = Rc::new(Refusing::new(inner, 3, 0));
     let mut log = ReplicatedLog::new(client.clone(), db_layout());
     let (_, a_cb) = flag();
     log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
@@ -433,7 +469,8 @@ fn refused_head_write_is_reissued() {
         .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
     assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
-    assert_eq!(client.writes.get(), 4, "the head gWRITE went out twice");
+    assert_eq!(client.copies.get(), 4, "the head copy went out twice");
+    assert_eq!(client.writes.get(), 1, "the append is one gWRITE");
     let (h, t) = log.cursors();
     assert_eq!(h, t);
     assert_eq!(
@@ -605,4 +642,200 @@ fn read_locks_count_and_block_writers() {
         .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(30_000_000));
     assert_eq!(*outcomes.borrow().last().unwrap(), LockOutcome::Acquired);
+}
+
+/// Reader-count retries that the client refuses are re-issued, not
+/// dropped: a second reader's `rdLock` races the first (its CAS finds
+/// one reader), and its retry is refused; then the first reader's
+/// `rdUnlock` races the second's share and its retry is refused too.
+/// Every operation still completes and the word ends free.
+#[test]
+fn refused_reader_retries_are_reissued() {
+    let (mut w, mut eng, inner) = setup();
+    // gCAS 3 is the second rdLock's retry, 6 the first rdUnlock's.
+    let client = Rc::new(Refusing {
+        refuse_cas: vec![3, 6],
+        ..Refusing::new(inner, 0, 0)
+    });
+    let lock = GroupLock::new(client.clone(), 0xa00, 1);
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
+    let word = |w: &World| {
+        w.hosts[1]
+            .mem
+            .read_u64(client.member_addr(1, 0xa00))
+            .unwrap()
+    };
+
+    for _ in 0..2 {
+        lock.rd_lock(&mut w, &mut eng, 1, 3, lock_sink(&outcomes))
+            .unwrap();
+        eng.run_until(&mut w, eng.now() + hl_sim::SimDuration::from_millis(1));
+    }
+    assert_eq!(word(&w), lockword::readers(2));
+    for _ in 0..2 {
+        lock.rd_unlock(&mut w, &mut eng, 1, 3, lock_sink(&outcomes))
+            .unwrap();
+        eng.run_until(&mut w, eng.now() + hl_sim::SimDuration::from_millis(1));
+    }
+    assert_eq!(*outcomes.borrow(), vec![LockOutcome::Acquired; 4]);
+    assert_eq!(word(&w), lockword::FREE);
+    assert_eq!(client.cas.get(), 8, "two refused, each issued again");
+}
+
+/// The record of append `i`: `n` bytes that name `i`, so a frame left
+/// from an earlier lap never passes for a later record.
+fn numbered_record(i: usize, n: usize) -> LogRecord {
+    LogRecord {
+        entries: vec![RedoEntry {
+            db_offset: (i as u64 % 8) * 128,
+            data: (0..n).map(|k| (i * 31 + k) as u8).collect(),
+        }],
+    }
+}
+
+/// Member `m`'s journal from its head word, on its current bytes: the
+/// head, the records (at most `limit`) and the reader's stop cursor.
+fn scan_from_head<C: GroupClient>(
+    w: &World,
+    c: &C,
+    layout: &LogLayout,
+    m: usize,
+    limit: usize,
+) -> (u64, Vec<LogRecord>, u64) {
+    let mem = &w.hosts[c.member_host(m).0].mem;
+    let head = mem.read_u64(c.member_addr(m, layout.log_off)).unwrap();
+    let ring = mem
+        .read(c.member_addr(m, layout.ring_off()), layout.log_cap as usize)
+        .unwrap();
+    let mut frames = FrameReader::new(ring, head);
+    let recs = frames
+        .by_ref()
+        .take(limit)
+        .map(|b| LogRecord::decode(b).unwrap())
+        .collect();
+    (head, recs, frames.cursor())
+}
+
+/// Appended records, their end cursors and which appends are ACKed.
+#[derive(Default)]
+struct Journal {
+    recs: Vec<LogRecord>,
+    ends: Vec<u64>,
+    acked: Rc<RefCell<Vec<bool>>>,
+}
+
+impl Journal {
+    /// On every member: the head word is a frame boundary, and the
+    /// reader from it returns exactly the next appended records in
+    /// order, at least every ACKed one, and nothing else.
+    fn check<C: GroupClient>(&self, w: &World, c: &C, layout: &LogLayout) {
+        for m in 0..c.group_size() {
+            let (head, got, _) = scan_from_head(w, c, layout, m, self.recs.len() + 1);
+            let first = self.ends.iter().take_while(|&&e| e <= head).count();
+            assert!(
+                head == 0 || self.ends.get(first.wrapping_sub(1)) == Some(&head),
+                "member {m}: head {head} is not the end of a record ({:?})",
+                self.ends
+            );
+            let want = &self.recs[first..];
+            assert!(
+                got.len() <= want.len() && got[..] == want[..got.len()],
+                "member {m}: from head {head} read {} records, not a prefix of the {} after it",
+                got.len(),
+                want.len()
+            );
+            let acked = self.acked.borrow()[first..].iter().filter(|&&a| a).count();
+            assert!(got.len() >= acked, "member {m}: an ACKed record is missing");
+        }
+    }
+}
+
+/// Step the engine one event at a time, checking the journal on every
+/// member at each boundary, until `settled()` (or fail after 20 ms).
+fn step_checking<C: GroupClient>(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    c: &C,
+    layout: &LogLayout,
+    journal: &Journal,
+    settled: impl Fn() -> bool,
+) {
+    let deadline = eng.now() + hl_sim::SimDuration::from_millis(20);
+    while !settled() {
+        assert!(eng.now() < deadline, "not settled after 20 ms");
+        assert!(eng.step(w));
+        journal.check(w, c, layout);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Records of random sizes go round a tiny ring for several laps,
+    /// with executes (truncation) issued between appends without
+    /// waiting for them. At every event boundary the frame reader, run
+    /// on each member from that member's head word, returns exactly the
+    /// appended records that member has not truncated, in order: never
+    /// a frame left from an earlier lap, never one whose gWRITE has not
+    /// landed there, never fewer than the ACKed ones. At the end every
+    /// head is the tail and nothing is read past it.
+    #[test]
+    fn frame_reader_returns_exactly_the_untruncated_records(
+        appends in proptest::collection::vec((1usize..100, 0u8..4, 0u32..30), 12..36),
+    ) {
+        let (mut w, mut eng, client) = setup();
+        let layout = LogLayout { log_off: 0, log_cap: 384, db_off: 128 << 10 };
+        let mut log = ReplicatedLog::new(client.clone(), layout.clone());
+        let mut journal = Journal::default();
+        let executes = Rc::new(Cell::new(0u32));
+        let execute = |log: &mut ReplicatedLog<HyperLoopClient>, w: &mut World, eng: &mut Engine<World>| {
+            let e = executes.clone();
+            e.set(e.get() + 1);
+            log.execute_and_advance(w, eng, Box::new(|_, _, _| {}), Box::new(move |_, _, _| e.set(e.get() - 1)))
+                .unwrap();
+        };
+        for (i, &(size, truncate, gap)) in appends.iter().enumerate() {
+            let rec = numbered_record(i, size);
+            journal.acked.borrow_mut().push(false);
+            loop {
+                let acked = journal.acked.clone();
+                let cb: OnDone = Box::new(move |_, _, _| acked.borrow_mut()[i] = true);
+                if log.append(&mut w, &mut eng, &rec, cb).is_ok() {
+                    break;
+                }
+                // The ring is full: let the appends in flight land,
+                // truncate, and wait for the head.
+                let acked = journal.acked.clone();
+                step_checking(&mut w, &mut eng, &*client, &layout, &journal, move || {
+                    acked.borrow()[..i].iter().all(|&a| a)
+                });
+                execute(&mut log, &mut w, &mut eng);
+                let e = executes.clone();
+                step_checking(&mut w, &mut eng, &*client, &layout, &journal, move || e.get() == 0);
+            }
+            journal.recs.push(rec);
+            journal.ends.push(log.cursors().1);
+            if truncate == 0 {
+                execute(&mut log, &mut w, &mut eng);
+            }
+            // Let `gap` events pass before the next append.
+            let calls = Cell::new(0);
+            step_checking(&mut w, &mut eng, &*client, &layout, &journal, || {
+                calls.set(calls.get() + 1);
+                calls.get() > gap
+            });
+        }
+        let acked = journal.acked.clone();
+        step_checking(&mut w, &mut eng, &*client, &layout, &journal, move || {
+            acked.borrow().iter().all(|&a| a)
+        });
+        execute(&mut log, &mut w, &mut eng);
+        let e = executes.clone();
+        step_checking(&mut w, &mut eng, &*client, &layout, &journal, move || e.get() == 0);
+        let (h, t) = log.cursors();
+        prop_assert_eq!(h, t);
+        for m in 0..3 {
+            prop_assert_eq!(scan_from_head(&w, &*client, &layout, m, 1), (t, vec![], t));
+        }
+    }
 }

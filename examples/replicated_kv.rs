@@ -91,13 +91,25 @@ fn main() {
     for h in 1..4 {
         world.hosts[h].mem.crash();
     }
-    println!("after crashing every replica, the WAL tail pointer survives:");
+    println!("after crashing every replica, each WAL copy still reads to the tail:");
+    let layout = KvConfig::default().layout;
+    let (_, tail) = db.log_cursors();
     for m in 1..4 {
-        use hyperloop_repro::hyperloop::api::GroupClient;
-        let addr = client.member_addr(m, 8);
+        use hyperloop_repro::hyperloop::api::{FrameReader, GroupClient};
+        let mem = &world.hosts[m].mem;
+        let head = mem.read_u64(client.member_addr(m, layout.log_off)).unwrap();
+        let ring = mem
+            .read(
+                client.member_addr(m, layout.ring_off()),
+                layout.log_cap as usize,
+            )
+            .unwrap();
+        let mut frames = FrameReader::new(ring, head);
+        let records = frames.by_ref().count();
         println!(
-            "  member {m}: tail = {}",
-            world.hosts[m].mem.read_u64(addr).unwrap()
+            "  member {m}: {records} records from head {head} to cursor {}",
+            frames.cursor()
         );
+        assert_eq!(frames.cursor(), tail, "member {m} lost an acked put");
     }
 }

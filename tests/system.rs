@@ -4,7 +4,7 @@
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
 use hyperloop_repro::hyperloop::api::{
-    GroupClient, LogLayout, LogRecord, RedoEntry, ReplicatedLog,
+    FrameReader, GroupClient, LogLayout, LogRecord, RedoEntry, ReplicatedLog,
 };
 use hyperloop_repro::hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
 use hyperloop_repro::sim::{Engine, SimTime};
@@ -170,10 +170,6 @@ fn multi_entry_records_apply_atomically_via_log_replay() {
     .unwrap();
     let a2 = appended2.clone();
     eng.run_while(&mut w, move |_| !*a2.borrow());
-    let rec2_off = {
-        // rec2 starts where rec ended in the record area.
-        64 + rec.encoded_len()
-    };
     for h in 1..3 {
         w.hosts[h].mem.crash();
     }
@@ -181,14 +177,31 @@ fn multi_entry_records_apply_atomically_via_log_replay() {
         // The second record was never applied...
         let db_c = client.member_addr(m, layout.db_off + 0x200);
         assert_eq!(w.hosts[m].mem.read_vec(db_c, 14).unwrap(), vec![0u8; 14]);
-        // ...but survives in the durable log in full, ready for replay.
-        let tail = w.hosts[m].mem.read_u64(client.member_addr(m, 8)).unwrap();
-        assert_eq!(tail, rec.encoded_len() + rec2.encoded_len());
-        let bytes = w.hosts[m]
-            .mem
-            .read_vec(client.member_addr(m, rec2_off), rec2.encoded_len() as usize)
+        // ...but survives in the durable log in full, ready for replay:
+        // the journal from 0 is exactly both records, and from the
+        // durable head (past the first) exactly the second.
+        let mem = &w.hosts[m].mem;
+        let ring = mem
+            .read(
+                client.member_addr(m, layout.ring_off()),
+                layout.log_cap as usize,
+            )
             .unwrap();
-        let replayed = LogRecord::decode(&bytes).expect("durable record decodes");
+        let scan = |from| {
+            let mut frames = FrameReader::new(ring, from);
+            let recs: Vec<LogRecord> = frames
+                .by_ref()
+                .map(|b| LogRecord::decode(b).expect("durable record decodes"))
+                .collect();
+            (recs, frames.cursor())
+        };
+        let end = rec.frame_len() + rec2.frame_len();
+        assert_eq!(scan(0), (vec![rec.clone(), rec2.clone()], end));
+        let head = mem.read_u64(client.member_addr(m, layout.log_off)).unwrap();
+        assert_eq!(head, rec.frame_len(), "member {m} head past the first");
+        let (mut from_head, _) = scan(head);
+        assert_eq!(from_head.len(), 1);
+        let replayed = from_head.remove(0);
         assert_eq!(replayed, rec2, "member {m} can replay the full record");
         // Manual replay (what recovery does): both entries apply.
         for e in &replayed.entries {
