@@ -28,6 +28,7 @@
 //! | `rand-raw` | raw `rand::` paths outside the named-RNG-stream API |
 //! | `wire-truncation` | bare `as` truncation of wire-format fields |
 //! | `libm-in-datapath` | `.ln()`/`.exp()`/`.cos()`/`.sin()`/`.powf()` in non-test code of the per-event crates ([`DATAPATH_CRATES`]); a host-cost rule, never a taint source |
+//! | `dropped-refusal` | `let _ =` or `.ok()` on a group issue (`gwrite`, `append`, `wr_unlock`, …) in non-test code of the sim crates: the refusal is lost and the completion never fires; never a taint source |
 //! | `taint` | entry point transitively reaching any source above |
 //! | `taint-panic` | NIC handler transitively reaching an unsuppressed panic site |
 //!

@@ -50,6 +50,10 @@ pub const RULES: &[(&str, &str)] = &[
         "libm-in-datapath",
         "transcendental float call (.ln/.exp/.cos/.sin/.powf) in non-test datapath code; sample from a table built at set-up",
     ),
+    (
+        "dropped-refusal",
+        "`let _ =` or `.ok()` discards a group issue's Backpressure refusal, so its completion never fires; re-issue it after a backoff",
+    ),
 ];
 
 /// Wire-format field names and their declared byte widths (WQE,
@@ -100,6 +104,24 @@ const FLOATY_METHODS: &[&str] = &["round", "ceil", "floor", "powf", "sqrt", "exp
 /// `libm-in-datapath`.
 const LIBM_METHODS: &[&str] = &["ln", "exp", "cos", "sin", "powf"];
 
+/// Methods that issue a group operation and return
+/// `Result<_, Backpressure>`, checked by `dropped-refusal`.
+const GROUP_ISSUES: &[&str] = &[
+    "gwrite",
+    "gmemcpy",
+    "gcas",
+    "gflush",
+    "append",
+    "execute_and_advance",
+    "truncate_to",
+    "wr_lock",
+    "wr_unlock",
+    "rd_lock",
+    "rd_unlock",
+    "upsert",
+    "checkpoint",
+];
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -134,6 +156,7 @@ pub fn check_source(file: &str, src: &str) -> Vec<Finding> {
     rule_rand_raw(file, &toks, &mut findings);
     rule_wire_truncation(file, &toks, &mut findings);
     rule_libm_in_datapath(file, &toks, &mut findings);
+    rule_dropped_refusal(file, &toks, &mut findings);
     let ranges = allow_ranges(&toks, &allows);
     findings.retain(|f| {
         !ranges
@@ -495,6 +518,90 @@ fn rule_libm_in_datapath(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
     }
 }
 
+/// `dropped-refusal`: `let _ = <expr>;` whose expression calls a group
+/// issue ([`GROUP_ISSUES`], as `.name(` or `::name(`), or
+/// `name(..).ok()` on one, outside `#[cfg(test)]` items. A refused
+/// issue never runs its completion, so whoever waits on it hangs; the
+/// fix is to re-issue after a backoff. A deliberate drop carries an
+/// allow with the reason.
+fn rule_dropped_refusal(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
+    let issue_at = |j: usize| {
+        j > 0
+            && (toks[j - 1].is_punct('.') || toks[j - 1].is_punct(':'))
+            && toks[j].kind == TokKind::Ident
+            && GROUP_ISSUES.contains(&toks[j].text.as_str())
+            && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
+    };
+    let mut push = |line: u32, what: &str| {
+        out.push(Finding {
+            rule: "dropped-refusal",
+            file: file.to_string(),
+            line,
+            message: format!(
+                "{what} discards a group issue's refusal; re-issue it after a backoff or allow it with the reason"
+            ),
+        });
+    };
+    let mut i = 0;
+    while i < toks.len() {
+        if let Some(after) = skip_cfg_test_item(toks, i) {
+            i = after;
+            continue;
+        }
+        let t = &toks[i];
+        if t.is_ident("let")
+            && toks.get(i + 1).is_some_and(|t| t.is_ident("_"))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct('='))
+        {
+            // The statement runs to the `;` at its own depth.
+            let mut depth: i64 = 0;
+            let mut end = i + 3;
+            while end < toks.len() {
+                let e = &toks[end];
+                if e.is_punct('(') || e.is_punct('[') || e.is_punct('{') {
+                    depth += 1;
+                } else if e.is_punct(')') || e.is_punct(']') || e.is_punct('}') {
+                    depth -= 1;
+                } else if e.is_punct(';') && depth <= 0 {
+                    break;
+                }
+                end += 1;
+            }
+            if (i + 3..end).any(issue_at) {
+                push(t.line, "`let _ =`");
+            }
+        } else if t.is_punct('.')
+            && toks.get(i + 1).is_some_and(|t| t.is_ident("ok"))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
+            && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
+            && i > 0
+            && toks[i - 1].is_punct(')')
+        {
+            // Walk back to the `(` that the `)` before `.ok()` closes.
+            let mut depth = 0;
+            let mut open = i - 1;
+            loop {
+                if toks[open].is_punct(')') {
+                    depth += 1;
+                } else if toks[open].is_punct('(') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                if open == 0 {
+                    break;
+                }
+                open -= 1;
+            }
+            if open > 0 && issue_at(open - 1) {
+                push(toks[i + 1].line, "`.ok()`");
+            }
+        }
+        i += 1;
+    }
+}
+
 /// If `toks[i..]` starts with `#[cfg(test)]`, the index just past the
 /// item it gates (through its closing `}` or terminating `;`).
 fn skip_cfg_test_item(toks: &[Tok], i: usize) -> Option<usize> {
@@ -613,6 +720,34 @@ mod tests {
             rules_fired("let y = x.ln(); // rare path -- hl-lint: allow(libm-in-datapath)")
                 .is_empty()
         );
+    }
+
+    #[test]
+    fn dropped_refusals_of_group_issues() {
+        assert_eq!(
+            rules_fired("let _ = client.gwrite(w, eng, 0, &b, true, done);"),
+            ["dropped-refusal"]
+        );
+        assert_eq!(
+            rules_fired("let _ = self\n    .log\n    .truncate_to(w, eng, to, done);"),
+            ["dropped-refusal"]
+        );
+        assert_eq!(
+            rules_fired("GroupClient::gcas(&*c, w, eng, off, 0, 1, 7, done).ok();"),
+            ["dropped-refusal"]
+        );
+        // Not a group issue, a handled refusal, or a test item.
+        assert!(rules_fired("let _ = self.flush(0, n); let x = s.parse::<u64>().ok();").is_empty());
+        assert!(
+            rules_fired("if c.gwrite(w, eng, 0, &b, true, done).is_err() { retry(); }").is_empty()
+        );
+        assert!(
+            rules_fired("#[cfg(test)]\nfn t() { let _ = c.gflush(w, eng, 0, 8, d); }").is_empty()
+        );
+        assert!(rules_fired(
+            "// opportunistic -- hl-lint: allow(dropped-refusal)\nlet _ = log.truncate_to(w, eng, 8, d);"
+        )
+        .is_empty());
     }
 
     #[test]

@@ -287,6 +287,14 @@ pub fn build_model(root: &Path, crates: &[CrateInfo]) -> std::io::Result<Model> 
                     }
                     continue;
                 }
+                if finding.rule == "dropped-refusal" {
+                    // About its own call site, not about determinism:
+                    // reported where it stands, never a taint source.
+                    if c.sim {
+                        m.direct.push(finding);
+                    }
+                    continue;
+                }
                 let holder = innermost_fn(&syms.fns, finding.line).map(|i| fn_base + i);
                 if c.sim {
                     m.direct.push(finding.clone());

@@ -40,6 +40,8 @@ fixture_tests! {
     rand_raw_fixture: "rand_raw.rs" => "rand-raw",
     wire_truncation_fixture: "wire_truncation.rs" => "wire-truncation",
     libm_in_datapath_fixture: "libm_in_datapath.rs" => "libm-in-datapath",
+    dropped_refusal_let_fixture: "dropped_refusal_let.rs" => "dropped-refusal",
+    dropped_refusal_ok_fixture: "dropped_refusal_ok.rs" => "dropped-refusal",
 }
 
 /// Every rule name used by a fixture is registered in [`hl_analysis::RULES`]
@@ -57,6 +59,7 @@ fn fixture_rules_are_registered() {
         "rand-raw",
         "wire-truncation",
         "libm-in-datapath",
+        "dropped-refusal",
     ] {
         assert!(registered.contains(&rule), "{rule} not in RULES");
     }

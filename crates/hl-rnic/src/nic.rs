@@ -86,6 +86,8 @@ pub enum NicOutput {
         cqe: Cqe,
     },
     /// Call [`Nic::finish_local`] at time `at` (loopback DMA / atomic).
+    /// One QP's local ops are emitted with non-decreasing `at`, in
+    /// posting order ([`Qp::local_done`]).
     DoLocal {
         /// Absolute completion time of the local operation.
         at: SimTime,
@@ -946,16 +948,20 @@ impl Nic {
                     out,
                 );
             }
-            Opcode::LocalCopy => {
-                let at = t + self.jit(self.profile.dma_time(wqe.len as usize));
-                out.push(NicOutput::DoLocal { at, qpn, wqe });
-            }
-            Opcode::LocalCas => {
-                let at = t + self.jit(self.profile.wqe_process);
-                out.push(NicOutput::DoLocal { at, qpn, wqe });
-            }
-            Opcode::LocalFlush => {
-                let at = t + self.jit(self.profile.cache_flush);
+            Opcode::LocalCopy | Opcode::LocalCas | Opcode::LocalFlush => {
+                let cost = match wqe.opcode {
+                    Opcode::LocalCopy => self.profile.dma_time(wqe.len as usize),
+                    Opcode::LocalCas => self.profile.wqe_process,
+                    _ => self.profile.cache_flush,
+                };
+                // In posting order: a local op never completes before the
+                // one posted ahead of it on this QP, so a LOCAL_FLUSH
+                // covers the LOCAL_COPY before it, and the next op's copy
+                // lands after that flush.
+                let at = t + self.jit(cost);
+                let qp = &mut self.qps[qpn as usize];
+                let at = at.max(qp.local_done);
+                qp.local_done = at;
                 out.push(NicOutput::DoLocal { at, qpn, wqe });
             }
             // `advance_sq` consumes WAIT slots itself and never forwards

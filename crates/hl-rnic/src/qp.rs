@@ -240,6 +240,11 @@ pub struct Qp {
     pub parked: bool,
     /// Earliest time the send engine is free (serializes WQE processing).
     pub busy_until: hl_sim::SimTime,
+    /// Completion time of the newest local op (`LocalCopy`, `LocalCas`,
+    /// `LocalFlush`) this QP executed. Local ops complete in posting
+    /// order, as RC orders a QP's work requests: each finishes at the
+    /// later of its own time and this one.
+    pub local_done: hl_sim::SimTime,
     /// Operational state.
     pub state: QpState,
     /// Retransmit protocol configuration; `None` = legacy fire-and-forget
@@ -277,6 +282,7 @@ impl Qp {
             fenced: false,
             parked: false,
             busy_until: hl_sim::SimTime::ZERO,
+            local_done: hl_sim::SimTime::ZERO,
             state: QpState::default(),
             timeout: None,
             next_psn: 0,

@@ -3,7 +3,7 @@
 //! The MongoDB-like path: the front-end (integrated with the client)
 //! appends the operation to the replicated journal while it takes a
 //! group write lock, then executes it on all replicas with
-//! `ExecuteAndAdvance` and truncates the journal while it unlocks —
+//! `ExecuteAndAdvance`, truncates the journal and unlocks in one go —
 //! "completely offloads both critical and off-the-critical path
 //! operations for write transactions to the NIC while providing strong
 //! consistency across the replicas".
@@ -30,7 +30,8 @@ pub struct DocLayout {
     pub slot_size: u64,
     /// Number of slots.
     pub n_slots: u64,
-    /// Offset of the group write-lock word.
+    /// Offset of the group write-lock cell (16 bytes, see
+    /// [`GroupLock`]).
     pub lock_off: u64,
 }
 
@@ -68,11 +69,8 @@ const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
 struct Txn {
     done: Option<OnDone>,
     /// Round trips of the current step not yet completed: the append
-    /// and `wrLock`, then the head copy and `wrUnlock`.
+    /// and `wrLock`, then the execute and `wrUnlock`.
     pending: u8,
-    /// Whether the execute has been issued (the step in flight is the
-    /// last).
-    executing: bool,
 }
 
 type TxnRef = Rc<RefCell<Txn>>;
@@ -112,22 +110,23 @@ impl<C: GroupClient + 'static> DocStore<C> {
         (id % layout.n_slots) * layout.slot_size
     }
 
-    /// Upsert a document in three dependent group round trips:
+    /// Upsert a document in two dependent group round trips:
     ///
     /// 1. the journal append (one gWRITE of a self-delimiting frame) ∥
     ///    `wrLock` (gWRITE ring ∥ gCAS ring);
-    /// 2. `ExecuteAndAdvance`: one gMEMCPY per redo entry, applied by
-    ///    every replica's NIC from its own journal copy;
-    /// 3. `wrUnlock` ∥ the head (truncation) copy, an 8-byte gMEMCPY of
-    ///    the record's end cursor onto the head word.
+    /// 2. `ExecuteAndAdvance` (a gMEMCPY per redo entry, applied by each
+    ///    replica's NIC from its own journal copy, then the head copy)
+    ///    and `wrUnlock`, issued back to back on the gMEMCPY ring, which
+    ///    applies them on each member in issue order, each after the
+    ///    previous one's flush.
     ///
-    /// `done` fires once both of step 3 are ACKed: the document is
-    /// applied and flushed on every member, the lock word is free and
-    /// the head is persisted. Contended lock attempts back off 20 µs and
-    /// retry; steps the client refuses for ring credits are re-issued
-    /// after 50 µs. Without locks step 1 is the append alone and step 3
-    /// the head copy alone. `Err` means the append itself was refused
-    /// and nothing else was issued.
+    /// `done` fires once step 2 is ACKed: the document is applied and
+    /// flushed on every member, the lock word is free and the head is
+    /// persisted. Contended lock attempts back off 20 µs and retry;
+    /// steps the client refuses for ring credits are re-issued after
+    /// 50 µs. Without locks step 1 is the append alone and step 2 the
+    /// execute alone. `Err` means the append itself was refused and
+    /// nothing else was issued.
     pub fn upsert(
         &self,
         w: &mut World,
@@ -151,38 +150,18 @@ impl<C: GroupClient + 'static> DocStore<C> {
         let txn = Rc::new(RefCell::new(Txn {
             done: Some(done),
             pending: 1 + use_locks as u8,
-            executing: false,
         }));
         let (handle, t) = (self.clone(), txn.clone());
         self.inner.borrow_mut().log.append(
             w,
             eng,
             &rec,
-            Box::new(move |w, eng, r| handle.arrive(w, eng, &t, r)),
+            Box::new(move |w, eng, _| handle.ready(w, eng, t)),
         )?;
         if use_locks {
             self.wr_lock(w, eng, txn);
         }
         Ok(())
-    }
-
-    /// One of the current step's round trips has completed; when it was
-    /// the last, start the next step.
-    fn arrive(&self, w: &mut World, eng: &mut Engine<World>, txn: &TxnRef, r: OpResult) {
-        let mut t = txn.borrow_mut();
-        t.pending -= 1;
-        if t.pending > 0 {
-            return;
-        }
-        if !t.executing {
-            drop(t);
-            self.execute(w, eng, txn.clone());
-            return;
-        }
-        let done = t.done.take().expect("an upsert completes once");
-        drop(t);
-        self.inner.borrow_mut().committed += 1;
-        done(w, eng, r);
     }
 
     fn wr_lock(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
@@ -191,7 +170,7 @@ impl<C: GroupClient + 'static> DocStore<C> {
             w,
             eng,
             Box::new(move |w, eng, outcome| match outcome {
-                LockOutcome::Acquired => handle.arrive(w, eng, &t, OpResult::default()),
+                LockOutcome::Acquired => handle.ready(w, eng, t),
                 // Another transaction holds the group lock.
                 LockOutcome::Contended => {
                     eng.schedule(CONTENDED_BACKOFF, move |w, eng| handle.wr_lock(w, eng, t));
@@ -204,30 +183,32 @@ impl<C: GroupClient + 'static> DocStore<C> {
         }
     }
 
+    /// One of step 1's round trips is ACKed; the last one starts step 2.
+    fn ready(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
+        txn.borrow_mut().pending -= 1;
+        if txn.borrow().pending == 0 {
+            self.execute(w, eng, txn);
+        }
+    }
+
+    /// Step 2: the execute, then (in locking mode) the release behind it
+    /// on the gMEMCPY ring.
     fn execute(&self, w: &mut World, eng: &mut Engine<World>, txn: TxnRef) {
-        let use_locks = {
-            let inner = self.inner.borrow();
-            let mut t = txn.borrow_mut();
-            t.executing = true;
-            t.pending = 1 + inner.use_locks as u8;
-            inner.use_locks
-        };
-        let applied: OnDone = if use_locks {
-            let (handle, t) = (self.clone(), txn.clone());
-            Box::new(move |w, eng, _| handle.wr_unlock(w, eng, t))
-        } else {
-            Box::new(|_, _, _| {})
-        };
+        let use_locks = self.inner.borrow().use_locks;
+        txn.borrow_mut().pending = 1 + use_locks as u8;
         let (handle, t) = (self.clone(), txn.clone());
-        let persisted: OnDone = Box::new(move |w, eng, r| handle.arrive(w, eng, &t, r));
-        let res = self
-            .inner
-            .borrow_mut()
-            .log
-            .execute_and_advance(w, eng, applied, persisted);
-        if res.is_err() {
-            let handle = self.clone();
-            eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.execute(w, eng, txn));
+        let res = self.inner.borrow_mut().log.execute_and_advance(
+            w,
+            eng,
+            Box::new(move |w, eng, r| handle.commit(w, eng, &t, r)),
+        );
+        match res {
+            Ok(()) if use_locks => self.wr_unlock(w, eng, txn),
+            Ok(()) => {}
+            Err(Backpressure) => {
+                let handle = self.clone();
+                eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.execute(w, eng, txn));
+            }
         }
     }
 
@@ -236,12 +217,25 @@ impl<C: GroupClient + 'static> DocStore<C> {
         let res = self.inner.borrow().lock.wr_unlock(
             w,
             eng,
-            Box::new(move |w, eng, _| handle.arrive(w, eng, &t, OpResult::default())),
+            Box::new(move |w, eng, _| handle.commit(w, eng, &t, OpResult::default())),
         );
         if res.is_err() {
             let handle = self.clone();
             eng.schedule(REFUSED_BACKOFF, move |w, eng| handle.wr_unlock(w, eng, txn));
         }
+    }
+
+    /// One of step 2's round trips is ACKed; the last one fires `done`.
+    fn commit(&self, w: &mut World, eng: &mut Engine<World>, txn: &TxnRef, r: OpResult) {
+        let mut t = txn.borrow_mut();
+        t.pending -= 1;
+        if t.pending > 0 {
+            return;
+        }
+        let done = t.done.take().expect("an upsert completes once");
+        drop(t);
+        self.inner.borrow_mut().committed += 1;
+        done(w, eng, r);
     }
 
     /// Read a document from a member's database area (0 = client).

@@ -14,8 +14,11 @@ use hl_cluster::World;
 use hl_sim::{Engine, SimDuration};
 use hyperloop::api::{GroupClient, LogLayout, LogRecord, RedoEntry, ReplicatedLog};
 use hyperloop::{Backpressure, OnDone};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+
+/// Backoff before re-issuing a checkpoint header the client refused.
+const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
 
 /// Tag carried in `RedoEntry::db_offset` for kvlite WAL records (kvlite
 /// applies in memory; the offset field is repurposed as an op tag).
@@ -233,7 +236,8 @@ impl<C: GroupClient + 'static> KvDb<C> {
     /// a snapshot of the memtable into the checkpoint area at `db_off`
     /// (chunked gWRITE + gFLUSH), then truncate the whole log. `done`
     /// fires when the snapshot is durable group-wide and the log is
-    /// empty. Runs off the write critical path.
+    /// empty. A header gWRITE the client refuses is re-issued after a
+    /// backoff. Runs off the write critical path.
     pub fn checkpoint(
         &mut self,
         w: &mut World,
@@ -250,7 +254,7 @@ impl<C: GroupClient + 'static> KvDb<C> {
         let chunk = 8 << 10;
         let total_chunks = snap.len().div_ceil(chunk).max(1);
         let remaining = Rc::new(RefCell::new(total_chunks));
-        let done_cell: Rc<RefCell<Option<OnDone>>> = Rc::new(RefCell::new(Some(done)));
+        let done_cell = Rc::new(Cell::new(Some(done)));
         let client = self.client.clone();
         let snap_len = snap.len() as u32;
         let (_, tail) = self.log.cursors();
@@ -265,8 +269,7 @@ impl<C: GroupClient + 'static> KvDb<C> {
                 if *left == 0 {
                     drop(left);
                     // Commit the header; its ACK is the checkpoint.
-                    let done = done_cell.borrow_mut().take().unwrap();
-                    let _ = client2.gwrite(w, eng, base, &snap_len.to_le_bytes(), true, done);
+                    commit_header(client2, base, snap_len, w, eng, done_cell);
                 }
             });
             self.client.gwrite(w, eng, off, piece, true, cb)?;
@@ -305,10 +308,44 @@ impl<C: GroupClient + 'static> KvDb<C> {
             .unwrap_or(0);
         let (head, _) = self.log.cursors();
         if min_applied > head {
+            // Opportunistic: a refused truncation leaves the head where
+            // it was, and the next put's check issues it again.
+            // hl-lint: allow(dropped-refusal)
             let _ = self
                 .log
                 .truncate_to(w, eng, min_applied, Box::new(|_, _, _| {}));
         }
+    }
+}
+
+/// Write a checkpoint's header (the snapshot length) at `base` with a
+/// flushed gWRITE whose ACK fires `done`; while the client refuses it,
+/// re-issue it after [`REFUSED_BACKOFF`].
+fn commit_header<C: GroupClient + 'static>(
+    client: Rc<C>,
+    base: u64,
+    len: u32,
+    w: &mut World,
+    eng: &mut Engine<World>,
+    done: Rc<Cell<Option<OnDone>>>,
+) {
+    let pending = done.clone();
+    let res = client.gwrite(
+        w,
+        eng,
+        base,
+        &len.to_le_bytes(),
+        true,
+        Box::new(move |w, eng, r| {
+            if let Some(done) = pending.take() {
+                done(w, eng, r);
+            }
+        }),
+    );
+    if res.is_err() {
+        eng.schedule(REFUSED_BACKOFF, move |w, eng| {
+            commit_header(client, base, len, w, eng, done)
+        });
     }
 }
 

@@ -1,12 +1,14 @@
 //! kvlite checkpoint tests: memtable snapshots replicated to the
-//! checkpoint area, log truncation, and snapshot-based recovery.
+//! checkpoint area, log truncation, snapshot-based recovery, and a
+//! refused header gWRITE.
 
 use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
-use hl_sim::Engine;
+use hl_sim::{Engine, SimDuration};
 use hl_store::kv::{decode_snapshot, KvConfig, KvDb};
-use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
-use std::cell::RefCell;
+use hyperloop::api::GroupClient;
+use hyperloop::{replica, Backpressure, GroupBuilder, GroupConfig, HyperLoopClient, OnDone};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
@@ -77,10 +79,7 @@ fn checkpoint_replicates_snapshot_and_truncates() {
         w.hosts[h].mem.crash();
     }
     for m in 1..3 {
-        let base = {
-            use hyperloop::api::GroupClient;
-            client.member_addr(m, KvConfig::default().layout.db_off)
-        };
+        let base = client.member_addr(m, KvConfig::default().layout.db_off);
         let len = w.hosts[m].mem.read_u32(base).unwrap() as usize;
         let bytes = w.hosts[m].mem.read_vec(base + 4, len).unwrap();
         let recovered = decode_snapshot(&bytes).expect("durable snapshot decodes");
@@ -136,5 +135,122 @@ fn checkpoint_then_more_writes_keeps_log_small() {
     // All 20 keys readable.
     for k in 0..20u32 {
         assert!(db.get(format!("a{k}").as_bytes()).is_some(), "a{k}");
+    }
+}
+
+/// A client that refuses the first gWRITE of a checkpoint header (4
+/// bytes at the checkpoint area) as if its ring were out of credits.
+struct RefuseHeader {
+    inner: Rc<HyperLoopClient>,
+    header_at: u64,
+    headers: Cell<u32>,
+}
+
+impl GroupClient for RefuseHeader {
+    fn gwrite(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        data: &[u8],
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        if offset == self.header_at && data.len() == 4 {
+            self.headers.set(self.headers.get() + 1);
+            if self.headers.get() == 1 {
+                return Err(Backpressure);
+            }
+        }
+        self.inner.gwrite(w, eng, offset, data, flush, done)
+    }
+    fn gmemcpy(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        src_off: u64,
+        dst_off: u64,
+        len: u32,
+        flush: bool,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gmemcpy(&*self.inner, w, eng, src_off, dst_off, len, flush, done)
+    }
+    fn gcas(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        cmp: u64,
+        swp: u64,
+        exec_map: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gcas(&*self.inner, w, eng, offset, cmp, swp, exec_map, done)
+    }
+    fn gflush(
+        &self,
+        w: &mut World,
+        eng: &mut Engine<World>,
+        offset: u64,
+        len: u32,
+        done: OnDone,
+    ) -> Result<u32, Backpressure> {
+        GroupClient::gflush(&*self.inner, w, eng, offset, len, done)
+    }
+    fn group_size(&self) -> usize {
+        self.inner.group_size()
+    }
+    fn member_addr(&self, m: usize, offset: u64) -> u64 {
+        self.inner.member_addr(m, offset)
+    }
+    fn member_host(&self, m: usize) -> HostId {
+        GroupClient::member_host(&*self.inner, m)
+    }
+}
+
+/// A header gWRITE the client refuses is re-issued after a backoff, not
+/// dropped: the checkpoint's `done` still fires, and every member holds
+/// the snapshot under a durable header.
+#[test]
+fn refused_checkpoint_header_is_reissued() {
+    let (mut w, mut eng, inner) = setup();
+    let cfg = KvConfig::default();
+    let client = Rc::new(RefuseHeader {
+        inner,
+        header_at: cfg.layout.db_off,
+        headers: Cell::new(0),
+    });
+    let mut db = KvDb::open(client.clone(), cfg.clone(), &mut w, &mut eng);
+    let acks = Rc::new(RefCell::new(0u32));
+    for k in 0..10u32 {
+        let a = acks.clone();
+        db.put(
+            &mut w,
+            &mut eng,
+            format!("h{k}").as_bytes(),
+            b"v",
+            Box::new(move |_w, _e, _r| *a.borrow_mut() += 1),
+        )
+        .unwrap();
+        drain(&mut eng, &mut w, &acks, k + 1);
+    }
+    let done = Rc::new(RefCell::new(0u32));
+    let d = done.clone();
+    db.checkpoint(
+        &mut w,
+        &mut eng,
+        Box::new(move |_w, _e, _r| *d.borrow_mut() += 1),
+    )
+    .unwrap();
+    eng.run_until(&mut w, eng.now() + SimDuration::from_millis(5));
+    assert_eq!(*done.borrow(), 1, "the checkpoint completed");
+    assert_eq!(client.headers.get(), 2, "refused once, then issued");
+    for m in 0..3 {
+        let header = client.member_addr(m, cfg.layout.db_off);
+        let host = client.member_host(m);
+        assert!(w.hosts[host.0].mem.is_durable(header, 4), "member {m}");
+        let snap = db.read_checkpoint(&w, m).expect("checkpoint on member");
+        assert_eq!(snap.len(), 10, "member {m}");
     }
 }

@@ -207,13 +207,14 @@ impl Issued {
 }
 
 /// A [`GroupClient`] that records every operation it forwards (issue
-/// and ACK instants) and can refuse the `n`-th unlock gCAS or gMEMCPY
-/// as if its ring were out of credits.
+/// and ACK instants) and can refuse the `n`-th gCAS that frees the lock
+/// word (a partial `wrLock`'s undo) or the `n`-th gMEMCPY as if its
+/// ring were out of credits.
 struct Probe {
     inner: Rc<HyperLoopClient>,
     ops: Rc<RefCell<Vec<Issued>>>,
-    unlocks: Cell<u32>,
-    refuse_unlock: u32,
+    undos: Cell<u32>,
+    refuse_undo: u32,
     copies: Cell<u32>,
     refuse_copy: u32,
 }
@@ -223,8 +224,8 @@ impl Probe {
         Probe {
             inner,
             ops: Rc::new(RefCell::new(Vec::new())),
-            unlocks: Cell::new(0),
-            refuse_unlock: 0,
+            undos: Cell::new(0),
+            refuse_undo: 0,
             copies: Cell::new(0),
             refuse_copy: 0,
         }
@@ -304,8 +305,8 @@ impl GroupClient for Probe {
         done: OnDone,
     ) -> Result<u32, Backpressure> {
         if swp == lockword::FREE {
-            self.unlocks.set(self.unlocks.get() + 1);
-            if self.unlocks.get() == self.refuse_unlock {
+            self.undos.set(self.undos.get() + 1);
+            if self.undos.get() == self.refuse_undo {
                 return Err(Backpressure);
             }
         }
@@ -412,11 +413,12 @@ fn upsert_each<C: GroupClient + 'static>(
     fired
 }
 
-/// One upsert is three dependent round trips of five operations: the
-/// append's one gWRITE and the wrLock gCAS leave together, the document
-/// gMEMCPY leaves when both are ACKed, wrUnlock and the head gMEMCPY
-/// (the record's end cursor onto the head word) leave together when the
-/// document copy is ACKed, and `done` fires when both of those are.
+/// One upsert is two dependent round trips of five operations: the
+/// append's one gWRITE and the wrLock gCAS leave together; when both
+/// are ACKed, the document gMEMCPY, the head gMEMCPY (the record's end
+/// cursor onto the head word) and the release gMEMCPY (the lock cell's
+/// FREE word onto the lock word) leave back to back in that order, are
+/// ACKed in that order, and `done` fires at the last ACK.
 #[test]
 fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
     let (mut w, mut eng, client) = setup();
@@ -427,25 +429,27 @@ fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
     let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
 
     let ops = probe.ops();
-    let find = |what: &str, f: &dyn Fn(&Issued) -> bool| -> Issued {
-        let hits: Vec<_> = ops.iter().filter(|o| f(o)).copied().collect();
+    let find = |what: &str, f: &dyn Fn(&Issued) -> bool| -> (usize, Issued) {
+        let hits: Vec<_> = ops.iter().enumerate().filter(|(_, o)| f(o)).collect();
         assert_eq!(hits.len(), 1, "one {what}: {ops:?}");
-        hits[0]
+        (hits[0].0, *hits[0].1)
     };
-    let record = find("record gWRITE", &|o| o.prim == Prim::Write);
-    let copy = find("document gMEMCPY", &|o| {
-        o.prim == Prim::Copy && o.arg >= log.db_off
-    });
-    let head = find("head gMEMCPY", &|o| {
-        o.prim == Prim::Copy && o.arg == log.log_off
-    });
-    let lock = find("wrLock", &|o| {
+    let (_, record) = find("record gWRITE", &|o| o.prim == Prim::Write);
+    let (_, lock) = find("wrLock", &|o| {
         o.prim == Prim::Cas && o.swp == lockword::writer(1)
     });
-    let unlock = find("wrUnlock", &|o| {
-        o.prim == Prim::Cas && o.swp == lockword::FREE
+    let (i, copy) = find("document gMEMCPY", &|o| {
+        o.prim == Prim::Copy && o.arg >= log.db_off
+    });
+    let (j, head) = find("head gMEMCPY", &|o| {
+        o.prim == Prim::Copy && o.arg == log.log_off
+    });
+    let (k, release) = find("release gMEMCPY", &|o| {
+        o.prim == Prim::Copy && o.arg == layout.lock_off
     });
     assert_eq!(ops.len(), 5, "{ops:?}");
+    assert_eq!((j, k), (i + 1, i + 2), "copy, head, release in issue order");
+    assert_eq!(release.offset, layout.lock_off + 8, "the cell's FREE word");
 
     // The journal holds the one record; the head copy read its end
     // cursor, and every member's head word now holds it.
@@ -454,25 +458,31 @@ fn upsert_overlaps_append_with_lock_and_unlock_with_truncation() {
     assert_eq!(record.offset, log.ring_off());
     assert_eq!(head.offset, log.ring_off() + end - 8, "the end cursor");
     assert_eq!(words(&w, &*probe, log.log_off), vec![end; 3]);
+    assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
 
     assert_eq!(record.at, lock.at, "append ∥ wrLock");
     let both = record.acked.unwrap().max(lock.acked.unwrap());
     assert_eq!(copy.at, both, "execute waits for the append and the lock");
-    assert_eq!(unlock.at, copy.acked.unwrap(), "wrUnlock at apply time");
-    assert_eq!(head.at, unlock.at, "wrUnlock ∥ head copy");
-    let last = unlock.acked.unwrap().max(head.acked.unwrap());
-    assert_eq!(fired, vec![last], "done after both");
+    assert_eq!(head.at, copy.at, "the head copy rides behind the document");
+    assert_eq!(release.at, copy.at, "and the release behind the head");
+    let acks = [copy, head, release].map(|o| o.acked.unwrap());
+    assert!(
+        acks[0] <= acks[1] && acks[1] <= acks[2],
+        "ACKed in issue order: {acks:?}"
+    );
+    assert_eq!(fired, vec![acks[2]], "done at the last ACK");
     assert_eq!(store.committed(), 1);
 }
 
-/// A refused unlock gCAS is re-issued after a backoff: `done` fires, the
-/// upsert counts, and the lock word ends free everywhere, so the next
-/// upsert takes the lock at once.
+/// A refused release gMEMCPY is re-issued after a backoff: `done`
+/// fires, the upsert counts, and the lock word ends free everywhere, so
+/// the next upsert takes the lock at once.
 #[test]
 fn refused_unlock_is_retried() {
     let (mut w, mut eng, client) = setup();
+    // gMEMCPYs 1 and 2 are the document and head copies; 3 the release.
     let probe = Rc::new(Probe {
-        refuse_unlock: 1,
+        refuse_copy: 3,
         ..Probe::new(client)
     });
     let layout = DocLayout::default();
@@ -480,7 +490,19 @@ fn refused_unlock_is_retried() {
     let fired = upsert_each(&mut w, &mut eng, &store, &[doc(5, "x")]);
     assert_eq!(fired.len(), 1);
     assert_eq!(store.committed(), 1);
-    assert_eq!(probe.unlocks.get(), 2, "refused once, then issued");
+    assert_eq!(
+        probe.copies.get(),
+        4,
+        "the release refused once, then issued"
+    );
+    let releases = |probe: &Probe| {
+        probe
+            .ops()
+            .iter()
+            .filter(|o| o.prim == Prim::Copy && o.arg == layout.lock_off)
+            .count()
+    };
+    assert_eq!(releases(&probe), 1);
     assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
 
     upsert_each(&mut w, &mut eng, &store, &[doc(6, "y")]);
@@ -490,6 +512,7 @@ fn refused_unlock_is_retried() {
         .filter(|o| o.prim == Prim::Cas && o.swp != lockword::FREE)
         .count();
     assert_eq!(locks, 2, "the second upsert's wrLock was not contended");
+    assert_eq!(releases(&probe), 2);
     assert_eq!(store.committed(), 2);
 }
 
@@ -499,10 +522,10 @@ fn refused_unlock_is_retried() {
 #[test]
 fn refused_copy_is_retried() {
     let (mut w, mut eng, client) = setup();
-    // gMEMCPY 2 is the first upsert's head copy; 3 is the second
-    // upsert's document copy.
+    // gMEMCPYs 1-3 are the first upsert's document, head and release
+    // copies; 4 is the second upsert's document copy.
     let probe = Rc::new(Probe {
-        refuse_copy: 3,
+        refuse_copy: 4,
         ..Probe::new(client)
     });
     let layout = DocLayout::default();
@@ -513,8 +536,8 @@ fn refused_copy_is_retried() {
     assert_eq!(store.committed(), 3);
     assert_eq!(
         probe.copies.get(),
-        7,
-        "three document copies, three head copies and the refused one"
+        10,
+        "three document copies, three head copies, three releases and the refused one"
     );
     for d in &docs {
         for m in 0..3 {
@@ -580,7 +603,8 @@ fn two_stores_contend_for_one_group_lock() {
     assert_eq!((stores[0].committed(), stores[1].committed()), (4, 2));
 
     // Replay the probe's record: lock handovers, and which copy landed
-    // in each slot last (the gMEMCPY ring is FIFO).
+    // in each slot last (the gMEMCPY ring is FIFO). A release is the
+    // gMEMCPY onto the lock word, issued behind its store's own copies.
     let owner_of_log = |src: u64| if src >= two.log.log_off { 2 } else { 1 };
     let mut events: Vec<(SimTime, u8, Issued)> = Vec::new();
     for o in probe.ops() {
@@ -589,6 +613,8 @@ fn two_stores_contend_for_one_group_lock() {
     }
     events.sort_by_key(|(t, phase, _)| (*t, *phase));
     let mut holder = None;
+    let mut copier = None;
+    let mut releases = 0;
     let mut last_copy = std::collections::BTreeMap::new();
     for (_, phase, o) in &events {
         match (o.prim, phase) {
@@ -596,15 +622,12 @@ fn two_stores_contend_for_one_group_lock() {
                 assert_eq!(holder, None, "two holders");
                 holder = Some(o.swp & !lockword::WRITER);
             }
-            // A release on every member; a partial `wrLock`'s undo
-            // covers only the members it swapped.
-            (Prim::Cas, 1) if o.swp == lockword::FREE && o.map == 0b111 => {
-                assert_eq!(
-                    holder,
-                    Some(o.arg & !lockword::WRITER),
-                    "unlock by the holder"
-                );
+            (Prim::Copy, 1) if o.arg == one.lock_off => {
+                assert_eq!(o.offset, one.lock_off + 8, "the FREE word");
+                assert!(holder.is_some(), "release of a free lock");
+                assert_eq!(holder, copier, "unlock by the holder");
                 holder = None;
+                releases += 1;
             }
             (Prim::Copy, 1) => {
                 assert_eq!(
@@ -612,12 +635,14 @@ fn two_stores_contend_for_one_group_lock() {
                     Some(owner_of_log(o.offset)),
                     "copy outside the lock"
                 );
+                copier = holder;
                 last_copy.insert(o.arg, o.offset);
             }
             _ => {}
         }
     }
     assert_eq!(holder, None);
+    assert_eq!(releases, writes.len());
 
     for id in [5u64, 6, 7] {
         let dst = one.log.db_off + id * one.slot_size;
@@ -698,7 +723,7 @@ fn refused_lock_undo_is_retried() {
     let (mut w, mut eng, client) = setup();
     // The first gCAS that frees the word is the partial wrLock's undo.
     let probe = Rc::new(Probe {
-        refuse_unlock: 1,
+        refuse_undo: 1,
         ..Probe::new(client)
     });
     let layout = DocLayout::default();
@@ -721,9 +746,9 @@ fn refused_lock_undo_is_retried() {
         .collect();
     assert!(!undos.is_empty());
     assert_eq!(
-        probe.unlocks.get() as usize,
-        undos.len() + 2,
-        "the refused undo, every undo issued, and the wrUnlock"
+        probe.undos.get() as usize,
+        undos.len() + 1,
+        "the refused undo and every undo issued (the release is a gMEMCPY)"
     );
     assert_eq!(words(&w, &*probe, layout.lock_off), vec![0; 3]);
 }
@@ -743,9 +768,9 @@ fn numbered_record(i: usize, n: usize) -> LogRecord {
 /// on each member, the durable scan of each journal is a prefix of what
 /// was appended that holds every ACKed record, and the durable head is
 /// the end of a record and never passes one whose document copy is not
-/// durable there, nor one whose document copy the group has not ACKed
-/// (a head copy issued beside the document copies breaks that on the
-/// first member it reaches).
+/// durable there. Recovery reads one member's head and slots, so that
+/// member-local rule is the whole contract: the client member applies
+/// the head at issue, long before the group ACKs anything.
 #[test]
 fn crash_at_every_event_boundary_keeps_acked_records_and_applied_heads() {
     // Small arenas: every member's NVM is cloned at every boundary.
@@ -836,17 +861,6 @@ fn crash_at_every_event_boundary_keeps_acked_records_and_applied_heads() {
                 .count()
         };
         let doc_acked = acked(ring, ring + layout.log.log_cap);
-        // Records whose document copy the group has ACKed: the copy's
-        // source lies in the record's frame.
-        let applied_everywhere = |i: usize| {
-            let frame = ring + ends[i] - journaled[i].frame_len()..ring + ends[i];
-            probe.ops().iter().any(|o| {
-                o.prim == Prim::Copy
-                    && o.arg != layout.log.log_off
-                    && frame.contains(&o.offset)
-                    && o.acked.is_some()
-            })
-        };
         for m in 0..3 {
             let mut mem = w.hosts[probe.member_host(m).0].mem.clone();
             mem.crash();
@@ -873,12 +887,7 @@ fn crash_at_every_event_boundary_keeps_acked_records_and_applied_heads() {
                 head == 0 || (applied > 0 && ends[applied - 1] == head && applied <= got.len()),
                 "member {m}: durable head {head} is not the end of a durable record"
             );
-            for (i, d) in docs[..applied].iter().enumerate() {
-                assert!(
-                    applied_everywhere(i),
-                    "member {m}: the durable head passed doc {} before its copy was ACKed",
-                    d.id
-                );
+            for d in &docs[..applied] {
                 let slot = read(
                     layout.log.db_off + d.id * layout.slot_size,
                     layout.slot_size,
@@ -909,4 +918,177 @@ fn crash_at_every_event_boundary_keeps_acked_records_and_applied_heads() {
     }
     assert_eq!(wal_acked.get(), records.len());
     assert!(boundaries > 100, "{boundaries} boundaries");
+}
+
+/// Which group client a crash probe runs on.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    HyperLoop,
+    Naive,
+}
+
+/// Violations a crash probe found, summed over members and boundaries.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Violations {
+    /// A durable head past a record whose document is not durable.
+    head_before_document: usize,
+    /// A lock word seen held that reads free before the document it
+    /// guarded is durable.
+    release_before_document: usize,
+}
+
+/// `n` upserts, one after another, each to a slot of its own, on a
+/// g = 3 group whose NICs take a memory-bus contention hit on half their
+/// local DMAs. At every event boundary every member's NVM is cloned and
+/// crashed. On each member: the durable head never passes a record
+/// whose document is not durable there, and once the lock word has been
+/// seen held, finding it free means the document of the upsert in
+/// flight is durable there.
+fn doc_crash_probe(backend: Backend, seed: u64, n: u64) -> Violations {
+    let profile = hl_sim::config::HwProfile {
+        nic: hl_sim::config::NicProfile {
+            contention_prob: 0.5,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (mut w, mut eng) = ClusterBuilder::new(3)
+        .arena_size(1 << 20)
+        .profile(profile)
+        .seed(seed)
+        .build();
+    let (client, replicas) = (HostId(0), vec![HostId(1), HostId(2)]);
+    let rep_bytes = 256 << 10;
+    match backend {
+        Backend::HyperLoop => {
+            let group = GroupBuilder::new(GroupConfig {
+                client,
+                replicas,
+                rep_bytes,
+                ring_slots: 64,
+                ..Default::default()
+            })
+            .build(&mut w);
+            replica::start_replenishers(&group, &mut w, &mut eng);
+            let c = Rc::new(HyperLoopClient::new(group, &mut w));
+            crash_every_boundary(&mut w, &mut eng, c, n)
+        }
+        Backend::Naive => {
+            let c = hyperloop::naive::NaiveBuilder::new(hyperloop::naive::NaiveConfig {
+                client,
+                replicas,
+                rep_bytes,
+                ring_slots: 64,
+                ..Default::default()
+            })
+            .build(&mut w, &mut eng);
+            crash_every_boundary(&mut w, &mut eng, Rc::new(c), n)
+        }
+    }
+}
+
+fn crash_every_boundary<C: GroupClient + 'static>(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    client: Rc<C>,
+    n: u64,
+) -> Violations {
+    let layout = DocLayout {
+        log: LogLayout {
+            log_off: 64,
+            log_cap: 32 << 10,
+            db_off: 64 << 10,
+        },
+        n_slots: 64,
+        ..Default::default()
+    };
+    let store = DocStore::open(client.clone(), layout.clone(), 1, true);
+    let docs: Vec<Document> = (0..n).map(|id| doc(id, &format!("v{id}"))).collect();
+    let mut ends = Vec::new();
+    let g = client.group_size();
+    let mut found = Violations::default();
+    // Per member: documents checked durable, and whether the lock word
+    // has been seen held during the upsert in flight.
+    let (mut durable, mut held) = (vec![0usize; g], vec![false; g]);
+    let done = Rc::new(Cell::new(0u64));
+    for (k, d) in docs.iter().enumerate() {
+        let f = done.clone();
+        store
+            .upsert(w, eng, d, Box::new(move |_, _, _| f.set(f.get() + 1)))
+            .unwrap();
+        let frame = LogRecord {
+            entries: vec![RedoEntry {
+                db_offset: d.id * layout.slot_size,
+                data: d.encode_slot(layout.slot_size as usize),
+            }],
+        }
+        .frame_len();
+        // The journal's record ring closes a lap with a pad frame.
+        let tail = ends.last().copied().unwrap_or(0);
+        let at = tail % layout.log.log_cap;
+        let pad = if at + frame > layout.log.log_cap {
+            layout.log.log_cap - at
+        } else {
+            0
+        };
+        ends.push(tail + pad + frame);
+        let deadline = eng.now() + SimDuration::from_millis(50);
+        while done.get() <= k as u64 {
+            assert!(eng.now() < deadline, "upsert {k} not settled after 50 ms");
+            assert!(eng.step(w));
+            for m in 0..g {
+                let live = &w.hosts[client.member_host(m).0].mem;
+                let base = client.member_addr(m, 0);
+                let mut mem = live.clone();
+                mem.crash();
+                let slot_of = |d: &Document| {
+                    let off = base + layout.log.db_off + d.id * layout.slot_size;
+                    Document::decode_slot(mem.read(off, layout.slot_size as usize).unwrap())
+                };
+                let head = mem.read_u64(base + layout.log.log_off).unwrap();
+                let applied = ends.iter().take_while(|&&e| e <= head).count();
+                while durable[m] < applied {
+                    if slot_of(&docs[durable[m]]).as_ref() != Some(&docs[durable[m]]) {
+                        found.head_before_document += 1;
+                        break;
+                    }
+                    durable[m] += 1;
+                }
+                let word = live.read_u64(base + layout.lock_off).unwrap();
+                if word != lockword::FREE {
+                    held[m] = true;
+                } else if held[m] {
+                    held[m] = false;
+                    if slot_of(d).as_ref() != Some(d) {
+                        found.release_before_document += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(store.committed(), n);
+    found
+}
+
+/// Nothing an upsert promised can be lost to a crash on one member, and
+/// no reader there can see the lock free before the document is durable.
+#[test]
+fn crash_at_every_event_boundary_keeps_documents_under_head_and_lock() {
+    for seed in [73, 2] {
+        let found = doc_crash_probe(Backend::HyperLoop, seed, 40);
+        assert_eq!(found, Violations::default(), "seed {seed}");
+    }
+}
+
+/// The same probe over seeds 1–16 on both backends:
+/// `cargo test -p hl-store --test doc_edge -- --ignored`.
+#[test]
+#[ignore = "seed grid for CI's durability-grid job"]
+fn doc_crash_probe_grid() {
+    for seed in 1..=16 {
+        for backend in [Backend::HyperLoop, Backend::Naive] {
+            let found = doc_crash_probe(backend, seed, 40);
+            assert_eq!(found, Violations::default(), "{backend:?} seed {seed}");
+        }
+    }
 }

@@ -11,8 +11,9 @@
 //!   record is a redo-log ... list of modifications"), stored as
 //!   self-delimiting frames that [`FrameReader`] reads back from any
 //!   member's copy ([`LogLayout`] has the format).
-//! * [`GroupLock`] — `wrLock`/`wrUnlock` (group-wide, via gCAS with
-//!   undo on partial acquisition) and `rdLock`/`rdUnlock` (per-member
+//! * [`GroupLock`] — `wrLock` (group-wide, via gCAS with undo on
+//!   partial acquisition), `wrUnlock` (a gMEMCPY of a FREE word, ordered
+//!   behind the copies before it) and `rdLock`/`rdUnlock` (per-member
 //!   reader counting, letting every replica serve consistent reads).
 
 use crate::group::{Backpressure, OnDone, OpResult};
@@ -25,6 +26,16 @@ use std::rc::Rc;
 
 /// Uniform surface over [`HyperLoopClient`] and
 /// [`crate::naive::NaiveClient`].
+///
+/// **Ordering.** gMEMCPYs issued through one client apply on each
+/// member in issue order, each after the previous one's flush: the
+/// client applies its own copy at issue, a HyperLoop replica's NIC
+/// completes its loopback QP's local ops in posting order, and a Naive
+/// replica's one process applies descriptors first in, first out. So a
+/// gMEMCPY lands on a member only after every gMEMCPY issued before it
+/// is there, flushed if it asked to be. Nothing orders one primitive's
+/// ops against another's: a gWRITE and a gMEMCPY issued back to back
+/// may land in either order.
 pub trait GroupClient {
     /// Replicate `data` at `offset`; optionally durable before ACK.
     fn gwrite(
@@ -328,8 +339,9 @@ fn encoded_len_at(b: &[u8]) -> Option<usize> {
 ///
 /// The head word holds the cursor of the oldest record not yet applied.
 /// An execute persists it by copying the newest applied record's end
-/// cursor onto it ([`ReplicatedLog::execute_and_advance`]); a log whose
-/// records are applied elsewhere writes it ([`ReplicatedLog::truncate_to`]).
+/// cursor onto it, behind that record's copies on the gMEMCPY ring
+/// ([`ReplicatedLog::execute_and_advance`]); a log whose records are
+/// applied elsewhere writes it ([`ReplicatedLog::truncate_to`]).
 #[derive(Debug, Clone)]
 pub struct LogLayout {
     /// Offset of the head word.
@@ -421,8 +433,7 @@ impl<'a> Iterator for FrameReader<'a> {
     }
 }
 
-/// Backoff before re-issuing a head copy or a lock-path gCAS the client
-/// refused.
+/// Backoff before re-issuing a lock-path gCAS the client refused.
 const REFUSED_BACKOFF: SimDuration = SimDuration::from_micros(50);
 
 /// One redo entry of a record appended but not yet executed: a gMEMCPY
@@ -445,10 +456,7 @@ struct LogShared<C: GroupClient> {
     /// One past the newest record whose append has been ACKed: every
     /// record before it is durable on every member.
     acked: Cell<u64>,
-    /// One past the newest record whose copies have all landed: the
-    /// head a head copy may persist.
-    landed: Cell<u64>,
-    /// The newest head a head copy has persisted on every member.
+    /// The newest head an execute has persisted on every member.
     durable: Cell<u64>,
 }
 
@@ -464,9 +472,6 @@ pub struct ReplicatedLog<C: GroupClient> {
     /// Track appended records for `execute_and_advance` (on by default;
     /// kvlite applies at replicas instead and truncates explicitly).
     track_unapplied: bool,
-    /// The newest execute issued, so an execute with nothing of its own
-    /// to apply can wait for the copies still in flight.
-    last: Option<Rc<RefCell<Execution<C>>>>,
 }
 
 impl<C: GroupClient + 'static> ReplicatedLog<C> {
@@ -483,14 +488,12 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
                 client,
                 layout,
                 acked: Cell::new(0),
-                landed: Cell::new(0),
                 durable: Cell::new(0),
             }),
             head: 0,
             tail: 0,
             unapplied: VecDeque::new(),
             track_unapplied: true,
-            last: None,
         }
     }
 
@@ -508,7 +511,7 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
     /// Advance and persist the head (truncation) to absolute byte
     /// cursor `to` (≤ tail) with a gWRITE of the head word. Used by
     /// engines that confirm application out of band (kvlite replica
-    /// syncers).
+    /// syncers). On `Err` the head has not moved.
     pub fn truncate_to(
         &mut self,
         w: &mut World,
@@ -517,11 +520,11 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
         done: OnDone,
     ) -> Result<(), Backpressure> {
         assert!(to >= self.head && to <= self.tail);
-        self.head = to;
         let head_bytes = to.to_le_bytes();
         self.log
             .client
             .gwrite(w, eng, self.log.layout.log_off, &head_bytes, true, done)?;
+        self.head = to;
         Ok(())
     }
 
@@ -628,28 +631,28 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
     /// redo entry, executed by the replicas' NICs from their own log
     /// copies), then advance and persist the head (truncation) with one
     /// flushed 8-byte gMEMCPY of the newest applied record's end cursor
-    /// onto the head word.
+    /// onto the head word. The head copy is issued right behind the
+    /// document copies: gMEMCPYs apply on each member in issue order,
+    /// each after the previous one's flush ([`GroupClient`]), so no
+    /// member's durable head passes a record whose copies are not
+    /// durable there.
     ///
-    /// It reports two moments. `applied` fires when every copy has
-    /// landed, durably, on every member — the moment the head copy is
-    /// issued, and not before: the gMEMCPYs of one member are local DMAs
-    /// that may complete out of order, so a head copy issued beside the
-    /// document copies could make a head durable ahead of its apply.
-    /// `persisted` fires when the head copy is ACKed. An execute with
-    /// nothing of its own to apply (an earlier one took its record)
-    /// reports when the copies still in flight have landed, or from a
-    /// scheduled event if there are none; never re-entrantly.
+    /// `done` fires when every copy is ACKed: applied and flushed
+    /// everywhere, head persisted. An execute with nothing of its own to
+    /// apply copies the head again, so it reports once the copies issued
+    /// before it have landed; one on a log that never applied anything
+    /// reports from a scheduled event. Never re-entrantly.
     ///
     /// All or nothing: on `Err` the unapplied records and the head are
-    /// as they were and neither callback will fire. Copies issued before
-    /// the refusal still land; redo is idempotent, so the retry that
-    /// issues them again writes the same bytes.
+    /// as they were and `done` will not fire. Copies issued before the
+    /// refusal still land, but no head copy was issued (it goes last);
+    /// redo is idempotent, so the retry that issues them again writes
+    /// the same bytes.
     pub fn execute_and_advance(
         &mut self,
         w: &mut World,
         eng: &mut Engine<World>,
-        applied: OnDone,
-        persisted: OnDone,
+        done: OnDone,
     ) -> Result<(), Backpressure> {
         // Records are ACKed in append order (one gWRITE ring), so the
         // ready entries are a prefix. A record still in flight on the
@@ -660,50 +663,47 @@ impl<C: GroupClient + 'static> ReplicatedLog<C> {
             0 => self.head,
             n => self.unapplied[n - 1].end,
         };
-        let copies = || self.unapplied.iter().take(ready).filter(|u| u.len > 0);
+        if head == 0 {
+            eng.schedule(SimDuration::ZERO, move |w, eng| {
+                done(w, eng, OpResult::default())
+            });
+            return Ok(());
+        }
+        let layout = &self.log.layout;
+        let head_copy = (
+            layout.ring_off() + (head - 8) % layout.log_cap,
+            layout.log_off,
+            8,
+        );
+        let copies = || {
+            let entries = self.unapplied.iter().take(ready).filter(|u| u.len > 0);
+            entries.map(|u| (u.src, u.dst, u.len)).chain([head_copy])
+        };
         let ex = Rc::new(RefCell::new(Execution {
             log: self.log.clone(),
             head,
-            copies_left: copies().count(),
-            applied: Some(applied),
-            persisted: Some(persisted),
-            next: None,
+            left: copies().count(),
+            done: Some(done),
         }));
-        if ex.borrow().copies_left == 0 {
-            match &self.last {
-                Some(prev) if prev.borrow().applied.is_some() => {
-                    prev.borrow_mut().next = Some(ex.clone());
-                }
-                _ => {
-                    let ex = ex.clone();
-                    eng.schedule(SimDuration::ZERO, move |w, eng| {
-                        Execution::all_applied(&ex, w, eng, OpResult::default())
-                    });
-                }
-            }
-        }
-        for u in copies() {
+        for (src, dst, len) in copies() {
             let on_copy = ex.clone();
             let res = self.log.client.gmemcpy(
                 w,
                 eng,
-                u.src,
-                u.dst,
-                u.len,
+                src,
+                dst,
+                len,
                 true,
                 Box::new(move |w, eng, r| Execution::copied(&on_copy, w, eng, r)),
             );
             if res.is_err() {
                 // The copies already issued report to no one.
-                let mut abandoned = ex.borrow_mut();
-                abandoned.applied = None;
-                abandoned.persisted = None;
+                ex.borrow_mut().done = None;
                 return Err(Backpressure);
             }
         }
         self.unapplied.drain(..ready);
         self.head = head;
-        self.last = Some(ex);
         Ok(())
     }
 }
@@ -713,88 +713,25 @@ struct Execution<C: GroupClient> {
     log: Rc<LogShared<C>>,
     /// Head cursor past this execute's records.
     head: u64,
-    /// gMEMCPYs not yet ACKed.
-    copies_left: usize,
+    /// gMEMCPYs not yet ACKed, the head copy included.
+    left: usize,
     /// `None` once fired (or abandoned on refusal).
-    applied: Option<OnDone>,
-    persisted: Option<OnDone>,
-    /// An execute with no copies of its own, waiting on this one's.
-    next: Option<Rc<RefCell<Execution<C>>>>,
+    done: Option<OnDone>,
 }
 
 impl<C: GroupClient + 'static> Execution<C> {
     fn copied(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
         let mut e = ex.borrow_mut();
-        e.copies_left -= 1;
-        if e.copies_left == 0 && e.applied.is_some() {
-            drop(e);
-            Self::all_applied(ex, w, eng, r);
-        }
-    }
-
-    /// Every copy has landed: issue the head copy, then report
-    /// `applied`, then release an execute waiting on this one.
-    fn all_applied(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
-        {
-            let e = ex.borrow();
-            e.log.landed.set(e.log.landed.get().max(e.head));
-        }
-        Self::persist_head(ex, w, eng);
-        let applied = ex.borrow_mut().applied.take();
-        if let Some(applied) = applied {
-            applied(w, eng, r);
-        }
-        let next = ex.borrow_mut().next.take();
-        if let Some(next) = next {
-            Self::all_applied(&next, w, eng, OpResult::default());
-        }
-    }
-
-    /// Copy the end cursor of the newest record whose copies have landed
-    /// onto the head word. The log's `landed` cursor, not this execute's
-    /// own head, picks the record, so a copy re-issued after a refusal
-    /// cannot move the head back behind a later execute's. When an
-    /// earlier head copy has already persisted that far (or nothing was
-    /// ever applied), `persisted` fires from a scheduled event instead.
-    fn persist_head(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>) {
-        let log = ex.borrow().log.clone();
-        let head = log.landed.get();
-        if head <= log.durable.get() {
-            let ex = ex.clone();
-            eng.schedule(SimDuration::ZERO, move |w, eng| {
-                Self::fire_persisted(&ex, w, eng, OpResult::default())
-            });
+        e.left -= 1;
+        if e.left > 0 {
             return;
         }
-        let trailer = log.layout.ring_off() + (head - 8) % log.layout.log_cap;
-        let on_ack = ex.clone();
-        let res = log.client.gmemcpy(
-            w,
-            eng,
-            trailer,
-            log.layout.log_off,
-            8,
-            true,
-            Box::new(move |w, eng, r| {
-                let e = on_ack.borrow();
-                e.log.durable.set(e.log.durable.get().max(head));
-                drop(e);
-                Self::fire_persisted(&on_ack, w, eng, r);
-            }),
-        );
-        if res.is_err() {
-            let ex = ex.clone();
-            eng.schedule(REFUSED_BACKOFF, move |w, eng| {
-                Self::persist_head(&ex, w, eng)
-            });
-        }
-    }
-
-    fn fire_persisted(ex: &Rc<RefCell<Self>>, w: &mut World, eng: &mut Engine<World>, r: OpResult) {
-        let persisted = ex.borrow_mut().persisted.take();
-        if let Some(persisted) = persisted {
-            persisted(w, eng, r);
-        }
+        let Some(done) = e.done.take() else {
+            return;
+        };
+        e.log.durable.set(e.log.durable.get().max(e.head));
+        drop(e);
+        done(w, eng, r);
     }
 }
 
@@ -834,17 +771,20 @@ pub enum LockOutcome {
 pub type OnLock = Box<dyn FnOnce(&mut World, &mut Engine<World>, LockOutcome)>;
 
 /// Group-wide single-writer / per-member multi-reader locks over lock
-/// words stored in the replicated region.
+/// cells stored in the replicated region. A cell is 16 bytes: the lock
+/// word at `lock_off`, then a word that holds [`lockword::FREE`] and
+/// that nothing writes, the source of every release. Zeroed NVM is a
+/// free cell.
 pub struct GroupLock<C: GroupClient> {
     client: Rc<C>,
-    /// Offset of the lock word.
+    /// Offset of the lock cell (its lock word).
     pub lock_off: u64,
     /// This client's owner id.
     pub owner: u32,
 }
 
 impl<C: GroupClient + 'static> GroupLock<C> {
-    /// Bind a lock word at `lock_off`.
+    /// Bind the 16-byte lock cell at `lock_off`.
     pub fn new(client: Rc<C>, lock_off: u64, owner: u32) -> Self {
         GroupLock {
             client,
@@ -912,22 +852,25 @@ impl<C: GroupClient + 'static> GroupLock<C> {
         Ok(())
     }
 
-    /// `wrUnlock`: release on every member.
+    /// `wrUnlock`: release on every member, by the caller that holds
+    /// the write lock. The release is an unflushed 8-byte gMEMCPY of the
+    /// cell's FREE word onto the lock word, so on each member it lands
+    /// only after every gMEMCPY this client issued before it, flushed
+    /// (the [`GroupClient`] ordering): a reader that finds the word free
+    /// there finds the copies made under the lock, durable.
     pub fn wr_unlock(
         &self,
         w: &mut World,
         eng: &mut Engine<World>,
         done: OnLock,
     ) -> Result<(), Backpressure> {
-        let g = self.client.group_size();
-        let all: u32 = (1 << g) - 1;
-        self.client.gcas(
+        self.client.gmemcpy(
             w,
             eng,
+            self.lock_off + 8,
             self.lock_off,
-            lockword::writer(self.owner),
-            lockword::FREE,
-            all,
+            8,
+            false,
             Box::new(move |w, eng, _r: OpResult| {
                 done(w, eng, LockOutcome::Acquired);
             }),

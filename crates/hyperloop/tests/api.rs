@@ -144,17 +144,10 @@ fn execute_and_advance_applies_to_db_everywhere() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
     assert_eq!(*a_done.borrow(), 1);
 
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
-    let probe = applied.clone();
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
+    let probe = done.clone();
     eng.run_while(&mut w, move |_| *probe.borrow() == 0);
-    assert_eq!(
-        *persisted.borrow(),
-        0,
-        "the head gWRITE is issued at apply time"
-    );
 
     // Applied: both entries durable in every member's database area.
     for m in 0..3 {
@@ -170,10 +163,8 @@ fn execute_and_advance_applies_to_db_everywhere() {
         assert!(w.hosts[host].mem.is_durable(a, 5));
         assert!(w.hosts[host].mem.is_durable(b, 4));
     }
-    let probe = persisted.clone();
-    eng.run_while(&mut w, move |_| *probe.borrow() == 0);
     // Persisted: the head word equals the log's tail on every member,
-    // and nothing is left in the durable journal past it.
+    // durably, and nothing is left in the durable journal past it.
     let (h, t) = log.cursors();
     assert_eq!(h, t);
     for m in 0..3 {
@@ -183,10 +174,11 @@ fn execute_and_advance_applies_to_db_everywhere() {
             .read_u64(client.member_addr(m, 0))
             .unwrap();
         assert_eq!(head, t, "member {m} truncated");
+        assert!(w.hosts[host].mem.is_durable(client.member_addr(m, 0), 8));
         assert_eq!(scan(&w, &*client, &layout, m, head), (vec![], t));
     }
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(*done.borrow(), 1);
 }
 
 #[test]
@@ -214,12 +206,10 @@ fn log_backpressures_when_full() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
 
     // After execute (truncation) there is room again.
-    let (applied, applied_cb) = flag();
     let (done, cbe) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, cbe)
-        .unwrap();
+    log.execute_and_advance(&mut w, &mut eng, cbe).unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!((*applied.borrow(), *done.borrow()), (1, 1));
+    assert_eq!(*done.borrow(), 1);
     let (_, cb4) = flag();
     log.append(&mut w, &mut eng, &rec, cb4).unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
@@ -368,25 +358,18 @@ fn execute_applies_only_acked_appends() {
     let (appended, a_cb) = flag();
     log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
         .unwrap();
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
     assert_eq!(log.cursors().0, 0, "head stays before the unacked record");
-    assert_eq!(*applied.borrow(), 0, "never reported re-entrantly");
+    assert_eq!(*done.borrow(), 0, "never reported re-entrantly");
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
-    assert_eq!(
-        (*appended.borrow(), *applied.borrow(), *persisted.borrow()),
-        (1, 1, 1)
-    );
+    assert_eq!((*appended.borrow(), *done.borrow()), (1, 1));
     assert_eq!(on_members(&w, &*client, 128 << 10, 5), vec![vec![0; 5]; 3]);
 
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(*done.borrow(), 1);
     assert_eq!(
         on_members(&w, &*client, 128 << 10, 5),
         vec![b"alpha".to_vec(); 3]
@@ -400,7 +383,7 @@ fn execute_applies_only_acked_appends() {
 }
 
 /// A refusal after the first copy leaves the log as it was: the record
-/// is still unapplied, the head has not moved and no callback fires.
+/// is still unapplied, the head has not moved and `done` never fires.
 /// The retry issues both copies and completes.
 #[test]
 fn refused_copy_leaves_the_log_unchanged() {
@@ -413,14 +396,11 @@ fn refused_copy_leaves_the_log_unchanged() {
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
     let before = log.cursors();
 
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    assert!(log
-        .execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .is_err());
+    let (done, done_cb) = flag();
+    assert!(log.execute_and_advance(&mut w, &mut eng, done_cb).is_err());
     assert_eq!(log.cursors(), before);
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (0, 0));
+    assert_eq!(*done.borrow(), 0);
     // The first copy was issued before the refusal and landed.
     assert_eq!(
         on_members(&w, &*client, 128 << 10, 5),
@@ -428,12 +408,10 @@ fn refused_copy_leaves_the_log_unchanged() {
     );
     assert_eq!(on_members(&w, &*client, 0, 8), vec![vec![0; 8]; 3]);
 
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(*done.borrow(), 1);
     assert_eq!(
         client.copies.get(),
         5,
@@ -451,8 +429,10 @@ fn refused_copy_leaves_the_log_unchanged() {
     );
 }
 
-/// A refused head copy is re-issued after a backoff: "persisted" still
-/// fires, and the head lands at the tail on every member.
+/// A refused head copy refuses the whole execute: the document copies
+/// issued before it land, but the record stays unapplied, the head does
+/// not move and `done` never fires. The caller's retry issues every
+/// copy again and the head lands at the tail on every member.
 #[test]
 fn refused_head_copy_is_reissued() {
     let (mut w, mut eng, inner) = setup();
@@ -463,16 +443,28 @@ fn refused_head_copy_is_reissued() {
     log.append(&mut w, &mut eng, &two_entry_record(), a_cb)
         .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
+    let before = log.cursors();
+    let (refused, refused_cb) = flag();
+    assert!(log
+        .execute_and_advance(&mut w, &mut eng, refused_cb)
+        .is_err());
+    assert_eq!(log.cursors(), before);
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
-    assert_eq!(client.copies.get(), 4, "the head copy went out twice");
+    assert_eq!(*refused.borrow(), 0);
+    assert_eq!(on_members(&w, &*client, 0, 8), vec![vec![0; 8]; 3]);
+
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
+    eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
+    assert_eq!(*done.borrow(), 1);
+    assert_eq!(
+        client.copies.get(),
+        6,
+        "two copies, the refused head, all three again"
+    );
     assert_eq!(client.writes.get(), 1, "the append is one gWRITE");
     let (h, t) = log.cursors();
-    assert_eq!(h, t);
+    assert_eq!((h, t), (before.1, before.1));
     assert_eq!(
         on_members(&w, &*client, 0, 8),
         vec![t.to_le_bytes().to_vec(); 3]
@@ -480,8 +472,8 @@ fn refused_head_copy_is_reissued() {
 }
 
 /// An execute with nothing of its own to apply, issued while an earlier
-/// execute's copies are in flight, reports "applied" only when they have
-/// landed, and "persisted" only after its own head gWRITE.
+/// execute's copies are in flight, copies the head again behind them on
+/// the gMEMCPY ring: it reports only after the earlier execute has.
 #[test]
 fn empty_execute_waits_for_copies_in_flight() {
     let (mut w, mut eng, client) = setup();
@@ -496,36 +488,45 @@ fn empty_execute_waits_for_copies_in_flight() {
         let order = order.clone();
         Box::new(move |_w, eng: &mut Engine<World>, _r| order.borrow_mut().push((what, eng.now())))
     };
-    log.execute_and_advance(&mut w, &mut eng, note("applied 1"), note("persisted 1"))
+    log.execute_and_advance(&mut w, &mut eng, note("first"))
         .unwrap();
-    log.execute_and_advance(&mut w, &mut eng, note("applied 2"), note("persisted 2"))
+    let issued = eng.now();
+    log.execute_and_advance(&mut w, &mut eng, note("second"))
         .unwrap();
     assert!(order.borrow().is_empty());
     eng.run_until(&mut w, SimTime::from_nanos(10_000_000));
     let order = order.borrow();
     let names: Vec<_> = order.iter().map(|(n, _)| *n).collect();
+    assert_eq!(names, ["first", "second"]);
+    assert!(order[0].1 > issued, "the first waited for its copies");
+    assert!(order[1].1 > order[0].1, "the second for its own head copy");
+    let (h, t) = log.cursors();
+    assert_eq!(h, t);
     assert_eq!(
-        names,
-        ["applied 1", "applied 2", "persisted 1", "persisted 2"]
+        on_members(&w, &*client, 0, 8),
+        vec![t.to_le_bytes().to_vec(); 3]
     );
-    assert_eq!(order[0].1, order[1].1, "released by the same copy ACK");
 }
 
-/// With nothing appended, an execute still reports both moments, the
-/// first from a scheduled event rather than inside the call.
+/// With nothing appended, an execute still reports, from a scheduled
+/// event rather than inside the call, and copies nothing.
 #[test]
-fn execute_of_an_empty_log_reports_both_moments() {
-    let (mut w, mut eng, client) = setup();
-    let mut log = ReplicatedLog::new(client, db_layout());
-    let (applied, applied_cb) = flag();
-    let (persisted, persisted_cb) = flag();
-    log.execute_and_advance(&mut w, &mut eng, applied_cb, persisted_cb)
-        .unwrap();
-    assert_eq!(*applied.borrow(), 0);
+fn execute_of_an_empty_log_reports_from_an_event() {
+    let (mut w, mut eng, inner) = setup();
+    let client = Rc::new(Refusing::new(inner, 0, 0));
+    let mut log = ReplicatedLog::new(client.clone(), db_layout());
+    let (done, done_cb) = flag();
+    log.execute_and_advance(&mut w, &mut eng, done_cb).unwrap();
+    assert_eq!(*done.borrow(), 0);
     eng.run_until(&mut w, SimTime::from_nanos(5_000_000));
-    assert_eq!((*applied.borrow(), *persisted.borrow()), (1, 1));
+    assert_eq!(*done.borrow(), 1);
     assert_eq!(log.cursors(), (0, 0));
+    assert_eq!(client.copies.get(), 0);
 }
+
+/// Lock cells (16 bytes each) clear of every log layout above.
+const WR_LOCK: u64 = 0xf_0000;
+const RD_LOCK: u64 = 0xf_0100;
 
 fn lock_sink(log: &Rc<RefCell<Vec<LockOutcome>>>) -> hyperloop::api::OnLock {
     let log = log.clone();
@@ -535,7 +536,7 @@ fn lock_sink(log: &Rc<RefCell<Vec<LockOutcome>>>) -> hyperloop::api::OnLock {
 #[test]
 fn wr_lock_acquire_and_release() {
     let (mut w, mut eng, client) = setup();
-    let lock = GroupLock::new(client.clone(), 0x900, 17);
+    let lock = GroupLock::new(client.clone(), WR_LOCK, 17);
     let outcomes = Rc::new(RefCell::new(Vec::new()));
 
     lock.wr_lock(&mut w, &mut eng, lock_sink(&outcomes))
@@ -547,13 +548,13 @@ fn wr_lock_acquire_and_release() {
         let host = if m == 0 { 0 } else { m };
         let v = w.hosts[host]
             .mem
-            .read_u64(client.member_addr(m, 0x900))
+            .read_u64(client.member_addr(m, WR_LOCK))
             .unwrap();
         assert_eq!(v, lockword::writer(17), "member {m}");
     }
 
     // A second writer fails and rolls back nothing (all were held).
-    let lock2 = GroupLock::new(client.clone(), 0x900, 23);
+    let lock2 = GroupLock::new(client.clone(), WR_LOCK, 23);
     lock2
         .wr_lock(&mut w, &mut eng, lock_sink(&outcomes))
         .unwrap();
@@ -564,6 +565,8 @@ fn wr_lock_acquire_and_release() {
     lock.wr_unlock(&mut w, &mut eng, lock_sink(&outcomes))
         .unwrap();
     eng.run_until(&mut w, SimTime::from_nanos(15_000_000));
+    // The release copied the cell's FREE word onto the lock word.
+    assert_eq!(on_members(&w, &*client, WR_LOCK, 16), vec![vec![0; 16]; 3]);
     lock2
         .wr_lock(&mut w, &mut eng, lock_sink(&outcomes))
         .unwrap();
@@ -576,13 +579,13 @@ fn partial_wr_lock_is_rolled_back() {
     let (mut w, mut eng, client) = setup();
     // Pre-claim the lock word on replica 2 only (member index 2) by
     // writing directly — simulating a racing holder.
-    let addr = client.member_addr(2, 0x900);
+    let addr = client.member_addr(2, WR_LOCK);
     w.hosts[2]
         .mem
         .write_u64(addr, lockword::writer(99))
         .unwrap();
 
-    let lock = GroupLock::new(client.clone(), 0x900, 17);
+    let lock = GroupLock::new(client.clone(), WR_LOCK, 17);
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     lock.wr_lock(&mut w, &mut eng, lock_sink(&outcomes))
         .unwrap();
@@ -594,7 +597,7 @@ fn partial_wr_lock_is_rolled_back() {
         let host = if m == 0 { 0 } else { m };
         let v = w.hosts[host]
             .mem
-            .read_u64(client.member_addr(m, 0x900))
+            .read_u64(client.member_addr(m, WR_LOCK))
             .unwrap();
         assert_eq!(v, lockword::FREE, "member {m} rolled back");
     }
@@ -605,7 +608,7 @@ fn partial_wr_lock_is_rolled_back() {
 #[test]
 fn read_locks_count_and_block_writers() {
     let (mut w, mut eng, client) = setup();
-    let lock = GroupLock::new(client.clone(), 0xa00, 1);
+    let lock = GroupLock::new(client.clone(), RD_LOCK, 1);
     let outcomes = Rc::new(RefCell::new(Vec::new()));
 
     // Two readers on member 1.
@@ -621,7 +624,7 @@ fn read_locks_count_and_block_writers() {
     );
     let v = w.hosts[1]
         .mem
-        .read_u64(client.member_addr(1, 0xa00))
+        .read_u64(client.member_addr(1, RD_LOCK))
         .unwrap();
     assert_eq!(v, lockword::readers(2));
 
@@ -657,12 +660,12 @@ fn refused_reader_retries_are_reissued() {
         refuse_cas: vec![3, 6],
         ..Refusing::new(inner, 0, 0)
     });
-    let lock = GroupLock::new(client.clone(), 0xa00, 1);
+    let lock = GroupLock::new(client.clone(), RD_LOCK, 1);
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let word = |w: &World| {
         w.hosts[1]
             .mem
-            .read_u64(client.member_addr(1, 0xa00))
+            .read_u64(client.member_addr(1, RD_LOCK))
             .unwrap()
     };
 
@@ -791,7 +794,7 @@ proptest! {
         let execute = |log: &mut ReplicatedLog<HyperLoopClient>, w: &mut World, eng: &mut Engine<World>| {
             let e = executes.clone();
             e.set(e.get() + 1);
-            log.execute_and_advance(w, eng, Box::new(|_, _, _| {}), Box::new(move |_, _, _| e.set(e.get() - 1)))
+            log.execute_and_advance(w, eng, Box::new(move |_, _, _| e.set(e.get() - 1)))
                 .unwrap();
         };
         for (i, &(size, truncate, gap)) in appends.iter().enumerate() {

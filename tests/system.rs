@@ -127,7 +127,6 @@ fn multi_entry_records_apply_atomically_via_log_replay() {
     log.execute_and_advance(
         &mut w,
         &mut eng,
-        Box::new(|_w, _e, _r| {}),
         Box::new(move |_w, _e, _r| *d.borrow_mut() = true),
     )
     .unwrap();
