@@ -210,8 +210,10 @@ fn starts_raw_or_byte_string(b: &[u8], i: usize) -> bool {
 
 /// Skip a raw/byte string starting at `i`; returns (next index, line).
 fn skip_string_like(b: &[u8], mut i: usize, mut line: u32) -> (usize, u32) {
-    // Skip the `r`/`b`/`br` prefix.
+    // Skip the `r`/`b`/`br` prefix; only an `r` turns escapes off.
+    let mut raw = false;
     while i < b.len() && (b[i] == b'r' || b[i] == b'b') {
+        raw |= b[i] == b'r';
         i += 1;
     }
     if i < b.len() && b[i] == b'\'' {
@@ -221,6 +223,9 @@ fn skip_string_like(b: &[u8], mut i: usize, mut line: u32) -> (usize, u32) {
     while i < b.len() && b[i] == b'#' {
         hashes += 1;
         i += 1;
+    }
+    if i < b.len() && b[i] == b'"' && !raw {
+        return skip_quoted(b, i + 1, b'"', line);
     }
     if i < b.len() && b[i] == b'"' {
         i += 1;
@@ -334,6 +339,17 @@ mod tests {
         assert!(t
             .iter()
             .any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
+    }
+
+    #[test]
+    fn byte_strings_keep_escapes_and_raw_strings_do_not() {
+        let (t, _) = lex(r#"let a = b"x\"y"; let b = br"z\"; let c = 1;"#);
+        let idents: Vec<&str> = t
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(idents, ["let", "a", "let", "b", "let", "c"]);
     }
 
     #[test]

@@ -40,14 +40,18 @@
 //! field across crates, or a `group.rs` scatter entry binding
 //! mismatched fields.
 //!
+//! **Pass 3 — unused functions.** [`unused`] flags a `fn` in
+//! `crates/*/src` whose name no other token in the workspace's Rust
+//! sources mentions (name-based; trait-impl methods and `main` exempt).
+//!
 //! Escape hatch: `// hl-lint: allow(<rule>)` — trailing on the
 //! offending line, or on its own line covering exactly the **next
 //! statement or item** (not the rest of the file). Taint chains are
 //! suppressible only at the source. Each allow should say *why* in
 //! the surrounding comment.
 //!
-//! Run with `cargo run -p hl-analysis -- check` and `-- layout`; CI
-//! runs both on every push. The tool exits non-zero when any finding
+//! Run with `cargo run -p hl-analysis -- check`, `-- layout` and
+//! `-- unused`; CI runs all three on every push. The tool exits non-zero when any finding
 //! survives.
 
 #![warn(missing_docs)]
@@ -57,8 +61,10 @@ pub mod lexer;
 pub mod rules;
 pub mod symbols;
 pub mod taint;
+pub mod unused;
 
 pub use rules::{check_source, Finding, RULES};
+pub use unused::unused_workspace;
 
 use std::path::{Path, PathBuf};
 
@@ -158,6 +164,7 @@ pub fn summary_table(findings: &[Finding]) -> String {
         "layout-bounds",
         "layout-mismatch",
         "layout-missing",
+        unused::RULE,
     ] {
         counts.insert(rule, 0);
     }

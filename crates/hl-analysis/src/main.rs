@@ -3,10 +3,11 @@
 //! ```text
 //! cargo run -p hl-analysis -- check  [ROOT] [--summary md]  # lints + taint pass
 //! cargo run -p hl-analysis -- layout [ROOT] [--summary md]  # wire-format verifier
+//! cargo run -p hl-analysis -- unused [ROOT] [--summary md]  # functions nothing mentions
 //! cargo run -p hl-analysis -- rules                         # list the rules
 //! ```
 //!
-//! Both analysis subcommands exit 1 when any finding survives the
+//! The three analysis subcommands exit 1 when any finding survives the
 //! allow-comments. `--summary md` appends a markdown rule → count
 //! table to stdout (meant for `$GITHUB_STEP_SUMMARY` in CI).
 
@@ -99,12 +100,19 @@ fn main() -> ExitCode {
                 "{:18} schema'd constant no longer found in source",
                 "layout-missing"
             );
+            println!(
+                "{:18} fn in crates/*/src whose name no other workspace token mentions",
+                hl_analysis::unused::RULE
+            );
             ExitCode::SUCCESS
         }
         Some("check") => run(&args[1..], "check", hl_analysis::check_workspace),
         Some("layout") => run(&args[1..], "layout", hl_analysis::layout_workspace),
+        Some("unused") => run(&args[1..], "unused", hl_analysis::unused_workspace),
         _ => {
-            eprintln!("usage: hl-analysis <check [ROOT] | layout [ROOT] | rules> [--summary md]");
+            eprintln!(
+                "usage: hl-analysis <check [ROOT] | layout [ROOT] | unused [ROOT] | rules> [--summary md]"
+            );
             ExitCode::FAILURE
         }
     }

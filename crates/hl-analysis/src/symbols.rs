@@ -56,6 +56,9 @@ pub struct FnDef {
     pub end_line: u32,
     /// Enclosing `impl` type, if any.
     pub impl_type: Option<String>,
+    /// Defined in an `impl Trait for Type` block: called through the
+    /// trait, so its name need not appear at any call site.
+    pub trait_impl: bool,
     /// Calls made from the body (innermost-fn attribution).
     pub calls: Vec<CallSite>,
     /// Lines of `.unwrap()`/`.expect()`/`panic!`-family sites in the
@@ -126,14 +129,16 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
     let t = &toks;
 
     let mut brace_depth: i64 = 0;
-    // (impl type, depth its block opened at)
-    let mut impl_stack: Vec<(String, i64)> = Vec::new();
+    // (impl type, `impl Trait for Type`?, depth its block opened at)
+    let mut impl_stack: Vec<(String, bool, i64)> = Vec::new();
     // (mod name, depth)
     let mut mod_stack: Vec<(String, i64)> = Vec::new();
     // (index into out.fns, depth the body opened at)
     let mut fn_stack: Vec<(usize, i64)> = Vec::new();
     // A just-parsed fn header waiting for its body `{`.
-    let mut pending_fn: Option<(String, Option<String>, u32)> = None;
+    // (name, index of its impl block in `impl_stack`, line); the index
+    // is taken at `fn`, before a `-> impl Trait` header pushes a scope.
+    let mut pending_fn: Option<(String, Option<usize>, u32)> = None;
     let mut paren_depth: i64 = 0;
     // Depth of the outermost `#[cfg(test)] mod` block we are inside, if
     // any: test code is not datapath, so its fns/consts are not part of
@@ -150,7 +155,11 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
         } else if tok.is_punct('{') {
             brace_depth += 1;
             if paren_depth == 0 {
-                if let Some((name, impl_ty, line)) = pending_fn.take() {
+                if let Some((name, impl_idx, line)) = pending_fn.take() {
+                    let (impl_ty, trait_impl) = match impl_idx.map(|k| &impl_stack[k]) {
+                        Some((ty, trait_impl, _)) => (Some(ty.clone()), *trait_impl),
+                        None => (None, false),
+                    };
                     let qual = match &impl_ty {
                         Some(ty) => format!("{ty}::{name}"),
                         None => name.clone(),
@@ -164,6 +173,7 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
                         start_line: line,
                         end_line: line,
                         impl_type: impl_ty,
+                        trait_impl,
                         calls: Vec::new(),
                         panics: Vec::new(),
                     });
@@ -177,7 +187,7 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
                     fn_stack.pop();
                 }
             }
-            if let Some((_, open)) = impl_stack.last() {
+            if let Some((_, _, open)) = impl_stack.last() {
                 if brace_depth == *open {
                     impl_stack.pop();
                 }
@@ -230,7 +240,7 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
             }
             if j < t.len() && t[j].is_punct('{') {
                 if let Some(ty) = ty {
-                    impl_stack.push((ty, brace_depth + 1));
+                    impl_stack.push((ty, saw_for, brace_depth + 1));
                 }
             }
             // Do not consume tokens: fall through so `{` is handled above.
@@ -260,8 +270,8 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
         {
             // Trait-method *declarations* (`fn f(..);`) have no body: the
             // pending header is dropped when `;` arrives before `{`.
-            let impl_ty = impl_stack.last().map(|(ty, _)| ty.clone());
-            pending_fn = Some((t[i + 1].text.clone(), impl_ty, tok.line));
+            let impl_idx = impl_stack.len().checked_sub(1);
+            pending_fn = Some((t[i + 1].text.clone(), impl_idx, tok.line));
             i += 2;
             continue;
         } else if tok.is_punct(';') && paren_depth == 0 {
@@ -364,6 +374,7 @@ mod tests {
         let s = parse_file("k", "f.rs", src);
         assert_eq!(s.fns.len(), 2);
         assert_eq!(s.fns[0].qual, "Nic::on_packet");
+        assert!(!s.fns[0].trait_impl);
         assert_eq!(s.fns[0].start_line, 2);
         assert_eq!(s.fns[0].end_line, 6);
         let calls: Vec<(&str, bool)> = s.fns[0]
@@ -385,6 +396,7 @@ mod tests {
         let src = "impl fmt::Display for Finding {\n fn fmt(&self) { self.go(); }\n}";
         let s = parse_file("k", "f.rs", src);
         assert_eq!(s.fns[0].qual, "Finding::fmt");
+        assert!(s.fns[0].trait_impl);
     }
 
     #[test]

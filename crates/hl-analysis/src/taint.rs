@@ -231,7 +231,8 @@ pub struct Model {
     visible: BTreeMap<String, BTreeSet<String>>,
 }
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Every `.rs` file under `dir`, recursively, in sorted path order.
+pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

@@ -44,6 +44,20 @@ fixture_tests! {
     dropped_refusal_ok_fixture: "dropped_refusal_ok.rs" => "dropped-refusal",
 }
 
+/// `unused` flags exactly the function nothing mentions, and names it.
+#[test]
+fn unused_fixture() {
+    let name = "unused.rs";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let src = std::fs::read_to_string(&path).unwrap();
+    let findings = hl_analysis::unused::check_source(name, &src);
+    assert_eq!(findings.len(), 1, "got: {findings:#?}");
+    assert_eq!(findings[0].rule, "unused");
+    assert!(findings[0].message.contains("`nobody_calls_this`"));
+}
+
 /// Every rule name used by a fixture is registered in [`hl_analysis::RULES`]
 /// (so `rules` output and allow-comments stay in sync with the engine).
 #[test]
@@ -79,6 +93,27 @@ fn workspace_is_clean() {
     assert!(
         findings.is_empty(),
         "determinism lints failed on the workspace:\n{}",
+        findings
+            .iter()
+            .map(|f| f.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// No function in `crates/*/src` is dead by name: the same walk as
+/// `cargo run -p hl-analysis -- unused`.
+#[test]
+fn workspace_has_no_unused_fns() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .unwrap()
+        .parent()
+        .unwrap();
+    let findings = hl_analysis::unused_workspace(root).expect("workspace readable");
+    assert!(
+        findings.is_empty(),
+        "functions nothing mentions:\n{}",
         findings
             .iter()
             .map(|f| f.to_string())

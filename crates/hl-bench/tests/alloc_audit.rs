@@ -141,9 +141,6 @@ fn engine_steady_state_is_allocation_free() {
 /// more per gather is 5; either blows the bound.
 #[test]
 fn gwrite_datapath_allocations_are_bounded_per_op() {
-    if hl_rnic::RACE_DETECTOR {
-        return; // the detector's shadow state has its own allocations
-    }
     let cfg = MicroCfg {
         backend: Backend::HyperLoop,
         op: MicroOp::GWrite {
@@ -180,9 +177,6 @@ fn gwrite_datapath_allocations_are_bounded_per_op() {
 /// engine test above).
 #[test]
 fn verb_write_loop_allocates_only_the_payload() {
-    if hl_rnic::RACE_DETECTOR {
-        return; // the detector's shadow state has its own allocations
-    }
     const WARMUP: u64 = 8_000;
     const OPS: u64 = 8_000;
     let (mut w, mut eng) = ClusterBuilder::new(2).arena_size(1 << 20).build();
@@ -259,9 +253,6 @@ fn chain(ring_slots: u32, period: Option<SimDuration>) -> (World, Engine<World>,
 /// 6 × 448 more.
 #[test]
 fn chain_build_allocations_do_not_grow_with_ring_depth() {
-    if hl_rnic::RACE_DETECTOR {
-        return; // the detector shadows every posted slot
-    }
     let (.., small) = chain(64, None);
     let (.., large) = chain(512, None);
     let queue_growth = 9 * (512f64 / 64.0).log2() as u64;
@@ -286,9 +277,6 @@ fn chain_build_allocations_do_not_grow_with_ring_depth() {
 /// the engine test above). One scatter list per RECV was 112 more.
 #[test]
 fn replenisher_reposts_without_allocating_per_slot() {
-    if hl_rnic::RACE_DETECTOR {
-        return; // the detector shadows every posted slot
-    }
     // The replenishers wake every millisecond, long after each burst has
     // been acknowledged.
     const PERIOD: u64 = 1_000_000;
@@ -362,9 +350,6 @@ fn empty_histograms_allocate_no_table() {
 /// is 2 more allocations and ~1.6 KB more per upsert.
 #[test]
 fn doclite_upsert_allocations_are_bounded_per_op() {
-    if hl_rnic::RACE_DETECTOR {
-        return; // the detector's shadow state has its own allocations
-    }
     let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(4 << 20).seed(42).build();
     let group = GroupBuilder::new(GroupConfig {
         client: HostId(0),

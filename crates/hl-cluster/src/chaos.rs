@@ -364,17 +364,6 @@ impl FaultSchedule {
         FaultSchedule { seed, events }
     }
 
-    /// Hosts permanently crashed by this schedule.
-    pub fn crashed_hosts(&self) -> Vec<HostId> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::HostCrash { host } => Some(host),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Schedule every injection (and heal) on the engine.
     pub fn apply(&self, eng: &mut Engine<World>) {
         for ev in &self.events {

@@ -60,12 +60,6 @@ impl ShardExecutor {
         ShardExecutor { threads: 1 }
     }
 
-    /// An executor sized to the host (`available_parallelism`, or 1
-    /// when the host won't say).
-    pub fn host_sized() -> Self {
-        ShardExecutor::new(host_parallelism())
-    }
-
     /// Configured thread count.
     pub fn threads(&self) -> usize {
         self.threads

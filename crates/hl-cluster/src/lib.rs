@@ -569,9 +569,12 @@ impl World {
 
     /// One line per violation recorded by the race detector across
     /// every NIC, plus any FIFO-order violations from the fabric
-    /// auditor, in host order (feature `check-ownership`). Empty means
-    /// the run was race-free.
-    #[cfg(feature = "check-ownership")]
+    /// auditor, in host order. Empty means the run was race-free.
+    ///
+    /// # Panics
+    ///
+    /// If the world was built without [`ClusterBuilder::race_detector`]:
+    /// a race-freedom assertion must not pass without a check.
     pub fn race_report(&self) -> Vec<String> {
         let mut report = Vec::new();
         for (i, h) in self.hosts.iter().enumerate() {
@@ -695,6 +698,7 @@ pub struct ClusterBuilder {
     arena: usize,
     profile: HwProfile,
     seed: u64,
+    race_detector: bool,
 }
 
 impl ClusterBuilder {
@@ -705,6 +709,7 @@ impl ClusterBuilder {
             arena: 8 << 20,
             profile: HwProfile::default(),
             seed: 42,
+            race_detector: false,
         }
     }
 
@@ -726,10 +731,20 @@ impl ClusterBuilder {
         self
     }
 
+    /// Run the WQE-ownership & DMA race detector on every NIC and the
+    /// FIFO delivery auditor on the fabric, from before the first QP
+    /// exists; read them with [`World::race_report`]. Pure observation:
+    /// the simulated timeline is the same with it on, only slower to
+    /// compute.
+    pub fn race_detector(mut self) -> Self {
+        self.race_detector = true;
+        self
+    }
+
     /// Build the world and its engine.
     pub fn build(self) -> (World, Engine<World>) {
         let rng = RngFactory::new(self.seed);
-        let hosts = (0..self.hosts)
+        let mut hosts: Vec<Host> = (0..self.hosts)
             .map(|i| {
                 let mut cpu = HostCpu::new(self.profile.cpu.clone());
                 cpu.set_rng(rng.stream_idx("cpu", i as u64));
@@ -749,6 +764,12 @@ impl ClusterBuilder {
         // Dedicated stream for the gray-failure impairment knobs so
         // turning impairments on never perturbs other random streams.
         fabric.set_impairment_rng(rng.stream("fabric-impair"));
+        if self.race_detector {
+            fabric.enable_fifo_audit();
+            for h in &mut hosts {
+                h.nic.enable_race_detector();
+            }
+        }
         let world = World {
             hosts,
             fabric,
@@ -834,8 +855,8 @@ fn run_handler(addr: ProcAddr, ev: ProcEvent, w: &mut World, eng: &mut Engine<Wo
 /// Forward a NIC's buffered telemetry events to the world's hub.
 ///
 /// Runs after every NIC entry-point call on the datapath, so it moves
-/// events through a reused scratch buffer instead of `take_events`'s
-/// fresh `Vec` per drain — zero allocations in steady state.
+/// events through a reused scratch buffer — zero allocations in steady
+/// state.
 fn drain_nic_telemetry(host: HostId, w: &mut World) {
     if !w.hosts[host.0].nic.has_events() {
         return;

@@ -193,11 +193,6 @@ impl HostCpu {
         SimDuration::from_nanos(ns as u64)
     }
 
-    /// Override the wakeup-preemption granularity.
-    pub fn set_wakeup_granularity(&mut self, d: SimDuration) {
-        self.wakeup_granularity = d.as_nanos();
-    }
-
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.cores.len()
@@ -526,11 +521,6 @@ impl HostCpu {
             .filter(|p| p.name.starts_with(prefix))
             .map(|p| p.busy_ns)
             .sum()
-    }
-
-    /// Process name.
-    pub fn proc_name(&self, pid: ProcId) -> &str {
-        &self.procs[pid.0].name
     }
 
     /// Utilization of a process over `[started_at, now]`, in `[0, 1]`

@@ -63,12 +63,11 @@ struct Port {
     msgs_tx: u64,
 }
 
-/// A FIFO-order violation recorded by the delivery auditor (feature
-/// `check-ownership`): a message for an ordered host pair was scheduled
-/// to arrive *before* an earlier message of the same pair. The RDMA RC
-/// transport model assumes this never happens; any occurrence is a
-/// fabric-model bug.
-#[cfg(feature = "check-ownership")]
+/// A FIFO-order violation recorded by the delivery auditor (off unless
+/// [`Fabric::enable_fifo_audit`] was called): a message for an ordered
+/// host pair was scheduled to arrive *before* an earlier message of the
+/// same pair. The RDMA RC transport model assumes this never happens;
+/// any occurrence is a fabric-model bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderViolation {
     /// Sending host.
@@ -271,7 +270,8 @@ pub struct Fabric {
     /// egress paths; models a straggler or rate-capped NIC).
     host_impairments: BTreeMap<usize, ImpairState>,
     /// Latest impaired delivery per pair: delay/jitter/rate deliveries
-    /// are clamped to be monotone (the queue behind the slow link).
+    /// are clamped to be monotone (the queue behind the slow link), and
+    /// so are unimpaired ones after the impairment is cleared.
     pair_floor: BTreeMap<(usize, usize), SimTime>,
     /// Seeded stream for the probabilistic impairment knobs. `None`
     /// (the default) leaves loss/jitter/reorder/duplicate inert.
@@ -280,12 +280,35 @@ pub struct Fabric {
     drops: u64,
     /// Subset of `drops` caused by impairment loss.
     impaired_drops: u64,
+    /// The FIFO delivery auditor; `None` while it is off.
+    audit: Option<Box<FifoAudit>>,
+}
+
+/// Shadow state of the FIFO delivery auditor (pure observation).
+#[derive(Debug)]
+struct FifoAudit {
     /// Latest scheduled delivery per ordered pair, indexed `[src][dst]`.
-    #[cfg(feature = "check-ownership")]
     last_delivery: Vec<Vec<SimTime>>,
-    /// FIFO-order violations recorded by the auditor.
-    #[cfg(feature = "check-ownership")]
-    order_violations: Vec<OrderViolation>,
+    violations: Vec<OrderViolation>,
+}
+
+impl FifoAudit {
+    /// Kept out of line, so that with the auditor off `Fabric::send`
+    /// carries a branch per delivery and not this body.
+    #[inline(never)]
+    fn record(&mut self, src: HostId, dst: HostId, at: SimTime) {
+        let prev = self.last_delivery[src.0][dst.0];
+        if at < prev {
+            self.violations.push(OrderViolation {
+                src,
+                dst,
+                prev_delivery: prev,
+                delivery: at,
+            });
+        } else {
+            self.last_delivery[src.0][dst.0] = at;
+        }
+    }
 }
 
 impl Fabric {
@@ -305,33 +328,37 @@ impl Fabric {
             impair_rng: None,
             drops: 0,
             impaired_drops: 0,
-            #[cfg(feature = "check-ownership")]
-            last_delivery: vec![vec![SimTime::ZERO; n]; n],
-            #[cfg(feature = "check-ownership")]
-            order_violations: Vec::new(),
+            audit: None,
         }
     }
 
-    /// Record a scheduled delivery with the FIFO auditor.
-    #[cfg(feature = "check-ownership")]
+    /// Switch on the FIFO delivery auditor: from now on every scheduled
+    /// delivery is checked against the latest earlier one of its pair.
+    pub fn enable_fifo_audit(&mut self) {
+        let n = self.len();
+        self.audit.get_or_insert_with(|| {
+            Box::new(FifoAudit {
+                last_delivery: vec![vec![SimTime::ZERO; n]; n],
+                violations: Vec::new(),
+            })
+        });
+    }
+
+    /// Record a scheduled delivery with the FIFO auditor, if it is on.
     fn audit_delivery(&mut self, src: HostId, dst: HostId, at: SimTime) {
-        let prev = self.last_delivery[src.0][dst.0];
-        if at < prev {
-            self.order_violations.push(OrderViolation {
-                src,
-                dst,
-                prev_delivery: prev,
-                delivery: at,
-            });
-        } else {
-            self.last_delivery[src.0][dst.0] = at;
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.record(src, dst, at);
         }
     }
 
-    /// FIFO-order violations recorded so far (feature `check-ownership`).
-    #[cfg(feature = "check-ownership")]
+    /// FIFO-order violations recorded so far. Panics if the auditor is
+    /// off, so an assertion of FIFO order cannot pass unchecked.
     pub fn order_violations(&self) -> &[OrderViolation] {
-        &self.order_violations
+        &self
+            .audit
+            .as_ref()
+            .expect("FIFO audit is off: switch it on with Fabric::enable_fifo_audit")
+            .violations
     }
 
     /// Number of hosts.
@@ -413,11 +440,6 @@ impl Fabric {
         self.impairments.remove(&(src.0, dst.0));
     }
 
-    /// The active pair impairment on `src → dst`, if any.
-    pub fn impairment(&self, src: HostId, dst: HostId) -> Option<&Impairment> {
-        self.impairments.get(&(src.0, dst.0)).map(|s| &s.imp)
-    }
-
     /// Attach `imp` to every path in and out of `host` (straggler /
     /// rate-capped NIC). Replaces any previous host impairment.
     pub fn set_host_impairment(&mut self, host: HostId, imp: Impairment) {
@@ -495,9 +517,14 @@ impl Fabric {
         if src != dst && self.is_impaired(src, dst) {
             return self.impaired_delivery(src, dst, size, base);
         }
-        #[cfg(feature = "check-ownership")]
-        self.audit_delivery(src, dst, base);
-        Delivery::At(base)
+        // A healed impairment may still hold messages of this pair: the
+        // next one queues behind them instead of overtaking.
+        let at = self
+            .pair_floor
+            .get(&(src.0, dst.0))
+            .map_or(base, |&f| base.max(f));
+        self.audit_delivery(src, dst, at);
+        Delivery::At(at)
     }
 
     /// Run a message already scheduled for unimpaired delivery at `base`
@@ -589,12 +616,10 @@ impl Fabric {
             at = *floor;
         }
         *floor = at;
-        #[cfg(feature = "check-ownership")]
         self.audit_delivery(src, dst, at);
         if duplicated {
             let at2 = SimTime::from_nanos(at.as_nanos() + self.profile.propagation.as_nanos());
             self.pair_floor.insert(pair_key, at2);
-            #[cfg(feature = "check-ownership")]
             self.audit_delivery(src, dst, at2);
             return Delivery::Duplicated(at, at2);
         }

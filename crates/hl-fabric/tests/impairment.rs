@@ -291,3 +291,40 @@ fn clearing_restores_unimpaired_timing() {
     let t = at(f.send(now, HostId(0), HostId(1), 64, 1.0));
     assert_eq!(t.as_nanos() - now.as_nanos(), base.as_nanos());
 }
+
+/// A message sent just after an impairment heals queues behind the
+/// ones the impairment still holds: RC's in-order delivery survives a
+/// heal, for a pair impairment and for a host impairment alike.
+#[test]
+fn a_heal_does_not_let_the_next_message_overtake() {
+    for host_scope in [false, true] {
+        let mut f = fabric(2);
+        f.enable_fifo_audit();
+        f.set_impairment_rng(RngFactory::new(3).stream("fabric-impair"));
+        let slow = Impairment::delay(SimDuration::from_millis(10), SimDuration::from_millis(25));
+        if host_scope {
+            f.set_host_impairment(HostId(1), slow);
+        } else {
+            f.set_impairment(HostId(0), HostId(1), slow);
+        }
+        let held = at(f.send(SimTime::ZERO, HostId(0), HostId(1), 64, 1.0));
+        if host_scope {
+            f.clear_host_impairment(HostId(1));
+        } else {
+            f.clear_impairment(HostId(0), HostId(1));
+        }
+        let next = at(f.send(SimTime::from_nanos(1_000), HostId(0), HostId(1), 64, 1.0));
+        assert!(
+            next >= held,
+            "host scope {host_scope}: delivery at {next} overtakes {held}"
+        );
+        assert!(f.order_violations().is_empty());
+    }
+}
+
+/// The auditor is a switch: off, it has nothing to report and says so.
+#[test]
+#[should_panic(expected = "FIFO audit is off")]
+fn order_violations_of_an_unaudited_fabric_panic() {
+    fabric(2).order_violations();
+}

@@ -365,12 +365,6 @@ impl NvmArena {
         self.write(addr, &v.to_le_bytes())
     }
 
-    /// Write a little-endian `u32` (volatile, like [`NvmArena::write`]).
-    #[inline]
-    pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
     /// Atomically compare-and-swap the u64 at `addr` (NIC atomic or CPU
     /// `lock cmpxchg`). Returns the original value. The write (if it
     /// happens) goes through the volatile cache like any other.

@@ -25,14 +25,8 @@ mod mr;
 mod nic;
 mod packet;
 mod qp;
-#[cfg(feature = "check-ownership")]
 pub mod track;
 mod wqe;
-
-/// Does this build carry the WQE-ownership & DMA race detector (feature
-/// `check-ownership`)? Its shadow state allocates per DMA, so allocation
-/// budgets measured without it do not hold with it.
-pub const RACE_DETECTOR: bool = cfg!(feature = "check-ownership");
 
 pub use cq::{Cq, Cqe, CqeKind, CqeStatus, CQ_DEPTH};
 pub use mr::{Access, MemoryRegion, MrError, MrTable};

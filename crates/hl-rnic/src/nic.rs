@@ -56,7 +56,6 @@ use crate::cq::{Cq, Cqe, CqeKind, CqeStatus};
 use crate::mr::{Access, MemoryRegion, MrTable};
 use crate::packet::{NakReason, Packet, PacketKind};
 use crate::qp::{PendingTx, Qp, QpState, QpTimeout, RecvWqe, SqRing};
-#[cfg(feature = "check-ownership")]
 use crate::track::{OwnershipTracker, Violation};
 use crate::wqe::{flags, Opcode, Wqe, WQE_SIZE};
 use hl_nvm::NvmArena;
@@ -251,10 +250,10 @@ pub struct Nic {
     wait_stalled: bool,
     /// Telemetry stamping enabled (see [`NicEvent`]).
     telemetry_on: bool,
-    /// Buffered telemetry events awaiting [`Nic::take_events`].
+    /// Buffered telemetry events awaiting [`Nic::take_events_into`].
     events: Vec<NicEvent>,
-    /// WQE-ownership & DMA race detector (pure observation).
-    #[cfg(feature = "check-ownership")]
+    /// WQE-ownership & DMA race detector (pure observation; off unless
+    /// [`Nic::enable_race_detector`] was called).
     tracker: OwnershipTracker,
 }
 
@@ -279,13 +278,12 @@ impl Nic {
             wait_stalled: false,
             telemetry_on: false,
             events: Vec::new(),
-            #[cfg(feature = "check-ownership")]
             tracker: OwnershipTracker::default(),
         }
     }
 
     /// Enable or disable telemetry event stamping. While enabled, the
-    /// caller must drain [`Nic::take_events`] after each entry-point
+    /// caller must drain [`Nic::take_events_into`] after each entry-point
     /// call (the cluster's output router does this).
     pub fn set_telemetry(&mut self, on: bool) {
         self.telemetry_on = on;
@@ -294,16 +292,10 @@ impl Nic {
         }
     }
 
-    /// Drain buffered telemetry events, in stamping order.
-    pub fn take_events(&mut self) -> Vec<NicEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Drain buffered telemetry events into `out` (appending, in
-    /// stamping order). Unlike [`Nic::take_events`] this preserves both
-    /// buffers' capacity, so a caller draining after every entry-point
-    /// call — the cluster's output router — allocates nothing in steady
-    /// state.
+    /// stamping order). It preserves both buffers' capacity, so a caller
+    /// draining after every entry-point call — the cluster's output
+    /// router — allocates nothing in steady state.
     pub fn take_events_into(&mut self, out: &mut Vec<NicEvent>) {
         out.append(&mut self.events);
     }
@@ -338,9 +330,20 @@ impl Nic {
             .unwrap_or(0)
     }
 
+    /// Switch on the WQE-ownership & DMA race detector. It shadows
+    /// every ring from `create_qp` on, so it must be on before the
+    /// first QP exists.
+    pub fn enable_race_detector(&mut self) {
+        assert!(
+            self.qps.is_empty(),
+            "nic{}: the race detector must be on before the first QP is created",
+            self.id
+        );
+        self.tracker.enable();
+    }
+
     /// Violations recorded by the WQE-ownership & DMA race detector, in
-    /// detection order.
-    #[cfg(feature = "check-ownership")]
+    /// detection order. Panics if the detector is off.
     pub fn race_violations(&self) -> &[Violation] {
         self.tracker.violations()
     }
@@ -383,17 +386,13 @@ impl Nic {
 
     /// Deregister a memory region by rkey. Subsequent remote accesses
     /// quoting either key are refused with a `RemoteAccess` NAK (and
-    /// flagged by the race detector as use-after-deregister when the
-    /// `check-ownership` feature is on). Returns `false` for an unknown
-    /// key.
+    /// flagged by the race detector as use-after-deregister when it is
+    /// on). Returns `false` for an unknown key.
     pub fn deregister_mr(&mut self, now: SimTime, rkey: u32) -> bool {
         let Some(mr) = self.mrs.deregister(rkey) else {
             return false;
         };
-        #[cfg(feature = "check-ownership")]
         self.tracker.mr_deregistered(mr.rkey, mr.addr, mr.len, now);
-        #[cfg(not(feature = "check-ownership"))]
-        let _ = (now, mr);
         true
     }
 
@@ -416,7 +415,6 @@ impl Nic {
             SqRing::new(sq_base, sq_capacity),
         ));
         self.inflight.push(None);
-        #[cfg(feature = "check-ownership")]
         self.tracker.track_ring(qpn, sq_base, sq_capacity);
         qpn
     }
@@ -524,11 +522,6 @@ impl Nic {
         }
     }
 
-    /// Is the NIC currently stalled?
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Break or repair WAIT triggering (fault injection: CORE-Direct
     /// offload malfunction). While set, every WAIT parks its QP
     /// regardless of CQ state — pre-posted forwarding chains freeze —
@@ -594,7 +587,6 @@ impl Nic {
         mem.write(addr, &wqe.encode())
             .expect("SQ ring out of arena");
         qp.sq.tail += 1;
-        #[cfg(feature = "check-ownership")]
         self.tracker.slot_posted(qpn, idx, deferred);
         Ok(idx)
     }
@@ -606,7 +598,6 @@ impl Nic {
         let addr = self.qps[qpn as usize].sq.slot_addr(idx);
         let f = mem.read(addr + 1, 1).expect("ring addr")[0];
         mem.write(addr + 1, &[f | flags::HW_OWNED]).unwrap();
-        #[cfg(feature = "check-ownership")]
         self.tracker.slot_granted(qpn, idx);
     }
 
@@ -720,7 +711,6 @@ impl Nic {
                 // completion and skip.
                 let send_cq = qp.send_cq;
                 self.qps[qpn as usize].sq.head += 1;
-                #[cfg(feature = "check-ownership")]
                 self.tracker.slot_cleared(qpn, head_idx);
                 self.counters.error_cqes += 1;
                 out.push(NicOutput::Complete {
@@ -775,11 +765,9 @@ impl Nic {
                         let f = mem.read(a + 1, 1).expect("ring addr")[0];
                         // hl-lint: allow(panic-in-handler)
                         mem.write(a + 1, &[f | flags::HW_OWNED]).unwrap();
-                        #[cfg(feature = "check-ownership")]
                         self.tracker.slot_granted(qpn, head + i);
                     }
                     self.qps[qpn as usize].sq.head += 1;
-                    #[cfg(feature = "check-ownership")]
                     self.tracker.slot_fetched(qpn, head, t);
                     self.counters.wqes_executed += 1;
                     continue;
@@ -798,7 +786,6 @@ impl Nic {
 
             // A real operation: consume the slot and execute.
             self.qps[qpn as usize].sq.head += 1;
-            #[cfg(feature = "check-ownership")]
             self.tracker.slot_fetched(qpn, head_idx, t);
             self.counters.wqes_executed += 1;
             self.ev(t, wqe.op, NicEventKind::Fetch { qpn });
@@ -1225,7 +1212,6 @@ impl Nic {
                 .and_then(Wqe::decode)
                 .map_or((0, 0), |w| (w.wr_id, w.op));
             self.qps[qpn as usize].sq.head += 1;
-            #[cfg(feature = "check-ownership")]
             self.tracker.slot_cleared(qpn, head_idx);
             self.deliver_cqe(
                 now,
@@ -1318,7 +1304,6 @@ impl Nic {
         self.ev(now, cqe.op, NicEventKind::CqeDeliver { cq });
         // A delivered completion orders earlier DMA writes before later
         // ones for anyone polling this host, closing the overlap epoch.
-        #[cfg(feature = "check-ownership")]
         self.tracker.completion_delivered();
         let ring = &mut self.cqs[cq as usize];
         if ring.is_full() {
@@ -1406,7 +1391,6 @@ impl Nic {
                 wr_id,
                 signaled,
             } => {
-                #[cfg(feature = "check-ownership")]
                 self.tracker.remote_access(
                     rkey,
                     raddr,
@@ -1427,7 +1411,6 @@ impl Nic {
                     // kill the simulated host.
                     return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
-                #[cfg(feature = "check-ownership")]
                 self.tracker
                     .remote_write(raddr, &data, req.src_nic, req.src_qpn, t);
                 self.ack(t, req, wr_id, signaled, data.len() as u32, out);
@@ -1440,7 +1423,6 @@ impl Nic {
                 wr_id,
                 signaled,
             } => {
-                #[cfg(feature = "check-ownership")]
                 self.tracker.remote_access(
                     rkey,
                     raddr,
@@ -1459,7 +1441,6 @@ impl Nic {
                 if mem.write(raddr, &data).is_err() {
                     return self.refuse(t, req, Some(wr_id), NakReason::RemoteAccess, out);
                 }
-                #[cfg(feature = "check-ownership")]
                 self.tracker
                     .remote_write(raddr, &data, req.src_nic, req.src_qpn, t);
                 let Some(recv) = self.pop_recv(qpn) else {
@@ -1500,7 +1481,6 @@ impl Nic {
                         continue;
                     }
                     let n = len.min((data.len() - off) as u32) as usize;
-                    #[cfg(feature = "check-ownership")]
                     self.tracker.remote_write(
                         addr,
                         &data[off..off + n],
@@ -1540,7 +1520,6 @@ impl Nic {
                 len,
                 wr_id,
             } => {
-                #[cfg(feature = "check-ownership")]
                 self.tracker
                     .remote_access(rkey, raddr, len as u64, req.src_nic, req.src_qpn, t);
                 if self
@@ -1565,7 +1544,6 @@ impl Nic {
                 len,
                 wr_id,
             } => {
-                #[cfg(feature = "check-ownership")]
                 self.tracker
                     .remote_access(rkey, raddr, len as u64, req.src_nic, req.src_qpn, t);
                 if self
@@ -1591,7 +1569,6 @@ impl Nic {
                 swp,
                 wr_id,
             } => {
-                #[cfg(feature = "check-ownership")]
                 self.tracker
                     .remote_access(rkey, raddr, 8, req.src_nic, req.src_qpn, t);
                 if self
@@ -1620,7 +1597,6 @@ impl Nic {
                 let status = if mem.write(fl.laddr, &data).is_ok() {
                     // The response landing is itself a NIC DMA write
                     // into local memory — attribute it to the peer QP.
-                    #[cfg(feature = "check-ownership")]
                     self.tracker
                         .remote_write(fl.laddr, &data, req.src_nic, req.src_qpn, t);
                     CqeStatus::Ok
@@ -1642,7 +1618,6 @@ impl Nic {
                     return;
                 };
                 let status = if mem.write_u64(fl.laddr, orig).is_ok() {
-                    #[cfg(feature = "check-ownership")]
                     self.tracker.remote_write(
                         fl.laddr,
                         &orig.to_le_bytes(),

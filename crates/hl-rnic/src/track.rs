@@ -1,4 +1,4 @@
-//! WQE-ownership & DMA race detector (feature `check-ownership`).
+//! WQE-ownership & DMA race detector (off unless switched on).
 //!
 //! HyperLoop's remote work-request manipulation deliberately lets peers
 //! scribble on pre-posted send descriptors, and the modified driver
@@ -27,9 +27,11 @@
 //! The tracker is driver-protocol state, not memory state: it believes
 //! what the verbs layer *said* (posted deferred, granted, deregistered),
 //! and compares that against what the NIC engine and inbound DMA
-//! actually *did*. All bookkeeping is `BTreeMap`-based and allocation
-//! per violation only, so enabling the feature does not perturb the
-//! simulated timeline — detection is pure observation.
+//! actually *did*. It draws no randomness and schedules nothing, so
+//! switching it on does not perturb the simulated timeline — detection
+//! is pure observation. It does cost host time (its shadow copies every
+//! remote DMA), so it is off by default: an off tracker holds no state
+//! and every hook is one branch around an out-of-line body.
 
 use hl_sim::SimTime;
 use std::collections::BTreeMap;
@@ -185,9 +187,15 @@ impl std::fmt::Display for Violation {
 }
 
 /// Shadow state for one NIC: ring slot ownership, the current DMA
-/// epoch, and dead memory regions.
+/// epoch, and dead memory regions. `None` while the detector is off.
 #[derive(Debug, Default)]
 pub struct OwnershipTracker {
+    shadow: Option<Box<Shadow>>,
+}
+
+/// The tracker's state while it is on.
+#[derive(Debug, Default)]
+struct Shadow {
     /// Send rings: qpn → (base address, capacity).
     rings: BTreeMap<u32, (u64, u32)>,
     /// Driver-protocol slot ownership, keyed `(qpn, idx % capacity)`.
@@ -200,7 +208,12 @@ pub struct OwnershipTracker {
     violations: Vec<Violation>,
 }
 
-impl OwnershipTracker {
+// The hook bodies. They stay out of line: the NIC's hottest functions
+// (`advance_sq`, `deliver_cqe`, the packet handlers) call the hooks, and
+// with the detector off each call there must stay a load and a branch,
+// not an inlined copy of the map updates (inlined, they grew
+// `advance_sq` from 3.9 to 5.1 KB of code).
+impl Shadow {
     /// Ring position of ring index `idx` on `qpn` (identity when the
     /// ring is untracked, which cannot happen through the NIC API).
     fn pos(&self, qpn: u32, idx: u64) -> u64 {
@@ -210,14 +223,13 @@ impl OwnershipTracker {
         }
     }
 
-    /// Record a send ring created by `create_qp`.
-    pub fn track_ring(&mut self, qpn: u32, base: u64, capacity: u32) {
+    #[inline(never)]
+    fn track_ring(&mut self, qpn: u32, base: u64, capacity: u32) {
         self.rings.insert(qpn, (base, capacity));
     }
 
-    /// A WQE was posted to slot `idx`; `deferred` means the ownership
-    /// bit stayed with software (modified-driver path).
-    pub fn slot_posted(&mut self, qpn: u32, idx: u64, deferred: bool) {
+    #[inline(never)]
+    fn slot_posted(&mut self, qpn: u32, idx: u64, deferred: bool) {
         let owner = if deferred {
             SlotOwner::Software
         } else {
@@ -227,16 +239,14 @@ impl OwnershipTracker {
         self.slots.insert((qpn, pos), owner);
     }
 
-    /// Ownership of slot `idx` was granted to the NIC through the
-    /// driver protocol (`grant_ownership` or a WAIT activation).
-    pub fn slot_granted(&mut self, qpn: u32, idx: u64) {
+    #[inline(never)]
+    fn slot_granted(&mut self, qpn: u32, idx: u64) {
         let pos = self.pos(qpn, idx);
         self.slots.insert((qpn, pos), SlotOwner::Hardware);
     }
 
-    /// The send engine consumed slot `idx`. Flags violation (a) when
-    /// the driver protocol never granted the slot to hardware.
-    pub fn slot_fetched(&mut self, qpn: u32, idx: u64, at: SimTime) {
+    #[inline(never)]
+    fn slot_fetched(&mut self, qpn: u32, idx: u64, at: SimTime) {
         let pos = self.pos(qpn, idx);
         if self.slots.remove(&(qpn, pos)) == Some(SlotOwner::Software) {
             self.violations
@@ -244,17 +254,14 @@ impl OwnershipTracker {
         }
     }
 
-    /// Slot `idx` was consumed without executing (corrupted descriptor
-    /// skip, error-state flush): clear its state without an ownership
-    /// check — these paths already surface error CQEs.
-    pub fn slot_cleared(&mut self, qpn: u32, idx: u64) {
+    #[inline(never)]
+    fn slot_cleared(&mut self, qpn: u32, idx: u64) {
         let pos = self.pos(qpn, idx);
         self.slots.remove(&(qpn, pos));
     }
 
-    /// A remote access (any opcode) quoted `rkey` for `[addr, +len)`.
-    /// Flags violation (d) against the dead-region list.
-    pub fn remote_access(
+    #[inline(never)]
+    fn remote_access(
         &mut self,
         rkey: u32,
         addr: u64,
@@ -276,17 +283,8 @@ impl OwnershipTracker {
         }
     }
 
-    /// A remote-sourced DMA write of `data` landed at `addr` (RDMA
-    /// WRITE payload, SEND scatter entry, or READ/CAS response landing).
-    /// Flags violations (b) and (c).
-    pub fn remote_write(
-        &mut self,
-        addr: u64,
-        data: &[u8],
-        src_nic: u32,
-        src_qpn: u32,
-        at: SimTime,
-    ) {
+    #[inline(never)]
+    fn remote_write(&mut self, addr: u64, data: &[u8], src_nic: u32, src_qpn: u32, at: SimTime) {
         let len = data.len() as u64;
         if len == 0 {
             return;
@@ -360,21 +358,133 @@ impl OwnershipTracker {
         });
     }
 
+    #[inline(never)]
+    fn mr_deregistered(&mut self, rkey: u32, addr: u64, len: u64, at: SimTime) {
+        self.dead_mrs.insert(rkey, (addr, len, at));
+    }
+
+    #[inline(never)]
+    fn completion_delivered(&mut self) {
+        self.epoch_writes.clear();
+    }
+}
+
+impl OwnershipTracker {
+    /// Switch the detector on. Rings created before this call are not
+    /// tracked, so the NIC allows it only while it has no QP.
+    pub fn enable(&mut self) {
+        self.shadow.get_or_insert_with(Box::default);
+    }
+
+    /// Record a send ring created by `create_qp`.
+    #[inline]
+    pub fn track_ring(&mut self, qpn: u32, base: u64, capacity: u32) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.track_ring(qpn, base, capacity);
+        }
+    }
+
+    /// A WQE was posted to slot `idx`; `deferred` means the ownership
+    /// bit stayed with software (modified-driver path).
+    #[inline]
+    pub fn slot_posted(&mut self, qpn: u32, idx: u64, deferred: bool) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.slot_posted(qpn, idx, deferred);
+        }
+    }
+
+    /// Ownership of slot `idx` was granted to the NIC through the
+    /// driver protocol (`grant_ownership` or a WAIT activation).
+    #[inline]
+    pub fn slot_granted(&mut self, qpn: u32, idx: u64) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.slot_granted(qpn, idx);
+        }
+    }
+
+    /// The send engine consumed slot `idx`. Flags violation (a) when
+    /// the driver protocol never granted the slot to hardware.
+    #[inline]
+    pub fn slot_fetched(&mut self, qpn: u32, idx: u64, at: SimTime) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.slot_fetched(qpn, idx, at);
+        }
+    }
+
+    /// Slot `idx` was consumed without executing (corrupted descriptor
+    /// skip, error-state flush): clear its state without an ownership
+    /// check — these paths already surface error CQEs.
+    #[inline]
+    pub fn slot_cleared(&mut self, qpn: u32, idx: u64) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.slot_cleared(qpn, idx);
+        }
+    }
+
+    /// A remote access (any opcode) quoted `rkey` for `[addr, +len)`.
+    /// Flags violation (d) against the dead-region list.
+    #[inline]
+    pub fn remote_access(
+        &mut self,
+        rkey: u32,
+        addr: u64,
+        len: u64,
+        src_nic: u32,
+        src_qpn: u32,
+        at: SimTime,
+    ) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.remote_access(rkey, addr, len, src_nic, src_qpn, at);
+        }
+    }
+
+    /// A remote-sourced DMA write of `data` landed at `addr` (RDMA
+    /// WRITE payload, SEND scatter entry, or READ/CAS response landing).
+    /// Flags violations (b) and (c).
+    #[inline]
+    pub fn remote_write(
+        &mut self,
+        addr: u64,
+        data: &[u8],
+        src_nic: u32,
+        src_qpn: u32,
+        at: SimTime,
+    ) {
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.remote_write(addr, data, src_nic, src_qpn, at);
+        }
+    }
+
     /// A region was deregistered: later accesses via its rkey are
     /// violation (d).
+    #[inline]
     pub fn mr_deregistered(&mut self, rkey: u32, addr: u64, len: u64, at: SimTime) {
-        self.dead_mrs.insert(rkey, (addr, len, at));
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.mr_deregistered(rkey, addr, len, at);
+        }
     }
 
     /// A completion was delivered on this NIC: writes before it are
     /// ordered against writes after it, so the overlap epoch resets.
+    #[inline]
     pub fn completion_delivered(&mut self) {
-        self.epoch_writes.clear();
+        if let Some(s) = self.shadow.as_deref_mut() {
+            s.completion_delivered();
+        }
     }
 
     /// All violations detected so far, in detection order.
+    ///
+    /// # Panics
+    ///
+    /// If the detector is off: an assertion of race-freedom must not
+    /// pass without anything having been checked.
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        &self
+            .shadow
+            .as_ref()
+            .expect("race detector is off: switch it on before the first QP is created")
+            .violations
     }
 }
 
@@ -384,9 +494,26 @@ mod tests {
 
     const T: SimTime = SimTime::from_nanos(1_000);
 
+    fn on() -> OwnershipTracker {
+        let mut t = OwnershipTracker::default();
+        t.enable();
+        t
+    }
+
+    #[test]
+    #[should_panic(expected = "race detector is off")]
+    fn an_off_tracker_records_nothing_and_refuses_a_report() {
+        let mut t = OwnershipTracker::default();
+        t.track_ring(0, 0x1000, 8);
+        t.slot_posted(0, 3, true);
+        t.slot_fetched(0, 3, T);
+        assert!(t.shadow.is_none());
+        t.violations();
+    }
+
     #[test]
     fn granted_fetch_is_clean() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.track_ring(0, 0x1000, 8);
         t.slot_posted(0, 0, true);
         t.slot_granted(0, 0);
@@ -396,7 +523,7 @@ mod tests {
 
     #[test]
     fn ungranted_fetch_flags() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.track_ring(0, 0x1000, 8);
         t.slot_posted(0, 3, true);
         t.slot_fetched(0, 3, T);
@@ -408,7 +535,7 @@ mod tests {
 
     #[test]
     fn ring_positions_wrap() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.track_ring(0, 0x1000, 8);
         t.slot_posted(0, 9, true); // slot 1 on the second lap
         t.slot_granted(0, 9);
@@ -418,7 +545,7 @@ mod tests {
 
     #[test]
     fn scatter_into_sw_slot_is_legal_into_hw_slot_is_not() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.track_ring(2, 0x1000, 8);
         t.slot_posted(2, 0, true);
         t.remote_write(0x1008, &[7; 8], 1, 5, T); // software-owned: fine
@@ -437,7 +564,7 @@ mod tests {
 
     #[test]
     fn overlapping_writes_from_different_qps_flag() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.remote_write(0x8000, &[1; 64], 1, 10, T);
         t.remote_write(0x8020, &[2; 64], 2, 11, SimTime::from_nanos(2_000));
         assert!(matches!(
@@ -454,7 +581,7 @@ mod tests {
 
     #[test]
     fn identical_bytes_and_same_source_are_exempt() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.remote_write(0x8000, &[1; 64], 1, 10, T);
         // Same source rewrites (go-back-N): serialized, not a race.
         t.remote_write(0x8000, &[2; 64], 1, 10, T);
@@ -465,7 +592,7 @@ mod tests {
 
     #[test]
     fn completion_splits_the_epoch() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.remote_write(0x8000, &[1; 64], 1, 10, T);
         t.completion_delivered();
         t.remote_write(0x8000, &[2; 64], 2, 11, T);
@@ -474,7 +601,7 @@ mod tests {
 
     #[test]
     fn dead_rkey_access_flags() {
-        let mut t = OwnershipTracker::default();
+        let mut t = on();
         t.mr_deregistered(0x1001, 0x4000, 0x100, T);
         t.remote_access(0x1001, 0x4000, 64, 1, 5, SimTime::from_nanos(2_000));
         assert!(matches!(

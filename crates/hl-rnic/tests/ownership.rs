@@ -1,9 +1,7 @@
 //! Regression tests for the WQE-ownership & DMA race detector
-//! (feature `check-ownership`): each violation class is provoked at the
-//! verbs level and must be reported with the offending QPNs, and the
-//! legal variants of the same traffic must stay silent.
-
-#![cfg(feature = "check-ownership")]
+//! (`Nic::enable_race_detector`): each violation class is provoked at
+//! the verbs level and must be reported with the offending QPNs, and
+//! the legal variants of the same traffic must stay silent.
 
 mod common;
 
@@ -24,7 +22,8 @@ fn nic() -> (Nic, NvmArena) {
         jitter_sigma: 0.0,
         ..NicProfile::default()
     };
-    let nic = Nic::new(0, profile, RngFactory::new(7).stream("nic"));
+    let mut nic = Nic::new(0, profile, RngFactory::new(7).stream("nic"));
+    nic.enable_race_detector();
     (nic, NvmArena::new(1 << 20))
 }
 
@@ -336,4 +335,15 @@ fn use_after_deregister_is_flagged_and_refused() {
         )),
         "stale access must be refused"
     );
+}
+
+/// The detector shadows every ring from `create_qp` on, so switching it
+/// on later would miss rings it must watch.
+#[test]
+#[should_panic(expected = "before the first QP")]
+fn switching_on_after_a_qp_exists_panics() {
+    let mut nic = Nic::new(0, NicProfile::default(), RngFactory::new(7).stream("nic"));
+    let cq = nic.create_cq();
+    nic.create_qp(cq, cq, 0x1000, 8);
+    nic.enable_race_detector();
 }

@@ -643,3 +643,38 @@ fn output_order_recv_event_then_forwards_then_ack() {
         ]
     );
 }
+
+/// A NAKed work request halts a reliable QP's send queue (RTS → SQE):
+/// a later post waits until software acknowledges the error with
+/// `recover_qp`, and then executes.
+#[test]
+fn sqe_halts_the_send_queue_until_recover_qp() {
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    post_write(&mut w, qp0, mr.rkey ^ 0xdead, b"refused", 0x2000, 0x8000, 1);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
+    route(0, outs, &mut eng);
+    eng.run(&mut w);
+    assert_eq!(w.nics[0].qp_state(qp0), QpState::Sqe);
+    assert_eq!(statuses(&mut w, 0, scq0), [(1, CqeStatus::RemoteAccess)]);
+
+    post_write(&mut w, qp0, mr.rkey, b"after", 0x2100, 0x8100, 2);
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
+    route(0, outs, &mut eng);
+    eng.run(&mut w);
+    assert!(
+        statuses(&mut w, 0, scq0).is_empty(),
+        "SQE must halt the send queue"
+    );
+    assert_ne!(w.mems[1].read(0x8100, 5).unwrap(), b"after");
+
+    let outs = collect(|o| w.nics[0].recover_qp(eng.now(), qp0, &mut w.mems[0], o));
+    route(0, outs, &mut eng);
+    eng.run(&mut w);
+    assert_eq!(w.nics[0].qp_state(qp0), QpState::Rts);
+    assert_eq!(statuses(&mut w, 0, scq0), [(2, CqeStatus::Ok)]);
+    assert_eq!(w.mems[1].read(0x8100, 5).unwrap(), b"after");
+}

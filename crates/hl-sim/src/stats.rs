@@ -101,11 +101,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Record a [`SimDuration`] in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
@@ -257,14 +252,6 @@ impl Summary {
     /// Mean in milliseconds.
     pub fn mean_ms(&self) -> f64 {
         self.mean_ns / 1e6
-    }
-    /// 95th percentile in milliseconds.
-    pub fn p95_ms(&self) -> f64 {
-        self.p95_ns as f64 / 1e6
-    }
-    /// 99th percentile in milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.p99_ns as f64 / 1e6
     }
 }
 

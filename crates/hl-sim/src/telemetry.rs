@@ -65,14 +65,6 @@ impl OpKind {
             OpKind::NaiveCas => "naive-CAS",
         }
     }
-
-    /// True for the naive (CPU-involved) baseline kinds.
-    pub fn is_naive(self) -> bool {
-        matches!(
-            self,
-            OpKind::NaiveWrite | OpKind::NaiveFlush | OpKind::NaiveMemcpy | OpKind::NaiveCas
-        )
-    }
 }
 
 /// A typed point on an op's causal timeline.
@@ -164,14 +156,6 @@ impl OpSpan {
         let mut idx: Vec<u32> = (0..self.events.len() as u32).collect();
         idx.sort_by_key(|&i| self.events[i as usize].at);
         idx
-    }
-
-    /// Events sorted by time (stable: stamping order breaks ties).
-    pub fn sorted_events(&self) -> Vec<OpEvent> {
-        self.sorted_idx()
-            .into_iter()
-            .map(|i| self.events[i as usize])
-            .collect()
     }
 
     /// Decompose the span into named segment durations (ns).
@@ -431,17 +415,8 @@ impl Metrics {
             .record(v);
     }
 
-    /// Merge a whole histogram into `name{labels}`.
-    pub fn histogram_merge(&mut self, name: &str, labels: &str, h: &Histogram) {
-        self.histograms
-            .entry((name.to_string(), labels.to_string()))
-            .or_default()
-            .merge(h);
-    }
-
-    /// Replace histogram `name{labels}` with a snapshot (the overwrite
-    /// counterpart of [`Metrics::histogram_merge`], for sources that
-    /// accumulate since boot).
+    /// Replace histogram `name{labels}` with a snapshot, for sources
+    /// that accumulate since boot.
     pub fn histogram_set(&mut self, name: &str, labels: &str, h: Histogram) {
         self.histograms
             .insert((name.to_string(), labels.to_string()), h);

@@ -266,9 +266,4 @@ impl<C: GroupClient + 'static> DocStore<C> {
     pub fn committed(&self) -> u64 {
         self.inner.borrow().committed
     }
-
-    /// The group lock handle (for replica-side readers).
-    pub fn with_lock<R>(&self, f: impl FnOnce(&GroupLock<C>) -> R) -> R {
-        f(&self.inner.borrow().lock)
-    }
 }

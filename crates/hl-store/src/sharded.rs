@@ -53,11 +53,6 @@ impl<C: GroupClient + 'static> ShardedKv<C> {
         &self.shards[sid]
     }
 
-    /// Mutable access to a per-shard store.
-    pub fn shard_mut(&mut self, sid: usize) -> &mut KvDb<C> {
-        &mut self.shards[sid]
-    }
-
     /// Durable put, routed to the owning shard's replicated log.
     pub fn put(
         &mut self,

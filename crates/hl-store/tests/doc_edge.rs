@@ -12,7 +12,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
-    let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(8 << 20).seed(71).build();
+    let (mut w, mut eng) = ClusterBuilder::new(3)
+        .arena_size(8 << 20)
+        .seed(71)
+        .race_detector()
+        .build();
     let group = GroupBuilder::new(GroupConfig {
         client: HostId(0),
         replicas: vec![HostId(1), HostId(2)],
@@ -24,6 +28,15 @@ fn setup() -> (World, Engine<World>, Rc<HyperLoopClient>) {
     replica::start_replenishers(&group, &mut w, &mut eng);
     let client = Rc::new(HyperLoopClient::new(group, &mut w));
     (w, eng, client)
+}
+
+fn assert_race_free(w: &World) {
+    let report = w.race_report();
+    assert!(
+        report.is_empty(),
+        "race detector flagged:\n{}",
+        report.join("\n")
+    );
 }
 
 fn doc(id: u64, marker: &str) -> Document {
@@ -68,6 +81,7 @@ fn pipelined_upserts_serialize_via_group_lock() {
             .unwrap();
         assert_eq!(v, 0, "member {m} lock free");
     }
+    assert_race_free(&w);
 }
 
 /// Lock-free mode (weaker isolation, as §7's non-ACID variants): same
@@ -669,6 +683,7 @@ fn two_stores_contend_for_one_group_lock() {
         Some(b"1c".as_slice())
     );
     assert_eq!(words(&w, &*probe, one.lock_off), vec![0; 3]);
+    assert_race_free(&w);
 }
 
 /// Power-failing every member at the instant `done` fires loses
@@ -943,7 +958,8 @@ struct Violations {
 /// crashed. On each member: the durable head never passes a record
 /// whose document is not durable there, and once the lock word has been
 /// seen held, finding it free means the document of the upsert in
-/// flight is durable there.
+/// flight is durable there. The world runs under the race detector and
+/// must end with an empty report.
 fn doc_crash_probe(backend: Backend, seed: u64, n: u64) -> Violations {
     let profile = hl_sim::config::HwProfile {
         nic: hl_sim::config::NicProfile {
@@ -956,10 +972,11 @@ fn doc_crash_probe(backend: Backend, seed: u64, n: u64) -> Violations {
         .arena_size(1 << 20)
         .profile(profile)
         .seed(seed)
+        .race_detector()
         .build();
     let (client, replicas) = (HostId(0), vec![HostId(1), HostId(2)]);
     let rep_bytes = 256 << 10;
-    match backend {
+    let found = match backend {
         Backend::HyperLoop => {
             let group = GroupBuilder::new(GroupConfig {
                 client,
@@ -984,7 +1001,9 @@ fn doc_crash_probe(backend: Backend, seed: u64, n: u64) -> Violations {
             .build(&mut w, &mut eng);
             crash_every_boundary(&mut w, &mut eng, Rc::new(c), n)
         }
-    }
+    };
+    assert_race_free(&w);
+    found
 }
 
 fn crash_every_boundary<C: GroupClient + 'static>(

@@ -56,22 +56,6 @@ impl Backend {
         matches!(self, Backend::Hyper(_))
     }
 
-    /// The HyperLoop client, if this backend is offloaded.
-    pub fn as_hyper(&self) -> Option<&HyperLoopClient> {
-        match self {
-            Backend::Hyper(c) => Some(c),
-            Backend::Naive(_) => None,
-        }
-    }
-
-    /// The Naïve client, if this backend is degraded.
-    pub fn as_naive(&self) -> Option<&NaiveClient> {
-        match self {
-            Backend::Hyper(_) => None,
-            Backend::Naive(c) => Some(c),
-        }
-    }
-
     /// The serving chain as an offloaded-group template — what every
     /// reconfiguration plan sizes its destination from. A Naïve chain
     /// has no replenisher or transport timeout, so those stay default.
@@ -452,11 +436,6 @@ impl RetryClient {
             episode_open: false,
             on_suspect: Some(on_suspect),
         });
-    }
-
-    /// Disarm the NIC-stall probe.
-    pub fn disarm_nic_stall_probe(&self) {
-        *self.shared.probe.borrow_mut() = None;
     }
 
     /// Start recording the NVM ranges touched by every subsequently

@@ -12,7 +12,7 @@ use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::metadata::Primitive;
 use crate::reconfig::{self, Plan};
 use crate::{wire, HyperLoopClient};
-use hl_cluster::{deliver, Ctx, ProcAddr, ProcEvent, Process, World};
+use hl_cluster::{Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
 use hl_rnic::{Cqe, CqeStatus, Opcode, Wqe};
 use hl_sim::{Engine, SimDuration};
@@ -490,23 +490,6 @@ pub fn degrade_to_naive(
             on_stage: Box::new(|_, _, _| {}),
             commit: Box::new(move |_, _| Box::new(move |w, eng| done(w, eng, naive))),
         },
-        w,
-        eng,
-    );
-}
-
-/// Re-deliver a message to a process directly (test helper for control
-/// messages originating outside any process).
-pub fn inject_message(
-    to: ProcAddr,
-    msg: Box<dyn std::any::Any>,
-    w: &mut World,
-    eng: &mut Engine<World>,
-) {
-    deliver(
-        to,
-        ProcEvent::Message(msg),
-        SimDuration::from_micros(1),
         w,
         eng,
     );

@@ -300,11 +300,6 @@ impl ShardRouter {
             .sum()
     }
 
-    /// Typed failures recorded so far on shard `sid`.
-    pub fn shard_failures(&self, sid: usize) -> Vec<OpError> {
-        self.inner.borrow().shards[sid].failures()
-    }
-
     /// Typed failures recorded so far across all shards.
     pub fn failures(&self) -> Vec<OpError> {
         self.inner

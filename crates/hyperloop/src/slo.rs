@@ -127,13 +127,6 @@ impl SloRule {
         self.short_windows = n.clamp(1, self.long_windows);
         self
     }
-
-    /// Override both burn-rate thresholds.
-    pub fn with_burn(mut self, long: f64, short: f64) -> Self {
-        self.long_burn = long;
-        self.short_burn = short;
-        self
-    }
 }
 
 /// `"p99"` → 0.99, `"p99.9"` → 0.999, `"p50"` → 0.5.

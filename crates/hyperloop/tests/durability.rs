@@ -5,7 +5,8 @@
 //! DMAs take a memory-bus contention hit: that is what reorders a
 //! member's local ops if nothing keeps them in posting order. Tier-1
 //! runs seeds 73 and 2; the `#[ignore]`d `*_grid` variants run seeds
-//! 1–16 on both backends:
+//! 1–16 on both backends. Every world runs under the race detector and
+//! must end with an empty report:
 //!
 //! ```text
 //! cargo test -p hyperloop --test durability -- --ignored
@@ -52,10 +53,12 @@ fn world(seed: u64) -> (World, Engine<World>) {
         .arena_size(1 << 20)
         .profile(profile)
         .seed(seed)
+        .race_detector()
         .build()
 }
 
-/// Run `body` against a g = 3 group (client + two replicas) of `backend`.
+/// Run `body` against a g = 3 group (client + two replicas) of `backend`,
+/// then assert that the race detector saw nothing.
 fn with_group<R>(
     backend: Backend,
     seed: u64,
@@ -88,7 +91,14 @@ fn with_group<R>(
             .build(&mut w, &mut eng),
         ),
     };
-    body(&mut w, &mut eng, client)
+    let r = body(&mut w, &mut eng, client);
+    let report = w.race_report();
+    assert!(
+        report.is_empty(),
+        "{backend:?} seed {seed}: race detector flagged:\n{}",
+        report.join("\n")
+    );
+    r
 }
 
 /// Source pattern `p` (0 or 1).

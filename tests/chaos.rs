@@ -22,7 +22,8 @@
 //!    completes successfully.
 //! 4. **Reproducibility** — the same seed yields a byte-identical trace
 //!    (checked by `same_seed_reproduces_identical_trace`).
-//! 5. **Race-freedom** — under `check-ownership`, no WQE/DMA race.
+//! 5. **Race-freedom** — the WQE-ownership & DMA race detector and the
+//!    fabric FIFO auditor report nothing.
 //! 6. **No lost completion** — no CQ that software polls or subscribes
 //!    to overran its ring (`World::polled_cq_overruns` is 0).
 //!
@@ -160,6 +161,7 @@ fn run_campaign(seed: u64) -> CampaignResult {
     let (mut w, mut eng) = ClusterBuilder::new(4)
         .arena_size(2 << 20)
         .seed(seed)
+        .race_detector()
         .build();
     w.tracer.enable(&["chaos", "recovery", "fault"]);
     w.enable_telemetry();
@@ -290,17 +292,14 @@ fn assert_invariants(r: &CampaignResult, seed: u64) {
         Some(true),
         "seed {seed}: append after the fault window did not complete"
     );
-    // 5. Race-freedom (feature `check-ownership`): the WQE-ownership &
-    // DMA race detector saw nothing across the whole campaign.
-    #[cfg(feature = "check-ownership")]
-    {
-        let report = r.w.race_report();
-        assert!(
-            report.is_empty(),
-            "seed {seed}: race detector flagged:\n{}",
-            report.join("\n")
-        );
-    }
+    // 5. Race-freedom: the WQE-ownership & DMA race detector saw
+    // nothing across the whole campaign.
+    let report = r.w.race_report();
+    assert!(
+        report.is_empty(),
+        "seed {seed}: race detector flagged:\n{}",
+        report.join("\n")
+    );
     // 6. No completion lost: overruns only hit CQs that nothing polls.
     assert_eq!(
         r.w.polled_cq_overruns(),

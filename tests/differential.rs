@@ -21,7 +21,7 @@
 //!   side uses an equal [`HashRing`] over per-shard naive groups, so the
 //!   oracle also proves the router maps every key to the same shard.
 //!
-//! Under `--features check-ownership` both worlds additionally assert an
+//! Both worlds run under the race detector and additionally assert an
 //! empty WQE-ownership/DMA race report.
 
 use hyperloop_repro::cluster::exec::ShardExecutor;
@@ -345,6 +345,7 @@ fn fresh_world(n_hosts: usize) -> (World, Engine<World>) {
     let (mut w, mut eng) = ClusterBuilder::new(n_hosts)
         .arena_size(4 << 20)
         .seed(SIM_SEED)
+        .race_detector()
         .build();
     // Prime chains (replenishers, QP wiring) before the first op.
     eng.run_until(&mut w, SimTime::from_nanos(2_000_000));
@@ -352,14 +353,11 @@ fn fresh_world(n_hosts: usize) -> (World, Engine<World>) {
 }
 
 /// A world ends sound: no completion lost to an overrun of a CQ that
-/// software polls, and (feature `check-ownership`) no WQE/DMA race.
+/// software polls, and no WQE/DMA race.
 fn assert_world_sound(w: &World, which: &str) {
     assert_eq!(w.polled_cq_overruns(), 0, "{which}: a polled CQ overran");
-    #[cfg(feature = "check-ownership")]
-    {
-        let report = w.race_report();
-        assert!(report.is_empty(), "{which}: WQE/DMA races: {report:?}");
-    }
+    let report = w.race_report();
+    assert!(report.is_empty(), "{which}: WQE/DMA races: {report:?}");
 }
 
 /// The disjoint two-shard placement both sharded worlds use.

@@ -20,6 +20,10 @@
 //! completing in posting order (see `GOLD_CHAIN`). Fan-out and
 //! multi-client pin only the ack count and member-region hashes: their
 //! replenisher timing is allowed to change.
+//!
+//! The chain and both Naive tuples are also reached with the race
+//! detector on, with an empty report: the detector is pure observation,
+//! so switching it on moves no simulated nanosecond.
 
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
@@ -176,16 +180,28 @@ fn four_phases<C: GroupClient + 'static>(
     (eng.events_executed(), eng.now().as_nanos(), lat, h)
 }
 
-fn chain_world() -> (World, Engine<World>) {
-    ClusterBuilder::new(4)
-        .arena_size(4 << 20)
-        .seed(SEED)
-        .build()
+fn chain_world(race_detector: bool) -> (World, Engine<World>) {
+    let b = ClusterBuilder::new(4).arena_size(4 << 20).seed(SEED);
+    if race_detector { b.race_detector() } else { b }.build()
 }
 
-#[test]
-fn hyperloop_chain_clock_is_pinned() {
-    let (mut w, mut eng) = chain_world();
+/// The four phases on a fresh chain world; with `race_detector` the
+/// world must also end with an empty race report.
+fn pinned<C: GroupClient + 'static>(
+    race_detector: bool,
+    client: impl FnOnce(&mut World, &mut Engine<World>) -> Rc<C>,
+) -> (u64, u64, u64, u64) {
+    let (mut w, mut eng) = chain_world(race_detector);
+    let client = client(&mut w, &mut eng);
+    let got = four_phases(client, &mut w, &mut eng);
+    if race_detector {
+        let report = w.race_report();
+        assert!(report.is_empty(), "race detector flagged: {report:?}");
+    }
+    got
+}
+
+fn hyperloop_chain(w: &mut World, eng: &mut Engine<World>) -> Rc<HyperLoopClient> {
     let group = GroupBuilder::new(GroupConfig {
         client: HostId(0),
         replicas: vec![HostId(1), HostId(2), HostId(3)],
@@ -193,49 +209,64 @@ fn hyperloop_chain_clock_is_pinned() {
         ring_slots: RING_SLOTS,
         ..Default::default()
     })
-    .build(&mut w);
-    replica::start_replenishers(&group, &mut w, &mut eng);
-    let client = Rc::new(HyperLoopClient::new(group, &mut w));
-    let got = four_phases(client, &mut w, &mut eng);
-    assert_eq!(got, GOLD_CHAIN, "(events, now ns, Σ latency ns, hash)");
+    .build(w);
+    replica::start_replenishers(&group, w, eng);
+    Rc::new(HyperLoopClient::new(group, w))
 }
 
-fn naive(mode: Mode) -> (u64, u64, u64, u64) {
-    let (mut w, mut eng) = chain_world();
-    let client = NaiveBuilder::new(NaiveConfig {
-        client: HostId(0),
-        replicas: vec![HostId(1), HostId(2), HostId(3)],
-        rep_bytes: REP_BYTES,
-        ring_slots: RING_SLOTS,
-        mode,
-        ..Default::default()
+#[test]
+fn hyperloop_chain_clock_is_pinned() {
+    for race_detector in [false, true] {
+        assert_eq!(
+            pinned(race_detector, hyperloop_chain),
+            GOLD_CHAIN,
+            "(events, now ns, Σ latency ns, hash), race detector {race_detector}"
+        );
+    }
+}
+
+fn naive(mode: Mode, race_detector: bool) -> (u64, u64, u64, u64) {
+    pinned(race_detector, |w, eng| {
+        Rc::new(
+            NaiveBuilder::new(NaiveConfig {
+                client: HostId(0),
+                replicas: vec![HostId(1), HostId(2), HostId(3)],
+                rep_bytes: REP_BYTES,
+                ring_slots: RING_SLOTS,
+                mode,
+                ..Default::default()
+            })
+            .build(w, eng),
+        )
     })
-    .build(&mut w, &mut eng);
-    four_phases(Rc::new(client), &mut w, &mut eng)
 }
 
 #[test]
 fn naive_event_clock_is_pinned() {
-    assert_eq!(
-        naive(Mode::Event),
-        GOLD_NAIVE_EVENT,
-        "(events, now ns, Σ latency ns, hash)"
-    );
+    for race_detector in [false, true] {
+        assert_eq!(
+            naive(Mode::Event, race_detector),
+            GOLD_NAIVE_EVENT,
+            "(events, now ns, Σ latency ns, hash), race detector {race_detector}"
+        );
+    }
 }
 
 #[test]
 fn naive_polling_clock_is_pinned() {
-    assert_eq!(
-        naive(Mode::Polling),
-        GOLD_NAIVE_POLLING,
-        "(events, now ns, Σ latency ns, hash)"
-    );
+    for race_detector in [false, true] {
+        assert_eq!(
+            naive(Mode::Polling, race_detector),
+            GOLD_NAIVE_POLLING,
+            "(events, now ns, Σ latency ns, hash), race detector {race_detector}"
+        );
+    }
 }
 
 /// Fan-out, 2 backups: ack count and the four members' region hash.
 #[test]
 fn fanout_state_is_pinned() {
-    let (mut w, mut eng) = chain_world();
+    let (mut w, mut eng) = chain_world(false);
     let group = FanoutBuilder::new(FanoutConfig {
         client: HostId(0),
         primary: HostId(1),
@@ -274,7 +305,7 @@ fn fanout_state_is_pinned() {
 /// disjoint offsets: ack count and the replicas' region hash.
 #[test]
 fn multi_client_state_is_pinned() {
-    let (mut w, mut eng) = chain_world();
+    let (mut w, mut eng) = chain_world(false);
     let chain = MultiBuilder::new(MultiConfig {
         clients: vec![HostId(0), HostId(1)],
         replicas: vec![HostId(2), HostId(3)],

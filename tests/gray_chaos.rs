@@ -21,6 +21,9 @@
 //!    degrade fires complete or fail with a typed [`OpError`].
 //! 5. **Determinism** — gray campaigns re-run on the same seed yield
 //!    byte-identical Chrome traces and metrics renders.
+//! 6. **Race-freedom** — every world runs under the race detector and
+//!    the fabric FIFO auditor and ends with an empty report, healed
+//!    impairments included.
 
 use hyperloop_repro::cluster::chaos::{member_snapshot, FaultEvent, FaultKind, FaultSchedule};
 use hyperloop_repro::cluster::{ClusterBuilder, World};
@@ -69,6 +72,7 @@ fn build_offloaded(seed: u64) -> (World, Engine<World>, GroupRef, RetryClient) {
     let (mut w, mut eng) = ClusterBuilder::new(4)
         .arena_size(2 << 20)
         .seed(seed)
+        .race_detector()
         .build();
     w.enable_telemetry();
     let group = GroupBuilder::new(GroupConfig {
@@ -171,6 +175,7 @@ fn naive_control_bytes(seed: u64, n_ops: usize) -> Vec<u8> {
     let (mut w, mut eng) = ClusterBuilder::new(4)
         .arena_size(2 << 20)
         .seed(seed)
+        .race_detector()
         .build();
     let naive = NaiveBuilder::new(NaiveConfig {
         client: CLIENT,
@@ -195,6 +200,7 @@ fn naive_control_bytes(seed: u64, n_ops: usize) -> Vec<u8> {
             "control members diverged"
         );
     }
+    assert_race_free(&w);
     reference
 }
 
@@ -205,6 +211,15 @@ fn member_bytes<C: GroupClient>(client: &C, m: usize, w: &World) -> Vec<u8> {
         client.member_addr(m, 0),
         REP_BYTES as usize,
     )
+}
+
+fn assert_race_free(w: &World) {
+    let report = w.race_report();
+    assert!(
+        report.is_empty(),
+        "race detector flagged:\n{}",
+        report.join("\n")
+    );
 }
 
 fn mark_time(w: &World, name: &str) -> Option<SimTime> {
@@ -357,6 +372,7 @@ fn degrade_repromote_round_trip_preserves_committed_state() {
         (n_ops / 5) as u64,
         "CAS increments lost or duplicated"
     );
+    assert_race_free(&w);
 }
 
 /// Tentpole causal-order invariant: when the SLO alert is what makes
@@ -373,6 +389,7 @@ fn slo_alert_precedes_health_degrade() {
     let (mut w, mut eng) = ClusterBuilder::new(4)
         .arena_size(2 << 20)
         .seed(seed)
+        .race_detector()
         .build();
     w.enable_timeseries(SimDuration::from_millis(1));
     let group = GroupBuilder::new(GroupConfig {
@@ -514,6 +531,7 @@ fn slo_alert_precedes_health_degrade() {
         excursion_end <= fire.at,
         "excursion window must close before the alert fires"
     );
+    assert_race_free(&w);
 }
 
 /// Satellite regression: operations in flight when `degrade_to_naive`
@@ -595,6 +613,7 @@ fn inflight_ops_survive_degradation() {
     }
     eng.run_until(&mut w, SimTime::from_nanos(300_000_000));
     assert_eq!(*final_ok.borrow(), Some(true));
+    assert_race_free(&w);
 }
 
 /// Satellite regression: a silently stalled mid-chain NIC — no error
@@ -720,6 +739,7 @@ fn nic_stall_probe_detects_and_recovers() {
         !hosts.contains(&R2),
         "stalled host must have been rebuilt out of the chain"
     );
+    assert_race_free(&w);
 }
 
 /// Gray campaign used by the determinism check: seeded gray-only fault
@@ -773,6 +793,7 @@ fn gray_campaign(seed: u64) -> (String, String, String, usize) {
 
     eng.run_until(&mut w, SimTime::from_nanos(120_000_000));
     monitor.stop();
+    assert_race_free(&w);
     let now = eng.now();
     w.collect_metrics(now);
     (

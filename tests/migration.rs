@@ -195,6 +195,7 @@ fn run_campaign(
     let (mut w, mut eng) = ClusterBuilder::new(N_HOSTS)
         .arena_size(4 << 20)
         .seed(seed)
+        .race_detector()
         .build();
     if telemetry {
         w.enable_telemetry();
@@ -386,10 +387,7 @@ fn run_campaign(
         })
         .collect();
 
-    #[cfg(feature = "check-ownership")]
     let race = w.race_report();
-    #[cfg(not(feature = "check-ownership"))]
-    let race = Vec::new();
 
     let (did_migrate, did_merge) = (*migrated.borrow(), *merged.borrow());
     let (merge_delta_bytes, merge_move_bytes) = *merge_delta.borrow();

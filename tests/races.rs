@@ -1,18 +1,17 @@
-//! System-level race-detector regression (feature `check-ownership`).
+//! System-level race-detector regression: every world here is built
+//! with `ClusterBuilder::race_detector`, so these run in plain
+//! `cargo test`.
 //!
-//! Re-creates the bug shape behind PR 1's catch-up fix: while a new
-//! chain member is pulling state with catch-up READs, a stale write
-//! from the old chain generation lands in the same region. The two
-//! writers are different QPs, nothing orders them on the receiving
-//! host, and they carry different bytes — exactly the silent-corruption
-//! race the WQE-ownership & DMA detector exists to flag. One seed, one
+//! Re-creates the bug shape behind the catch-up fix: while a new chain
+//! member is pulling state with catch-up READs, a stale write from the
+//! old chain generation lands in the same region. The two writers are
+//! different QPs, nothing orders them on the receiving host, and they
+//! carry different bytes — exactly the silent-corruption race the
+//! WQE-ownership & DMA detector exists to flag. One seed, one
 //! deterministic detection.
 //!
-//! The fan-out and multi-client extensions run here too: their crate
-//! has no `check-ownership` feature of its own, so this package (which
-//! declares it) is where their slot programs meet the detector.
-
-#![cfg(feature = "check-ownership")]
+//! The fan-out and multi-client extensions run here too, so their slot
+//! programs meet the detector.
 
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
@@ -31,7 +30,11 @@ const LEN: u64 = 1024;
 
 #[test]
 fn stale_chain_write_racing_catch_up_is_detected() {
-    let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(1 << 20).seed(11).build();
+    let (mut w, mut eng) = ClusterBuilder::new(3)
+        .arena_size(1 << 20)
+        .seed(11)
+        .race_detector()
+        .build();
 
     // Committed state on the survivor, destination region on the new
     // member (registered remotely writable, as replica regions are).
@@ -118,7 +121,11 @@ fn stale_chain_write_racing_catch_up_is_detected() {
 /// observer, not a tripwire for legal traffic.
 #[test]
 fn healthy_write_traffic_reports_no_races() {
-    let (mut w, mut eng) = ClusterBuilder::new(2).arena_size(1 << 20).seed(5).build();
+    let (mut w, mut eng) = ClusterBuilder::new(2)
+        .arena_size(1 << 20)
+        .seed(5)
+        .race_detector()
+        .build();
     let a_sq = w.host(HostId(0)).layout.alloc("a.sq", 8 * 64, 64);
     let b_sq = w.host(HostId(1)).layout.alloc("b.sq", 8 * 64, 64);
     let cq_a = w.hosts[0].nic.create_cq();
@@ -198,7 +205,11 @@ const RING: u32 = 16;
 /// must leave the ownership & DMA detector silent.
 #[test]
 fn fanout_pipelined_writes_report_no_races() {
-    let (mut w, mut eng) = ClusterBuilder::new(4).arena_size(4 << 20).seed(23).build();
+    let (mut w, mut eng) = ClusterBuilder::new(4)
+        .arena_size(4 << 20)
+        .seed(23)
+        .race_detector()
+        .build();
     let group = FanoutBuilder::new(FanoutConfig {
         client: HostId(0),
         primary: HostId(1),
@@ -220,7 +231,11 @@ fn fanout_pipelined_writes_report_no_races() {
 /// head, the per-client select byte rewriting the tail's opcodes.
 #[test]
 fn multi_client_pipelined_writes_report_no_races() {
-    let (mut w, mut eng) = ClusterBuilder::new(5).arena_size(4 << 20).seed(29).build();
+    let (mut w, mut eng) = ClusterBuilder::new(5)
+        .arena_size(4 << 20)
+        .seed(29)
+        .race_detector()
+        .build();
     let chain = MultiBuilder::new(MultiConfig {
         clients: vec![HostId(0), HostId(1)],
         replicas: vec![HostId(2), HostId(3), HostId(4)],
@@ -237,4 +252,13 @@ fn multi_client_pipelined_writes_report_no_races() {
         clients[k as usize % 2].gwrite(w, eng, k as u64 * 256, &[k as u8; 200], k % 3 == 0, done)
     });
     assert!(w.race_report().is_empty(), "got: {:?}", w.race_report());
+}
+
+/// A race-freedom assertion on a world built without the switch would
+/// pass without checking anything, so the report refuses.
+#[test]
+#[should_panic(expected = "race detector is off")]
+fn race_report_without_the_switch_panics() {
+    let (w, _eng) = ClusterBuilder::new(2).build();
+    w.race_report();
 }

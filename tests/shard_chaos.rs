@@ -27,8 +27,8 @@
 //!    (`victim_shard_permanent_fault_rebuilds_only_its_group` forces a
 //!    permanent head failure to prove a rebuild actually happens and
 //!    stays scoped).
-//! 4. **Race-freedom** — under `check-ownership`, the WQE-ownership &
-//!    DMA race detector stays clean across the whole campaign.
+//! 4. **Race-freedom** — the WQE-ownership & DMA race detector stays
+//!    clean across the whole campaign.
 
 use hyperloop_repro::cluster::chaos::{BystanderProbe, FaultEvent, FaultKind, FaultSchedule};
 use hyperloop_repro::cluster::shard::ShardPlan;
@@ -253,6 +253,7 @@ fn run_campaign(seed: u64, faults: Option<&FaultSchedule>) -> CampaignOutcome {
     let (mut w, mut eng) = ClusterBuilder::new(8)
         .arena_size(2 << 20)
         .seed(seed)
+        .race_detector()
         .build();
 
     let hosts: Vec<HostId> = (0..N_SHARDS * (1 + REPLICAS)).map(HostId).collect();
@@ -457,15 +458,12 @@ fn assert_isolation(seed: u64) {
         .assert_identical_to(&control.shards[BYSTANDER].probe, "shard-chaos");
 
     // Race-freedom under the ownership/DMA detector.
-    #[cfg(feature = "check-ownership")]
-    {
-        let report = faulted.w.race_report();
-        assert!(
-            report.is_empty(),
-            "seed {seed}: race detector flagged:\n{}",
-            report.join("\n")
-        );
-    }
+    let report = faulted.w.race_report();
+    assert!(
+        report.is_empty(),
+        "seed {seed}: race detector flagged:\n{}",
+        report.join("\n")
+    );
 }
 
 macro_rules! shard_chaos_campaigns {
@@ -517,7 +515,6 @@ fn victim_shard_permanent_fault_rebuilds_only_its_group() {
     b.probe
         .assert_identical_to(&control.shards[BYSTANDER].probe, "permanent-fault");
 
-    #[cfg(feature = "check-ownership")]
     assert!(faulted.w.race_report().is_empty());
 }
 
