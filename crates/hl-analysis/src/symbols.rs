@@ -136,8 +136,7 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
     // (index into out.fns, depth the body opened at)
     let mut fn_stack: Vec<(usize, i64)> = Vec::new();
     // A just-parsed fn header waiting for its body `{`.
-    // (name, index of its impl block in `impl_stack`, line); the index
-    // is taken at `fn`, before a `-> impl Trait` header pushes a scope.
+    // (name, index of its impl block in `impl_stack`, line).
     let mut pending_fn: Option<(String, Option<usize>, u32)> = None;
     let mut paren_depth: i64 = 0;
     // Depth of the outermost `#[cfg(test)] mod` block we are inside, if
@@ -201,7 +200,11 @@ pub fn parse_file(krate: &str, file: &str, src: &str) -> FileSyms {
                 cfg_test = None;
             }
             brace_depth -= 1;
-        } else if tok.is_ident("impl") && paren_depth == 0 {
+        } else if tok.is_ident("impl")
+            && paren_depth == 0
+            // `-> impl Trait` is a return type, not an impl block.
+            && !(i >= 2 && t[i - 2].is_punct('-') && t[i - 1].is_punct('>'))
+        {
             // Scan the header up to `{`; the self type is the ident after
             // `for` when present, else the last segment of the first
             // angle-depth-0 path after `impl`.
@@ -404,6 +407,18 @@ mod tests {
         let src = "impl<C: EventCtx> Engine<C> {\n fn step(&mut self) { self.pop(); }\n}";
         let s = parse_file("k", "f.rs", src);
         assert_eq!(s.fns[0].qual, "Engine::step");
+    }
+
+    #[test]
+    fn return_position_impl_trait_opens_no_impl_block() {
+        let src = "fn evens() -> impl Iterator<Item = u8> {\n    fn helper() -> u8 { 2 }\n    (0..helper()).filter(|x| x % 2 == 0)\n}";
+        let s = parse_file("k", "f.rs", src);
+        let quals: Vec<(&str, Option<&str>)> = s
+            .fns
+            .iter()
+            .map(|f| (f.qual.as_str(), f.impl_type.as_deref()))
+            .collect();
+        assert_eq!(quals, [("evens", None), ("helper", None)]);
     }
 
     #[test]

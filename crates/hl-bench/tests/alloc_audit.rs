@@ -269,12 +269,13 @@ fn chain_build_allocations_do_not_grow_with_ring_depth() {
 
 /// Re-posting consumed slots is a pointer copy per RECV: the
 /// replenisher's batch for 64 consumed slots makes as many allocations
-/// as its batch for 8 (about ten: the wake-up timer, the CPU work item,
-/// the credit report; none of them per slot). Each measured batch
-/// follows one full 64-slot cycle, so both find the engine and the
+/// as its batch for 32, the smallest a 128-slot ring re-posts (its
+/// watermark is a quarter ring); about ten: the wake-up timer, the CPU
+/// work item, the credit report; none of them per slot. Each measured
+/// batch follows one full 64-slot cycle, so both find the engine and the
 /// queues at the same high-water sizes; the one allocation of slack is a
 /// calendar-wheel bucket that one batch's timing happens to grow (see
-/// the engine test above). One scatter list per RECV was 112 more.
+/// the engine test above). One scatter list per RECV was 64 more.
 #[test]
 fn replenisher_reposts_without_allocating_per_slot() {
     // The replenishers wake every millisecond, long after each burst has
@@ -320,11 +321,11 @@ fn replenisher_reposts_without_allocating_per_slot() {
         );
         n
     };
-    let (few, many) = (repost_allocs(8), repost_allocs(64));
-    println!("recv_templates: replenisher allocs re-posting 8 vs 64 slots {few} vs {many}");
+    let (few, many) = (repost_allocs(32), repost_allocs(64));
+    println!("recv_templates: replenisher allocs re-posting 32 vs 64 slots {few} vs {many}");
     assert!(
         many <= few + 1,
-        "re-posting 112 more slots made {} more allocations",
+        "re-posting 64 more slots made {} more allocations",
         many as i64 - few as i64
     );
 }

@@ -22,4 +22,3 @@
 
 pub mod doc;
 pub mod kv;
-pub mod sharded;

@@ -84,6 +84,16 @@ impl Backend {
             Backend::Naive(n) => n.group().borrow_mut().paused = paused,
         }
     }
+
+    /// Take a replaced backend out of service at a reconfiguration's
+    /// commit: paused for good, and an offloaded chain's replenishers
+    /// stop ([`crate::group::GroupInner::retire`]).
+    pub fn retire(&self) {
+        match self {
+            Backend::Hyper(c) => c.group().borrow_mut().retire(),
+            Backend::Naive(n) => n.group().borrow_mut().paused = true,
+        }
+    }
 }
 
 impl GroupClient for Backend {

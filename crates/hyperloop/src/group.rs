@@ -232,6 +232,14 @@ impl GroupInner {
     pub fn inflight_total(&self) -> u32 {
         self.rings.credits.inflight_total()
     }
+
+    /// Take the group out of service for good, as a reconfiguration that
+    /// replaces it does at its commit: it refuses new issues, and its
+    /// replenishers stop at their next wake-up and let go of it.
+    pub fn retire(&mut self) {
+        self.paused = true;
+        self.rings.retired = true;
+    }
 }
 
 /// Builds a group: allocates regions, wires QPs, pre-posts all rings.

@@ -431,8 +431,8 @@ fn start_promote(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<
 /// * after the bulk copy the old backend is paused (new issues see
 ///   `Backpressure` and back off until the swap) and in-flight ops
 ///   drain, bounded — unACKed survivors re-issue on the new chain;
-/// * commit: swap the new chain's client into the `RetryClient` and
-///   hand it to `done`.
+/// * commit: retire the old backend, swap the new chain's client into
+///   the `RetryClient` and hand it to `done`.
 pub fn live_cutover(
     retry: &RetryClient,
     cfg: GroupConfig,
@@ -446,6 +446,7 @@ pub fn live_cutover(
     let rep_bytes = cfg.rep_bytes;
     let new_group = GroupBuilder::new(cfg).build(w);
     let retry = retry.clone();
+    let old = backend.clone();
     reconfig::run(
         Plan {
             src,
@@ -468,6 +469,7 @@ pub fn live_cutover(
                 w.telemetry.mark(now, name, src.0 .0);
             }),
             commit: Box::new(move |w, eng| {
+                old.retire();
                 crate::replica::start_replenishers(&new_group, w, eng);
                 let client = HyperLoopClient::new(new_group, w);
                 retry.swap(client.clone());

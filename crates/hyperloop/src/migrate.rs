@@ -206,9 +206,10 @@ pub fn merge_live(
             commit: Box::new(move |w, eng| {
                 let shards: Vec<RetryClient> = (0..victim).map(|s| router.client(s)).collect();
                 router.install(w, eng, new_ring, shards);
-                // Teardown: the victim chain stops accepting work;
-                // anything still in flight drains through retries.
-                victim_backend.set_paused(true);
+                // Teardown: the victim chain stops accepting work and
+                // its replenishers stop; anything still in flight drains
+                // through retries.
+                victim_backend.retire();
                 done
             }),
         },

@@ -366,6 +366,12 @@ impl SlotProgram {
         (self.consumed(w) + self.slots).saturating_sub(self.posted)
     }
 
+    /// The deficit at which this ring is worth a re-post batch: a
+    /// quarter of the ring.
+    pub fn watermark(&self) -> u64 {
+        (self.slots / 4).max(1)
+    }
+
     /// Park the posted WAITs: one setup-time doorbell per queue.
     pub fn arm(&self, w: &mut World) {
         let h = &mut w.hosts[self.host.0];

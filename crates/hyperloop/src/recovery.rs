@@ -316,7 +316,8 @@ pub fn catch_up(
 /// every member to the client's state, and hand back the new client.
 /// The client's copy is authoritative (it holds everything it ever
 /// ACKed); the old group's rings are simply abandoned, as the paper's
-/// recovery hands control back to the application's protocol. A
+/// recovery hands control back to the application's protocol, and the
+/// old group is retired at the commit, so its replenishers stop. A
 /// stop-the-world [`crate::reconfig`] plan.
 #[allow(clippy::too_many_arguments)]
 pub fn rebuild_chain(
@@ -344,9 +345,10 @@ pub fn rebuild_chain(
         ..old_cfg.clone()
     })
     .build(w);
+    let old = old.clone();
     reconfig::run(
         Plan {
-            src: reconfig::group_members(old)[0],
+            src: reconfig::group_members(&old)[0],
             rep_bytes: old_cfg.rep_bytes,
             // The new group's own client region is a fresh allocation
             // on the same host: filled locally. Replicas copy over the
@@ -357,6 +359,7 @@ pub fn rebuild_chain(
             live: None,
             on_stage: Box::new(|_, _, _| {}),
             commit: Box::new(move |w, eng| {
+                old.borrow_mut().retire();
                 crate::replica::start_replenishers(&new_group, w, eng);
                 let client = HyperLoopClient::new(new_group, w);
                 Box::new(move |w, eng| done(w, eng, client))
@@ -447,7 +450,8 @@ pub type OnDegraded = Box<dyn FnOnce(&mut World, &mut Engine<World>, crate::naiv
 /// forwarding posts WQEs from the CPU and uses no WAITs, so it keeps
 /// making progress on the very NIC whose offload path is wedged — and
 /// so does the seeding, whose catch-up READs are CPU-posted too. A
-/// stop-the-world [`crate::reconfig`] plan.
+/// stop-the-world [`crate::reconfig`] plan, which retires the HyperLoop
+/// group at its commit.
 pub fn degrade_to_naive(
     group: &GroupRef,
     w: &mut World,
@@ -479,16 +483,20 @@ pub fn degrade_to_naive(
         ..Default::default()
     })
     .build(w, eng);
+    let group = group.clone();
     reconfig::run(
         Plan {
-            src: reconfig::group_members(group)[0],
+            src: reconfig::group_members(&group)[0],
             rep_bytes: cfg.rep_bytes,
             targets: reconfig::members(&naive),
             ranges: vec![(0, cfg.rep_bytes)],
             chunk: 64 * 1024,
             live: None,
             on_stage: Box::new(|_, _, _| {}),
-            commit: Box::new(move |_, _| Box::new(move |w, eng| done(w, eng, naive))),
+            commit: Box::new(move |_, _| {
+                group.borrow_mut().retire();
+                Box::new(move |w, eng| done(w, eng, naive))
+            }),
         },
         w,
         eng,

@@ -4,8 +4,13 @@ use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
 use hl_rnic::Access;
 use hl_sim::{Engine, SimDuration, SimTime};
+use hyperloop::health::live_cutover;
+use hyperloop::naive::Mode;
 use hyperloop::recovery::{self, HeartbeatConfig};
-use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
+use hyperloop::{
+    merge_live, replica, GroupBuilder, GroupConfig, HyperLoopClient, MigrationSpec, RetryClient,
+    ShardRouter,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -287,4 +292,178 @@ fn failure_report_is_single_shot_and_survivors_stay_monitored() {
     w.fabric.set_link_down(HostId(1), true);
     eng.run_until(&mut w, SimTime::from_nanos(600_000_000));
     assert_eq!(*failures.borrow(), vec![1, 0]);
+}
+
+/// A chain over `replicas` whose replenishers wake every 50 µs.
+fn idle_chain(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    client: usize,
+    replicas: &[usize],
+) -> hyperloop::GroupRef {
+    let group = GroupBuilder::new(chain_cfg(client, replicas)).build(w);
+    replica::start_replenishers(&group, w, eng);
+    group
+}
+
+fn chain_cfg(client: usize, replicas: &[usize]) -> GroupConfig {
+    GroupConfig {
+        client: HostId(client),
+        replicas: replicas.iter().map(|&h| HostId(h)).collect(),
+        rep_bytes: 64 << 10,
+        ring_slots: 32,
+        replenish_period: SimDuration::from_micros(50),
+        ..Default::default()
+    }
+}
+
+/// Run until `done` is set, then 10 ms more; what each of `hosts` spent
+/// on re-posting in those 10 ms.
+fn replenish_ns_after(
+    done: &Rc<RefCell<bool>>,
+    hosts: &[usize],
+    w: &mut World,
+    eng: &mut Engine<World>,
+) -> Vec<u64> {
+    let probe = done.clone();
+    eng.run_while(w, move |_| !*probe.borrow());
+    let cpu = |w: &World| -> Vec<u64> {
+        hosts
+            .iter()
+            .map(|&h| w.hosts[h].cpu.busy_ns_by_prefix("hl-replenish"))
+            .collect()
+    };
+    let before = cpu(w);
+    eng.run_until(w, SimTime::from_nanos(eng.now().as_nanos() + 10_000_000));
+    cpu(w).iter().zip(&before).map(|(a, b)| a - b).collect()
+}
+
+/// One replenisher wake-up costs 500 ns.
+const ONE_TICK: u64 = 500;
+
+/// A rebuild retires the old group at its commit, so the old group's
+/// replenishers stop: over 10 ms of idling afterwards the survivor
+/// (host 1, which ran the old chain's replenisher and runs the new
+/// one's) spends on re-posting what the new member (host 3) does, but
+/// for one last wake-up of the old replenisher, and the dropped member
+/// (host 2) spends that wake-up alone. The stopped replenishers also
+/// let go of the old group.
+#[test]
+fn a_rebuild_stops_the_old_groups_replenishers() {
+    let (mut w, mut eng) = ClusterBuilder::new(4).arena_size(4 << 20).seed(3).build();
+    let group = idle_chain(&mut w, &mut eng, 0, &[1, 2]);
+    eng.run_until(&mut w, SimTime::from_nanos(1_000_000));
+    let held = Rc::strong_count(&group);
+
+    let done = Rc::new(RefCell::new(false));
+    let d = done.clone();
+    recovery::rebuild_chain(
+        &mut w,
+        &mut eng,
+        &group,
+        vec![HostId(1)],
+        Some(HostId(3)),
+        32,
+        Box::new(move |_, _, _| *d.borrow_mut() = true),
+    );
+    let spent = replenish_ns_after(&done, &[1, 2, 3], &mut w, &mut eng);
+    let [survivor, dropped, new] = spent[..] else {
+        unreachable!()
+    };
+    assert!(group.borrow().paused);
+    assert!(
+        dropped <= ONE_TICK,
+        "the old replenisher kept waking: {dropped} ns"
+    );
+    assert!(new > 50_000, "the new replenisher is not running: {new} ns");
+    assert_eq!(
+        survivor,
+        new + dropped,
+        "survivor {survivor} ns, new member {new} ns"
+    );
+    assert_eq!(
+        Rc::strong_count(&group),
+        held - 2,
+        "a replenisher still holds the old group"
+    );
+}
+
+/// The other reconfigurations that replace an offloaded group retire it
+/// too: degrade-to-Naïve, the live cutover (re-promotion, rejoin) and a
+/// shard merge's victim. After each, the replaced chain's replica hosts
+/// spend at most one last wake-up on its replenishers.
+#[test]
+fn degrade_cutover_and_merge_stop_the_replaced_groups_replenishers() {
+    let (mut w, mut eng) = ClusterBuilder::new(7).arena_size(4 << 20).seed(3).build();
+    let done = Rc::new(RefCell::new(false));
+    let set = |done: &Rc<RefCell<bool>>| {
+        *done.borrow_mut() = false;
+        let d = done.clone();
+        move || *d.borrow_mut() = true
+    };
+
+    // Degrade: the Naïve chain over hosts 1 and 2 has no replenisher.
+    let group = idle_chain(&mut w, &mut eng, 0, &[1, 2]);
+    let retry = RetryClient::new(HyperLoopClient::new(group.clone(), &mut w));
+    eng.run_until(&mut w, SimTime::from_nanos(1_000_000));
+    let (r, fire) = (retry.clone(), set(&done));
+    recovery::degrade_to_naive(
+        &group,
+        &mut w,
+        &mut eng,
+        Mode::Event,
+        Box::new(move |_, _, naive| {
+            r.swap_naive(naive);
+            fire();
+        }),
+    );
+    let spent = replenish_ns_after(&done, &[1, 2], &mut w, &mut eng);
+    assert!(
+        spent.iter().all(|&ns| ns <= ONE_TICK),
+        "after the degrade: {spent:?}"
+    );
+
+    // Re-promote onto hosts 1 and 2, then cut over to hosts 1 and 3: the
+    // replaced chain's host 2 goes quiet, host 1 runs one replenisher.
+    for replicas in [[1, 2], [1, 3]] {
+        let fire = set(&done);
+        live_cutover(
+            &retry,
+            chain_cfg(0, &replicas),
+            &mut w,
+            &mut eng,
+            Box::new(move |_, _, _| fire()),
+        );
+        let probe = done.clone();
+        eng.run_while(&mut w, move |_| !*probe.borrow());
+    }
+    let spent = replenish_ns_after(&done, &[1, 2, 3], &mut w, &mut eng);
+    assert!(spent[1] <= ONE_TICK, "after the cutover: {spent:?}");
+    assert_eq!(
+        spent[0],
+        spent[2] + spent[1],
+        "after the cutover: {spent:?}"
+    );
+
+    // Merge shard 1 (hosts 4, 5, 6) into shard 0.
+    let victim = idle_chain(&mut w, &mut eng, 4, &[5, 6]);
+    let router = ShardRouter::new(vec![
+        retry,
+        RetryClient::new(HyperLoopClient::new(victim, &mut w)),
+    ]);
+    let fire = set(&done);
+    merge_live(
+        &router,
+        0,
+        vec![(0, 4096)],
+        MigrationSpec::default(),
+        &mut w,
+        &mut eng,
+        Box::new(move |_, _| fire()),
+    );
+    let spent = replenish_ns_after(&done, &[5, 6], &mut w, &mut eng);
+    assert!(
+        spent.iter().all(|&ns| ns <= ONE_TICK),
+        "after the merge: {spent:?}"
+    );
 }
