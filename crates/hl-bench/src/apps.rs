@@ -295,8 +295,8 @@ pub fn run_fig11(cfg: &Fig11Cfg) -> Summary {
                 replicas,
                 rep_bytes: 4 << 20,
                 ring_slots: 128,
-                replenish_period: SimDuration::from_micros(100),
                 transport_timeout: None,
+                ..Default::default()
             })
             .build(&mut w);
             // note: rep_bytes must cover the kv layout's db_off area.
@@ -656,8 +656,8 @@ pub fn run_fig12(cfg: &Fig12Cfg) -> Fig12Result {
                     replicas: servers.to_vec(),
                     rep_bytes: 2 << 20,
                     ring_slots: 64,
-                    replenish_period: SimDuration::from_micros(200),
                     transport_timeout: None,
+                    ..Default::default()
                 })
                 .build(&mut w);
                 replica::start_replenishers(&group, &mut w, &mut eng);

@@ -13,7 +13,7 @@
 use hl_bench::table::{us, Table};
 use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
-use hl_sim::{Histogram, SimDuration};
+use hl_sim::Histogram;
 use hyperloop::fanout::{self, FanoutBuilder, FanoutConfig};
 use hyperloop::{replica, GroupBuilder, GroupConfig, HyperLoopClient};
 use std::cell::RefCell;
@@ -71,7 +71,6 @@ fn run_fanout(backups: usize, size: usize, ops: u32) -> hl_sim::Summary {
         backups: (2..2 + backups).map(HostId).collect(),
         rep_bytes: 1 << 20,
         ring_slots: 64,
-        replenish_period: SimDuration::from_micros(100),
     })
     .build(&mut w);
     fanout::start_replenisher(&group, &mut w, &mut eng);

@@ -33,7 +33,6 @@ fn run(clients_n: usize, ops_per_client: u32) -> Outcome {
         ],
         rep_bytes: 1 << 20,
         ring_slots: 256,
-        replenish_period: SimDuration::from_micros(50),
     })
     .build(&mut w);
     multi::start_replenisher(&chain, &mut w, &mut eng);

@@ -224,8 +224,8 @@ pub fn run_micro(cfg: &MicroCfg) -> MicroResult {
                 replicas,
                 rep_bytes,
                 ring_slots: cfg.ring_slots,
-                replenish_period: SimDuration::from_micros(50),
                 transport_timeout: None,
+                ..Default::default()
             })
             .build(&mut w);
             replica::start_replenishers(&group, &mut w, &mut eng);

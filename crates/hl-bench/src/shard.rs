@@ -16,7 +16,7 @@ use hl_cluster::exec::ShardExecutor;
 use hl_cluster::shard::{HashRing, ShardPlan};
 use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
-use hl_sim::{Engine, Histogram, SimDuration, SimTime, Summary};
+use hl_sim::{Engine, Histogram, SimTime, Summary};
 use hyperloop::api::GroupClient;
 use hyperloop::{
     replica, DeadlinePolicy, GroupBuilder, GroupConfig, GroupOp, HyperLoopClient, RetryClient,
@@ -135,8 +135,8 @@ pub fn run_shard_campaign(cfg: &ShardCampaignCfg) -> ShardCampaignResult {
             replicas: g.replicas.clone(),
             rep_bytes,
             ring_slots: cfg.ring_slots,
-            replenish_period: SimDuration::from_micros(50),
             transport_timeout: None,
+            ..Default::default()
         })
         .build(&mut w);
         replica::start_replenishers(&group, &mut w, &mut eng);
@@ -362,8 +362,8 @@ pub fn run_shard_slice(cfg: &ShardCampaignCfg, sid: usize) -> ShardSlice {
         replicas: plan.groups[0].replicas.clone(),
         rep_bytes,
         ring_slots: cfg.ring_slots,
-        replenish_period: SimDuration::from_micros(50),
         transport_timeout: None,
+        ..Default::default()
     })
     .build(&mut w);
     replica::start_replenishers(&group, &mut w, &mut eng);

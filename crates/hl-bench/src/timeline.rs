@@ -85,8 +85,8 @@ pub fn run_shard_timeline(cfg: &TimelineCfg) -> TimelineArtifact {
             replicas: g.replicas.clone(),
             rep_bytes,
             ring_slots: 128,
-            replenish_period: SimDuration::from_micros(50),
             transport_timeout: None,
+            ..Default::default()
         })
         .build(&mut w);
         replica::start_replenishers(&group, &mut w, &mut eng);

@@ -12,7 +12,7 @@ use hl_cpu::HostCpu;
 use hl_fabric::HostId;
 use hl_rnic::{flags, Access, Opcode, Wqe};
 use hl_sim::config::CpuProfile;
-use hl_sim::{Engine, EventCtx, Histogram, SimDuration, SimTime};
+use hl_sim::{Engine, EventCtx, Histogram, SimDuration};
 use hl_store::doc::{DocLayout, DocStore};
 use hl_ycsb::ycsb_document;
 use hyperloop::{GroupBuilder, GroupConfig, GroupRef, HyperLoopClient};
@@ -224,21 +224,20 @@ fn verb_write_loop_allocates_only_the_payload() {
     );
 }
 
-/// A 3-member chain on a fresh world: the group, its client and the
-/// world. `period` is the replenishers' wake-up period, or `None` for a
-/// group without them.
-fn chain(ring_slots: u32, period: Option<SimDuration>) -> (World, Engine<World>, GroupRef, u64) {
+/// A 3-member chain on a fresh world: the world, the group and the
+/// allocations its build made, with replenishers started when
+/// `replenish` is set.
+fn chain(ring_slots: u32, replenish: bool) -> (World, Engine<World>, GroupRef, u64) {
     let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(8 << 20).seed(42).build();
     let cfg = GroupConfig {
         client: HostId(0),
         replicas: vec![HostId(1), HostId(2)],
         rep_bytes: 64 << 10,
         ring_slots,
-        replenish_period: period.unwrap_or(SimDuration::from_micros(200)),
         ..Default::default()
     };
     let (n, group) = count_allocs(|| GroupBuilder::new(cfg).build(&mut w));
-    if period.is_some() {
+    if replenish {
         hyperloop::replica::start_replenishers(&group, &mut w, &mut eng);
     }
     (w, eng, group, n)
@@ -253,8 +252,8 @@ fn chain(ring_slots: u32, period: Option<SimDuration>) -> (World, Engine<World>,
 /// 6 × 448 more.
 #[test]
 fn chain_build_allocations_do_not_grow_with_ring_depth() {
-    let (.., small) = chain(64, None);
-    let (.., large) = chain(512, None);
+    let (.., small) = chain(64, false);
+    let (.., large) = chain(512, false);
     let queue_growth = 9 * (512f64 / 64.0).log2() as u64;
     println!(
         "recv_templates: build allocs 64 vs 512 slots {small} vs {large} \
@@ -269,60 +268,69 @@ fn chain_build_allocations_do_not_grow_with_ring_depth() {
 
 /// Re-posting consumed slots is a pointer copy per RECV: the
 /// replenisher's batch for 64 consumed slots makes as many allocations
-/// as its batch for 32, the smallest a 128-slot ring re-posts (its
-/// watermark is a quarter ring); about ten: the wake-up timer, the CPU
-/// work item, the credit report; none of them per slot. Each measured
-/// batch follows one full 64-slot cycle, so both find the engine and the
-/// queues at the same high-water sizes; the one allocation of slack is a
-/// calendar-wheel bucket that one batch's timing happens to grow (see
-/// the engine test above). One scatter list per RECV was 64 more.
+/// as its batch for 32. A batch re-posts a watermark (a quarter ring),
+/// so the two are the batches of a 256-slot and a 128-slot chain. The
+/// chain is driven by ops, one gWRITE at a time run to quiescence (a
+/// sleeping replenisher leaves no event behind), for two turns of the
+/// ring; then a batch's allocations are those of the op whose arrival
+/// wakes the replicas less those of the op before it, which wakes
+/// nobody. A wake-up allocates nothing (its interrupt, CPU work and
+/// credit reports reuse buffers or fit the engine's inline closures),
+/// so neither batch may make more than the one allocation of slack, a
+/// calendar-wheel bucket that a batch's timing could grow (see the
+/// engine test above); a `Vec` per wake-up makes two. One scatter list
+/// per RECV was 64 more.
 #[test]
 fn replenisher_reposts_without_allocating_per_slot() {
-    // The replenishers wake every millisecond, long after each burst has
-    // been acknowledged.
-    const PERIOD: u64 = 1_000_000;
-    let repost_allocs = |ops: u32| {
-        let (mut w, mut eng, group, _) = chain(128, Some(SimDuration::from_nanos(PERIOD)));
+    let batch_allocs = |ring_slots: u32| {
+        let watermark = ring_slots as u64 / 4;
+        let (mut w, mut eng, group, _) = chain(ring_slots, true);
         let client = HyperLoopClient::new(group.clone(), &mut w);
-        let acked = Rc::new(Cell::new(0u32));
-        let burst = |w: &mut World, eng: &mut Engine<World>, ops: u32| {
-            let target = acked.get() + ops;
-            for k in 0..ops {
-                let a = acked.clone();
+        let mut k = 0u64;
+        // One gWRITE, run until nothing is left to do: its allocations
+        // and the slots the replicas re-posted meanwhile.
+        let mut op = |w: &mut World, eng: &mut Engine<World>| {
+            let before = group.borrow().stats.reposted;
+            let (n, _) = count_allocs(|| {
                 client
                     .gwrite(
                         w,
                         eng,
-                        k as u64 * 64,
+                        k % 64 * 64,
                         &[k as u8; 64],
                         false,
-                        Box::new(move |_, _, _| a.set(a.get() + 1)),
+                        Box::new(|_, _, _| {}),
                     )
-                    .expect("the burst fits the ring's credits");
-            }
-            let a = acked.clone();
-            eng.run_while(w, move |_| a.get() < target);
+                    .expect("one op at a time fits the ring's credits");
+                eng.run(w);
+            });
+            k += 1;
+            (n, group.borrow().stats.reposted - before)
         };
-        burst(&mut w, &mut eng, 64);
-        eng.run_until(&mut w, SimTime::from_nanos(PERIOD + PERIOD / 5));
-        burst(&mut w, &mut eng, ops);
-        assert!(
-            eng.now() < SimTime::from_nanos(2 * PERIOD),
-            "burst outlived the period"
-        );
-        let before = group.borrow().stats.reposted;
-        let (n, _) =
-            count_allocs(|| eng.run_until(&mut w, SimTime::from_nanos(2 * PERIOD + PERIOD / 5)));
-        let reposted = group.borrow().stats.reposted - before;
-        assert_eq!(
-            reposted,
-            2 * ops as u64,
-            "both replicas re-posted the burst"
-        );
-        n
+        for _ in 0..2 * ring_slots {
+            op(&mut w, &mut eng);
+        }
+        let mut quiet = None;
+        loop {
+            let (n, reposted) = op(&mut w, &mut eng);
+            if reposted == 0 {
+                quiet = Some(n);
+                continue;
+            }
+            assert_eq!(
+                reposted,
+                2 * watermark,
+                "both replicas re-posted a watermark"
+            );
+            break n.saturating_sub(quiet.expect("an op before the batch woke nobody"));
+        }
     };
-    let (few, many) = (repost_allocs(32), repost_allocs(64));
+    let (few, many) = (batch_allocs(128), batch_allocs(256));
     println!("recv_templates: replenisher allocs re-posting 32 vs 64 slots {few} vs {many}");
+    assert!(
+        few <= 1,
+        "a batch of 32 slots on two replicas made {few} allocations: a wake-up allocates"
+    );
     assert!(
         many <= few + 1,
         "re-posting 64 more slots made {} more allocations",

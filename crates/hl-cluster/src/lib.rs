@@ -134,11 +134,10 @@ impl Ctx<'_> {
     /// [`ProcEvent::WorkDone`] with `tag`.
     pub fn submit_work(&mut self, d: SimDuration, tag: u64) {
         assert_ne!(tag, DISPATCH_TAG, "reserved tag");
-        let now = self.now();
-        let outs = self.world.hosts[self.me.host.0]
-            .cpu
-            .submit(now, self.me.pid, d.as_nanos(), tag);
-        route_cpu(self.me.host, outs, self.world, self.eng);
+        let (now, pid) = (self.now(), self.me.pid);
+        route_cpu(self.me.host, self.world, self.eng, |cpu, out| {
+            cpu.submit_into(now, pid, d.as_nanos(), tag, out)
+        });
     }
 
     /// Arm a timer; fires as [`ProcEvent::Timer`] with `tag` after
@@ -179,6 +178,12 @@ impl Ctx<'_> {
     pub fn arm_cq(&mut self, cq: u32) {
         self.world.hosts[self.me.host.0].nic.arm_cq(cq);
     }
+
+    /// Re-arm a CQ's moderation event for when it has produced `count`
+    /// completions in all ([`World::subscribe_cq_moderation`]).
+    pub fn moderate_cq(&mut self, cq: u32, count: u64) {
+        self.world.hosts[self.me.host.0].nic.moderate_cq(cq, count);
+    }
 }
 
 /// Zero-CPU driver callback signature.
@@ -190,6 +195,9 @@ enum CqSub {
     Interrupt { pid: ProcId, cost: SimDuration },
     /// Zero-CPU driver callback: invoked per CQE, auto-rearmed.
     Callback(CqCallback),
+    /// Left by [`World::unsubscribe_cq`] while the CQ's callback runs,
+    /// so the dispatcher does not put the callback back.
+    Dropped,
 }
 
 struct ProcSlot {
@@ -255,6 +263,9 @@ pub struct World {
     /// run a CQ callback that rings a doorbell while the outer sink is
     /// still being drained. Its depth is the deepest nesting seen.
     nic_out_spare: Vec<Vec<NicOutput>>,
+    /// The same for CPU-model outputs (see [`route_cpu`]): a handler a
+    /// `WorkDone` runs submits work while the outer sink drains.
+    cpu_out_spare: Vec<Vec<CpuOutput>>,
     /// Reused buffer for NIC telemetry drains: events hop NIC → scratch
     /// → hub without allocating in steady state (the NIC buffer and
     /// this scratch both keep their capacity).
@@ -403,8 +414,9 @@ impl EventCtx for World {
                 });
             }
             WorldEvent::CpuTimer { host, core, gen } => {
-                let outs = self.hosts[host.0].cpu.on_timer(now, core, gen);
-                route_cpu(host, outs, self, eng);
+                route_cpu(host, self, eng, |cpu, out| {
+                    cpu.on_timer_into(now, core, gen, out)
+                });
             }
         }
     }
@@ -471,8 +483,9 @@ impl World {
     /// Spawn a `stress-ng`-style CPU hog on a host.
     pub fn spawn_hog(&mut self, host: HostId, name: &str, eng: &mut Engine<World>) {
         let now = eng.now();
-        let (_pid, outs) = self.hosts[host.0].cpu.spawn_hog(now, name);
-        route_cpu(host, outs, self, eng);
+        route_cpu(host, self, eng, |cpu, out| {
+            out.extend(cpu.spawn_hog(now, name).1)
+        });
     }
 
     /// Subscribe a process to completion events of a CQ (event-driven
@@ -486,6 +499,32 @@ impl World {
     ) {
         self.hosts[host.0].nic.arm_cq(cq);
         self.cq_subs.put(host, cq, CqSub::Interrupt { pid, cost });
+    }
+
+    /// Subscribe a process to a CQ's moderation event
+    /// ([`Nic::moderate_cq`]): each event wakes it after the interrupt
+    /// latency and costs `cost` CPU, like an interrupt subscription. It
+    /// arms nothing, so the CQ stays unpolled and may overrun; the
+    /// process re-arms with [`Ctx::moderate_cq`].
+    pub fn subscribe_cq_moderation(
+        &mut self,
+        host: HostId,
+        cq: u32,
+        pid: ProcId,
+        cost: SimDuration,
+    ) {
+        self.cq_subs.put(host, cq, CqSub::Interrupt { pid, cost });
+    }
+
+    /// Drop a CQ's subscription, if any: its events wake nobody from
+    /// now on, and what the subscription held is freed. Callable from
+    /// inside that CQ's own callback.
+    pub fn unsubscribe_cq(&mut self, host: HostId, cq: u32) {
+        if self.cq_subs.take(host, cq).is_none() {
+            // Empty, or its callback is running: leave a tombstone for
+            // the dispatcher.
+            self.cq_subs.put(host, cq, CqSub::Dropped);
+        }
     }
 
     /// Subscribe a zero-CPU callback to a CQ (benchmark drivers /
@@ -783,6 +822,7 @@ impl ClusterBuilder {
             telemetry: Telemetry::default(),
             timer_tokens: HostTable::new(self.hosts),
             nic_out_spare: Vec::new(),
+            cpu_out_spare: Vec::new(),
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
             next_id: 0,
@@ -803,15 +843,24 @@ pub fn deliver(
 ) {
     w.procs[to.host.0][to.pid.0].mailbox.push_back(ev);
     let now = eng.now();
-    let outs = w.hosts[to.host.0]
-        .cpu
-        .submit(now, to.pid, cost.as_nanos(), DISPATCH_TAG);
-    route_cpu(to.host, outs, w, eng);
+    route_cpu(to.host, w, eng, |cpu, out| {
+        cpu.submit_into(now, to.pid, cost.as_nanos(), DISPATCH_TAG, out)
+    });
 }
 
-/// Turn CPU-model outputs into events.
-pub fn route_cpu(host: HostId, outs: Vec<CpuOutput>, w: &mut World, eng: &mut Engine<World>) {
-    for o in outs {
+/// Run one CPU-model entry point on `host` and turn what it pushed into
+/// events and handler runs, in push order. Like [`route_nic`], the sink
+/// comes off a stack of spares owned by the world and goes back on it
+/// empty, so a process event allocates no output buffer.
+pub fn route_cpu(
+    host: HostId,
+    w: &mut World,
+    eng: &mut Engine<World>,
+    entry: impl FnOnce(&mut HostCpu, &mut Vec<CpuOutput>),
+) {
+    let mut outs = w.cpu_out_spare.pop().unwrap_or_default();
+    entry(&mut w.hosts[host.0].cpu, &mut outs);
+    for o in outs.drain(..) {
         match o {
             CpuOutput::Timer { core, gen, at } => {
                 eng.schedule_event_at(at, WorldEvent::CpuTimer { host, core, gen });
@@ -829,6 +878,7 @@ pub fn route_cpu(host: HostId, outs: Vec<CpuOutput>, w: &mut World, eng: &mut En
             }
         }
     }
+    w.cpu_out_spare.push(outs);
 }
 
 fn run_handler(addr: ProcAddr, ev: ProcEvent, w: &mut World, eng: &mut Engine<World>) {
@@ -944,7 +994,8 @@ pub fn route_nic(
 
 fn dispatch_cq_event(host: HostId, cq: u32, w: &mut World, eng: &mut Engine<World>) {
     // Taken out for the call and put back after it, so a callback that
-    // re-subscribes its own CQ is overwritten by its old subscription.
+    // re-subscribes its own CQ is overwritten by its old subscription,
+    // and one that unsubscribes it leaves a tombstone that keeps it out.
     let Some(sub) = w.cq_subs.take(host, cq) else {
         return;
     };
@@ -978,8 +1029,11 @@ fn dispatch_cq_event(host: HostId, cq: u32, w: &mut World, eng: &mut Engine<Worl
             cqes.clear();
             w.cqe_scratch = cqes;
             w.hosts[host.0].nic.arm_cq(cq);
-            w.cq_subs.put(host, cq, CqSub::Callback(f));
+            if !matches!(w.cq_subs.take(host, cq), Some(CqSub::Dropped)) {
+                w.cq_subs.put(host, cq, CqSub::Callback(f));
+            }
         }
+        CqSub::Dropped => {}
     }
 }
 

@@ -234,17 +234,32 @@ impl HostCpu {
         work_ns: u64,
         tag: WorkTag,
     ) -> Vec<CpuOutput> {
+        let mut out = Vec::new();
+        self.submit_into(now, pid, work_ns, tag, &mut out);
+        out
+    }
+
+    /// [`HostCpu::submit`], pushing its outputs into a caller-owned
+    /// sink, so a caller that reuses one allocates nothing per call.
+    pub fn submit_into(
+        &mut self,
+        now: SimTime,
+        pid: ProcId,
+        work_ns: u64,
+        tag: WorkTag,
+        out: &mut Vec<CpuOutput>,
+    ) {
         self.procs[pid.0].work.push_back(WorkItem {
             remaining: work_ns,
             tag,
         });
         match self.procs[pid.0].state {
-            RunState::Blocked => self.wake(now, pid),
-            RunState::Runnable | RunState::Running { .. } => Vec::new(),
+            RunState::Blocked => self.wake(now, pid, out),
+            RunState::Runnable | RunState::Running { .. } => {}
         }
     }
 
-    fn wake(&mut self, now: SimTime, pid: ProcId) -> Vec<CpuOutput> {
+    fn wake(&mut self, now: SimTime, pid: ProcId, out: &mut Vec<CpuOutput>) {
         debug_assert_eq!(self.procs[pid.0].state, RunState::Blocked);
         self.refresh_min_vruntime();
         // Sleeper fairness: don't let long sleepers starve everyone, but
@@ -279,16 +294,14 @@ impl HostCpu {
             } else {
                 self.profile.wakeup
             };
-            return self.dispatch(now + delay, core, pid);
+            return self.dispatch(now + delay, core, pid, out);
         }
         // Wakeup preemption: evict the running process with the largest
         // vruntime if the woken one leads by more than the granularity.
         if let Some(core) = self.pick_preemption_victim(pid) {
-            let mut out = self.preempt(now, core);
-            out.extend(self.dispatch(now + self.profile.wakeup, core, pid));
-            return out;
+            self.preempt(now, core);
+            self.dispatch(now + self.profile.wakeup, core, pid, out);
         }
-        Vec::new()
     }
 
     fn pick_idle_core(&self, pid: ProcId) -> Option<usize> {
@@ -329,7 +342,7 @@ impl HostCpu {
     }
 
     /// Stop the process on `core` mid-slice, preserving unfinished work.
-    fn preempt(&mut self, now: SimTime, core: usize) -> Vec<CpuOutput> {
+    fn preempt(&mut self, now: SimTime, core: usize) {
         // Callers only preempt a core they just found busy; an idle core
         // here is a scheduler-invariant violation worth aborting on.
         // hl-lint: allow(panic-in-handler)
@@ -338,7 +351,6 @@ impl HostCpu {
         self.enqueue(now, pid);
         self.cores[core].running = None;
         self.cores[core].gen += 1; // invalidate outstanding timer
-        Vec::new()
     }
 
     /// Make `pid` Runnable as of `now` and queue it at its vruntime.
@@ -367,7 +379,7 @@ impl HostCpu {
 
     /// Put `pid` on `core` starting at `now` (context-switch cost applies
     /// when the core last ran a different process).
-    fn dispatch(&mut self, now: SimTime, core: usize, pid: ProcId) -> Vec<CpuOutput> {
+    fn dispatch(&mut self, now: SimTime, core: usize, pid: ProcId, out: &mut Vec<CpuOutput>) {
         debug_assert!(self.cores[core].running.is_none());
         debug_assert_eq!(self.procs[pid.0].state, RunState::Runnable);
         // Continuing the same process on the same core costs nothing.
@@ -400,17 +412,25 @@ impl HostCpu {
         c.run_start = start;
         c.slice_end = slice_end;
         c.gen += 1;
-        vec![CpuOutput::Timer {
+        out.push(CpuOutput::Timer {
             core,
             gen: c.gen,
             at: decision,
-        }]
+        });
     }
 
     /// Timer callback. Ignores stale generations.
     pub fn on_timer(&mut self, now: SimTime, core: usize, gen: u64) -> Vec<CpuOutput> {
+        let mut out = Vec::new();
+        self.on_timer_into(now, core, gen, &mut out);
+        out
+    }
+
+    /// [`HostCpu::on_timer`], pushing its outputs into a caller-owned
+    /// sink.
+    pub fn on_timer_into(&mut self, now: SimTime, core: usize, gen: u64, out: &mut Vec<CpuOutput>) {
         if self.cores[core].gen != gen {
-            return Vec::new();
+            return;
         }
         // Scheduler invariant, not reachable from packet/external data:
         // a current-generation timer implies the core is running (idling
@@ -419,7 +439,6 @@ impl HostCpu {
         self.charge(now, core, pid);
         // Reset run_start so later charges don't double count.
         self.cores[core].run_start = now;
-        let mut out = Vec::new();
 
         let finished = self.procs[pid.0]
             .work
@@ -450,7 +469,7 @@ impl HostCpu {
                 gen: c.gen,
                 at: decision,
             });
-            return out;
+            return;
         }
 
         // The process leaves the core: either it has no work (block) or
@@ -463,14 +482,13 @@ impl HostCpu {
             self.procs[pid.0].state = RunState::Blocked;
             self.active -= 1;
         }
-        out.extend(self.schedule_core(now, core));
-        out
+        self.schedule_core(now, core, out);
     }
 
     /// Pick the lowest-vruntime runnable process allowed on `core` (ties
     /// to the lowest pid): the first one in runqueue order that is not
     /// pinned elsewhere and, on an exclusive core, is pinned here.
-    fn schedule_core(&mut self, now: SimTime, core: usize) -> Vec<CpuOutput> {
+    fn schedule_core(&mut self, now: SimTime, core: usize, out: &mut Vec<CpuOutput>) {
         debug_assert!(self.cores[core].running.is_none());
         let exclusive = self.cores[core].exclusive;
         let best = self
@@ -480,9 +498,8 @@ impl HostCpu {
                 Some(c) => c == core,
                 None => !exclusive,
             });
-        match best {
-            Some(&(_, i)) => self.dispatch(now, core, ProcId(i)),
-            None => Vec::new(),
+        if let Some(&(_, i)) = best {
+            self.dispatch(now, core, ProcId(i), out);
         }
     }
 

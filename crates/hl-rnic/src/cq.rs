@@ -71,6 +71,12 @@ pub struct Cqe {
 /// CORE-Direct semantics HyperLoop leans on. That accounting is by
 /// production, so it does not care what the ring still stores.
 ///
+/// Besides the one-shot arm, a CQ can be *moderated*
+/// ([`Cq::moderate`]): a one-shot event when `produced` reaches a
+/// count, as `ibv_modify_cq`'s `cq_count` lets a driver batch
+/// interrupts. Moderation reads only the production count, so it is
+/// legal on a CQ nobody polls.
+///
 /// A push into a full ring overwrites the oldest stored CQE (an
 /// *overrun*). That is legal only on a CQ software never polls or arms;
 /// once one has been polled or armed, every CQE it lost is a modelled CQ
@@ -84,6 +90,9 @@ pub struct Cq {
     wait_consumed: u64,
     /// One-shot event arm (ibv_req_notify_cq semantics).
     armed: bool,
+    /// One-shot moderation event: fires at the push that brings
+    /// `produced` to at least this count.
+    moderated_at: Option<u64>,
     /// CQEs overwritten because the ring was full.
     overruns: u64,
     /// Software has polled or armed this CQ at least once.
@@ -102,8 +111,9 @@ impl Cq {
     }
 
     /// Push a completion, overwriting the oldest stored one when the
-    /// ring is full; returns `true` if the queue was armed (the caller
-    /// should deliver an event and the arm is cleared).
+    /// ring is full; returns `true` if the queue was armed or its
+    /// moderation count is reached (the caller should deliver an event;
+    /// both are cleared).
     pub fn push(&mut self, cqe: Cqe) -> bool {
         if self.is_full() {
             self.entries.pop_front();
@@ -111,7 +121,11 @@ impl Cq {
         }
         self.entries.push_back(cqe);
         self.produced += 1;
-        std::mem::take(&mut self.armed)
+        let moderated = self.moderated_at.is_some_and(|n| self.produced >= n);
+        if moderated {
+            self.moderated_at = None;
+        }
+        std::mem::take(&mut self.armed) | moderated
     }
 
     /// Poll up to `max` completions (consumer side; does not affect WAIT
@@ -135,6 +149,14 @@ impl Cq {
     pub fn arm(&mut self) {
         self.polled = true;
         self.armed = true;
+    }
+
+    /// Arm the one-shot moderation event for the push that brings the
+    /// production count to `count` (the next push, if it is already
+    /// there), replacing any earlier one. Unlike [`Cq::arm`] it does
+    /// not count as consuming: overruns stay legal.
+    pub fn moderate(&mut self, count: u64) {
+        self.moderated_at = Some(count);
     }
 
     /// Completions produced over all time.
@@ -296,6 +318,28 @@ mod tests {
         assert_eq!(got.len(), CQ_DEPTH);
         assert_eq!(got[0].wr_id, 3);
         assert_eq!(got[CQ_DEPTH - 1].wr_id, CQ_DEPTH as u64 + 2);
+    }
+
+    /// Moderation fires once, at the push that reaches its count, and
+    /// leaves the CQ unpolled: the overruns of a CQ only WAITs and a
+    /// moderation event watch stay legal.
+    #[test]
+    fn moderation_fires_once_at_its_count_and_does_not_poll() {
+        let mut cq = Cq::new();
+        cq.moderate(3);
+        assert!(!cq.push(cqe(1)));
+        assert!(!cq.push(cqe(2)));
+        assert!(cq.push(cqe(3)));
+        assert!(!cq.push(cqe(4)));
+        // A count already passed fires at the next push.
+        cq.moderate(2);
+        assert!(cq.push(cqe(5)));
+        for k in 0..CQ_DEPTH as u64 {
+            cq.push(cqe(k));
+        }
+        assert!(!cq.is_polled());
+        assert!(cq.overruns() > 0);
+        assert_eq!(cq.polled_overruns(), 0);
     }
 
     /// Arming counts as consuming: an overrun after a subscription is an

@@ -32,17 +32,21 @@
 //! By default QPs use the historical fire-and-forget model: the fabric's
 //! FIFO egress guarantees ordering, and loss (fault injection) simply
 //! loses the operation. [`Nic::set_qp_timeout`] upgrades one QP to real
-//! RC loss recovery: requests carry PSNs, the requester keeps them on an
-//! unacked list guarded by an ack-timeout timer
-//! ([`NicOutput::ArmTimer`] / [`Nic::on_timer`]), timeouts trigger
-//! go-back-N retransmission, and `retry_cnt` consecutive timeouts move
-//! the QP to [`QpState::Error`], flushing all outstanding and posted
-//! work with error completions ([`CqeStatus::RetryExceeded`] for the
-//! head-of-line request, [`CqeStatus::FlushedInError`] for the rest).
-//! The responder enforces expected-PSN ordering: duplicates are re-acked
-//! without re-execution (fencing responses replay from a one-deep
-//! cache, keeping CAS exactly-once), gaps are dropped for the sender's
-//! timer to repair.
+//! RC loss recovery: requests carry PSNs and the requester keeps them on
+//! an unacked list. The responder enforces expected-PSN ordering:
+//! duplicates are re-acked without re-execution (fencing responses
+//! replay from a one-deep cache, keeping CAS exactly-once), and a
+//! request behind a gap is dropped, the gap NAKed once per expected PSN
+//! ([`NakReason::PsnSequenceError`], carrying that PSN). The NAK repairs
+//! a loss at NIC speed: the requester completes everything below the
+//! PSN as a cumulative ACK and goes back N from it at once. An
+//! ack-timeout timer ([`NicOutput::ArmTimer`] / [`Nic::on_timer`]) is
+//! the backstop for what no NAK reports — a lost NAK, a loss at the end
+//! of a burst, a lost retransmission: it too goes back N, and
+//! `retry_cnt` consecutive timeouts move the QP to [`QpState::Error`],
+//! flushing all outstanding and posted work with error completions
+//! ([`CqeStatus::RetryExceeded`] for the head-of-line request,
+//! [`CqeStatus::FlushedInError`] for the rest).
 //!
 //! ## Fault hooks
 //!
@@ -197,7 +201,7 @@ pub struct NicCounters {
     pub tx_packets: u64,
     /// Packets received.
     pub rx_packets: u64,
-    /// NAKs generated (access refusals, missing RECVs).
+    /// NAKs generated (access refusals, missing RECVs, PSN gaps).
     pub naks_sent: u64,
     /// Error completions delivered.
     pub error_cqes: u64,
@@ -208,7 +212,7 @@ pub struct NicCounters {
     /// Ack-timeout expirations on reliable QPs.
     pub timeouts: u64,
     /// Inbound packets discarded: NIC stalled, QP in Error, stale
-    /// duplicates, or PSN gaps awaiting retransmission.
+    /// duplicates or NAKs, or requests behind a PSN gap.
     pub rx_dropped: u64,
     /// Doorbell rings (send-engine kicks from software).
     pub doorbells: u64,
@@ -658,6 +662,13 @@ impl Nic {
         self.cqs[cq as usize].arm();
     }
 
+    /// Arm a CQ's one-shot moderation event ([`Cq::moderate`]): a
+    /// [`NicOutput::CqEvent`] once the CQ has produced `count`
+    /// completions in all. The CQ does not count as polled.
+    pub fn moderate_cq(&mut self, cq: u32, count: u64) {
+        self.cqs[cq as usize].moderate(count);
+    }
+
     /// A CQ's state: stored (pollable) entries, production count,
     /// overruns.
     pub fn cq(&self, cq: u32) -> &Cq {
@@ -1031,9 +1042,11 @@ impl Nic {
     }
 
     /// Go-back-N: retransmit every unacked request in order and re-arm
-    /// the ack timer.
+    /// the ack timer. The resends queue behind whatever the QP's send
+    /// engine is still transmitting, so they reach the responder in PSN
+    /// order after it.
     fn retransmit_all(&mut self, now: SimTime, qpn: u32, out: &mut Vec<NicOutput>) {
-        let mut t = now;
+        let mut t = now.max(self.qps[qpn as usize].busy_until);
         for i in 0..self.qps[qpn as usize].unacked.len() {
             let p = &self.qps[qpn as usize].unacked[i];
             let (dst, pkt) = (p.dst_nic, p.packet.clone());
@@ -1042,6 +1055,7 @@ impl Nic {
             self.tx(t, dst, pkt, out);
         }
         let qp = &mut self.qps[qpn as usize];
+        qp.busy_until = t;
         if let Some(cfg) = qp.timeout {
             qp.timer_gen += 1;
             out.push(NicOutput::ArmTimer {
@@ -1363,19 +1377,29 @@ impl Nic {
         // Requester side: on a reliable QP every response acks
         // cumulatively — entries older than its PSN had their own
         // responses lost, so synthesize their success completions; a
-        // response matching nothing pending is a stale duplicate.
+        // response matching nothing pending is a stale duplicate. A
+        // sequence-error NAK instead asks for everything from its PSN.
         let is_response = req_wr_id.is_none();
-        if qp.timeout.is_some() && is_response && !self.process_cum_ack(t, qpn, pkt.psn, mem, out) {
-            return;
+        if qp.timeout.is_some() && is_response {
+            if let PacketKind::Nak {
+                reason: NakReason::PsnSequenceError,
+                ..
+            } = pkt.kind
+            {
+                return self.go_back(t, qpn, pkt.psn, mem, out);
+            }
+            if !self.process_cum_ack(t, qpn, pkt.psn, mem, out) {
+                return;
+            }
         }
         // Responder side: expected-PSN enforcement for reliable requests.
         if pkt.reliable && !is_response {
             let epsn = self.qps[qpn as usize].epsn;
             if pkt.psn > epsn {
-                // Gap: an earlier request was lost; drop and let the
-                // requester's timer go-back-N.
+                // Gap: an earlier request was lost. Drop this one and
+                // NAK the gap, once.
                 self.counters.rx_dropped += 1;
-                return;
+                return self.nak_gap(t, req, epsn, out);
             }
             if pkt.psn < epsn {
                 // Duplicate of something already executed.
@@ -1655,6 +1679,14 @@ impl Nic {
                     );
                 }
             }
+            PacketKind::Nak {
+                reason: NakReason::PsnSequenceError,
+                ..
+            } => {
+                // Only reliable requests are NAKed for a gap, and a
+                // reliable requester took it above: a stray.
+                self.counters.rx_dropped += 1;
+            }
             PacketKind::Nak { wr_id, reason } => {
                 // Error completion; clear the fence only if the refused
                 // operation *is* the fencing one (a NAK for an earlier
@@ -1709,6 +1741,63 @@ impl Nic {
         mem: &mut NvmArena,
         out: &mut Vec<NicOutput>,
     ) -> bool {
+        let mut progressed = self.ack_below(t, qpn, psn, mem, out);
+        let matched = self.qps[qpn as usize]
+            .unacked
+            .front()
+            .is_some_and(|p| p.psn == psn);
+        if matched {
+            self.qps[qpn as usize].unacked.pop_front();
+            progressed = true;
+        }
+        if progressed {
+            self.rearm_after_progress(t, qpn, out);
+        }
+        if !matched {
+            self.counters.rx_dropped += 1;
+        }
+        matched
+    }
+
+    /// Requester side of a PSN-sequence-error NAK: the responder
+    /// expects `epsn`, so every request below it arrived (its ACK is
+    /// implied) and everything from it on must be resent. Completes the
+    /// former, then goes back N at once, which re-arms the ack timer. A
+    /// NAK for a PSN no longer at the head of the unacked list is stale:
+    /// a go-back from it already ran, or its gap was repaired.
+    fn go_back(
+        &mut self,
+        t: SimTime,
+        qpn: u32,
+        epsn: u64,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
+        let progressed = self.ack_below(t, qpn, epsn, mem, out);
+        let qp = &mut self.qps[qpn as usize];
+        if progressed {
+            qp.retries = 0;
+        }
+        if qp.unacked.front().is_some_and(|p| p.psn == epsn) {
+            return self.retransmit_all(t, qpn, out);
+        }
+        self.counters.rx_dropped += 1;
+        if progressed {
+            self.rearm_after_progress(t, qpn, out);
+        }
+    }
+
+    /// Pop every pending request older than `psn`, delivering the
+    /// success completions their lost ACKs would have. Returns whether
+    /// anything was popped.
+    fn ack_below(
+        &mut self,
+        t: SimTime,
+        qpn: u32,
+        psn: u64,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) -> bool {
         let mut progressed = false;
         loop {
             match self.qps[qpn as usize].unacked.front() {
@@ -1738,35 +1827,25 @@ impl Nic {
                 );
             }
         }
-        let matched = self.qps[qpn as usize]
-            .unacked
-            .front()
-            .is_some_and(|p| p.psn == psn);
-        if matched {
-            self.qps[qpn as usize].unacked.pop_front();
-            progressed = true;
+        progressed
+    }
+
+    /// Forward progress: reset the retry budget and re-arm (or cancel)
+    /// the ack timer for whatever is still pending.
+    fn rearm_after_progress(&mut self, t: SimTime, qpn: u32, out: &mut Vec<NicOutput>) {
+        let qp = &mut self.qps[qpn as usize];
+        qp.retries = 0;
+        qp.timer_gen += 1;
+        if qp.unacked.is_empty() {
+            out.push(NicOutput::CancelTimer { qpn });
+        } else if let Some(cfg) = qp.timeout {
+            let gen = qp.timer_gen;
+            out.push(NicOutput::ArmTimer {
+                at: t + cfg.timeout,
+                qpn,
+                gen,
+            });
         }
-        if progressed {
-            // Forward progress: reset the retry budget and re-arm (or
-            // cancel) the ack timer for whatever is still pending.
-            let qp = &mut self.qps[qpn as usize];
-            qp.retries = 0;
-            qp.timer_gen += 1;
-            if qp.unacked.is_empty() {
-                out.push(NicOutput::CancelTimer { qpn });
-            } else if let Some(cfg) = qp.timeout {
-                let gen = qp.timer_gen;
-                out.push(NicOutput::ArmTimer {
-                    at: t + cfg.timeout,
-                    qpn,
-                    gen,
-                });
-            }
-        }
-        if !matched {
-            self.counters.rx_dropped += 1;
-        }
-        matched
     }
 
     /// Responder-side handling of a duplicate reliable request
@@ -1887,6 +1966,35 @@ impl Nic {
         if let Some(wr_id) = wr_id {
             self.respond(t, req, PacketKind::Nak { wr_id, reason }, out);
         }
+    }
+
+    /// NAK the gap in front of a reliable request that arrived past the
+    /// expected PSN `epsn`, unless this gap was NAKed already: the
+    /// requester's go-back resends everything behind it, so one NAK per
+    /// expected PSN is enough, and the ack timer covers a lost one.
+    fn nak_gap(&mut self, t: SimTime, req: ReqHeader, epsn: u64, out: &mut Vec<NicOutput>) {
+        let qp = &mut self.qps[req.dst_qpn as usize];
+        if qp.nak_epsn == Some(epsn) {
+            return;
+        }
+        qp.nak_epsn = Some(epsn);
+        self.counters.naks_sent += 1;
+        let kind = PacketKind::Nak {
+            wr_id: 0,
+            reason: NakReason::PsnSequenceError,
+        };
+        // The NAK answers no one request: it carries the expected PSN
+        // and no telemetry op.
+        self.respond(
+            t,
+            ReqHeader {
+                psn: epsn,
+                op: 0,
+                ..req
+            },
+            kind,
+            out,
+        );
     }
 
     /// Answer a fencing request (READ / FLUSH / CAS), remembering the

@@ -8,10 +8,11 @@
 //! QPs configured with [`Nic::set_qp_timeout`](crate::Nic::set_qp_timeout)
 //! additionally stamp request packets with a packet sequence number and
 //! the `reliable` flag; the responder then enforces expected-PSN ordering
-//! (duplicate suppression, gap drop) and the requester runs an
-//! ack/retransmit timer — real RC loss recovery. Packets from QPs without
-//! a timeout carry `psn = 0, reliable = false` and behave exactly as
-//! before.
+//! (duplicate suppression; a request behind a gap is dropped and the gap
+//! NAKed once with [`NakReason::PsnSequenceError`], whose PSN is the
+//! expected one) and the requester goes back N on that NAK or on its
+//! ack timer — real RC loss recovery. Packets from QPs without a timeout
+//! carry `psn = 0, reliable = false` and behave exactly as before.
 
 /// Fixed per-packet header overhead (Ethernet + IP + UDP + BTH ≈ RoCEv2).
 pub const HEADER_BYTES: usize = 48;
@@ -29,11 +30,12 @@ pub struct Packet {
     pub dst_qpn: u32,
     /// Packet sequence number. Meaningful only when `reliable` is set on
     /// a request; responses echo the request's PSN so the requester can
-    /// ack cumulatively.
+    /// ack cumulatively, and a sequence-error NAK carries the PSN the
+    /// responder expects instead.
     pub psn: u64,
     /// Request is covered by the sender's retransmit protocol: the
     /// responder must apply expected-PSN ordering (execute at `epsn`,
-    /// re-ack duplicates below it, drop gaps above it).
+    /// re-ack duplicates below it, drop and NAK a gap above it).
     pub reliable: bool,
     /// Telemetry op id carried from the originating WQE (0 = untracked).
     /// Responses echo the request's id. Occupies reserved BTH header
@@ -146,9 +148,11 @@ pub enum PacketKind {
         /// Payload length that was transferred (for the CQE).
         byte_len: u32,
     },
-    /// Negative acknowledgement (access refused or no RECV posted).
+    /// Negative acknowledgement (access refused, no RECV posted, or a
+    /// PSN gap).
     Nak {
-        /// Echoed cookie.
+        /// Echoed cookie (0 on a [`NakReason::PsnSequenceError`], which
+        /// answers no one request).
         wr_id: u64,
         /// Reason.
         reason: NakReason,
@@ -164,6 +168,10 @@ pub enum NakReason {
     ReceiverNotReady,
     /// Packet arrived on a QP not connected to the sender.
     NotConnected,
+    /// A reliable request arrived past the expected PSN: an earlier one
+    /// was lost. The NAK's PSN is the expected one; the requester treats
+    /// it as an ACK of everything below and resends from it.
+    PsnSequenceError,
 }
 
 impl PacketKind {

@@ -254,6 +254,9 @@ pub struct Qp {
     pub next_psn: u64,
     /// Expected PSN of the next inbound reliable request (responder).
     pub epsn: u64,
+    /// The `epsn` a PSN-sequence-error NAK was last sent for
+    /// (responder): a gap is NAKed once, not once per packet behind it.
+    pub nak_epsn: Option<u64>,
     /// Transmitted reliable requests awaiting a response, oldest first.
     pub unacked: VecDeque<PendingTx>,
     /// Consecutive ack-timeout expirations without forward progress.
@@ -287,6 +290,7 @@ impl Qp {
             timeout: None,
             next_psn: 0,
             epsn: 0,
+            nak_epsn: None,
             unacked: VecDeque::new(),
             retries: 0,
             timer_gen: 0,

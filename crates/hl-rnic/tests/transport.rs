@@ -420,6 +420,229 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     assert_eq!(w.mems[1].read(0x8000, 7).unwrap(), b"chained");
 }
 
+// ----- PSN-gap NAK ----------------------------------------------------------
+
+/// Post writes `wr_ids` of `len` bytes each, slot by slot from 0x8000 on
+/// both sides, and ring one doorbell at the engine's now.
+fn write_burst(
+    w: &mut World,
+    eng: &mut Engine<World>,
+    qp0: u32,
+    rkey: u32,
+    wr_ids: std::ops::Range<u64>,
+) {
+    for k in wr_ids {
+        let at = 0x8000 + k * 0x10;
+        post_write(w, qp0, rkey, &[k as u8; 8], at, at, k);
+    }
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
+    route(0, outs, eng);
+}
+
+/// A request lost ahead of a later one is repaired in about one round
+/// trip: the later request reaches the responder past the expected PSN,
+/// which NAKs the gap, and the requester goes back N at once. Both
+/// writes land and complete within a third of the ack timeout (6 µs;
+/// without the loss, 3 µs), and no timer fires.
+#[test]
+fn a_request_lost_ahead_of_a_later_one_is_repaired_by_a_nak() {
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    w.rx_drop[1] = 1; // the first write is lost
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 0..2);
+    eng.run_until(&mut w, SimTime::from_nanos(TIMEOUT.as_nanos() / 3));
+
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        vec![(0, CqeStatus::Ok), (1, CqeStatus::Ok)]
+    );
+    assert_eq!(w.mems[1].read(0x8000, 8).unwrap(), [0; 8]);
+    assert_eq!(w.mems[1].read(0x8010, 8).unwrap(), [1; 8]);
+    assert_eq!(w.nics[1].counters().naks_sent, 1);
+    assert_eq!(w.nics[0].counters().retransmits, 2);
+    eng.run(&mut w);
+    assert_eq!(w.nics[0].counters().timeouts, 0);
+}
+
+/// A gap is NAKed once, however many requests queue behind it: with 16
+/// writes outstanding and the first lost, the responder drops the other
+/// 15 and sends one NAK, and one go-back of all 16 repairs them, in
+/// order, with no timeout.
+#[test]
+fn one_nak_per_gap_with_16_outstanding() {
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    w.rx_drop[1] = 1;
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 0..16);
+    eng.run(&mut w);
+
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        (0..16).map(|k| (k, CqeStatus::Ok)).collect::<Vec<_>>()
+    );
+    assert_eq!(w.nics[1].counters().naks_sent, 1);
+    assert_eq!(w.nics[1].counters().rx_dropped, 15);
+    assert_eq!(w.nics[0].counters().retransmits, 16);
+    assert_eq!(w.nics[0].counters().timeouts, 0);
+}
+
+/// The ack timer stays the backstop. A lost NAK leaves its gap to the
+/// timer, as does a lost last request, which no later request reveals:
+/// each is repaired by one timeout, not before it.
+#[test]
+fn a_lost_nak_and_a_lost_last_request_are_repaired_by_the_timer() {
+    // The first write is lost, and the NAK the second one draws too.
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+    (w.rx_drop[1], w.rx_drop[0]) = (1, 1);
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 0..2);
+    eng.run_until(&mut w, SimTime::from_nanos(TIMEOUT.as_nanos()));
+    assert!(
+        statuses(&mut w, 0, scq0).is_empty(),
+        "repaired before the timeout"
+    );
+    eng.run(&mut w);
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        vec![(0, CqeStatus::Ok), (1, CqeStatus::Ok)]
+    );
+    assert_eq!(w.nics[1].counters().naks_sent, 1);
+    assert_eq!(w.nics[0].counters().timeouts, 1);
+
+    // The last of two writes is lost: nothing follows it to show the gap.
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 0..1);
+    eng.run_until(&mut w, SimTime::from_nanos(TIMEOUT.as_nanos() / 4));
+    w.rx_drop[1] = 1;
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 1..2);
+    let start = eng.now();
+    eng.run_until(&mut w, start + TIMEOUT / 2);
+    assert_eq!(statuses(&mut w, 0, scq0), vec![(0, CqeStatus::Ok)]);
+    eng.run(&mut w);
+    assert_eq!(statuses(&mut w, 0, scq0), vec![(1, CqeStatus::Ok)]);
+    assert_eq!(w.mems[1].read(0x8010, 8).unwrap(), [1; 8]);
+    assert_eq!(w.nics[1].counters().naks_sent, 0);
+    assert_eq!(w.nics[0].counters().timeouts, 1);
+}
+
+/// A CAS queued behind a lost write is NAKed, not executed, and runs
+/// exactly once after the go-back: it swaps 5 → 6 and returns 5. One
+/// execution ahead of the gap would leave the replayed CAS failing its
+/// compare and returning 6.
+#[test]
+fn cas_is_executed_exactly_once_across_a_nak_go_back() {
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let (qp0, _qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE | Access::REMOTE_ATOMIC);
+    w.mems[1].write_u64(0x8800, 5).unwrap();
+
+    w.rx_drop[1] = 1;
+    post_write(&mut w, qp0, mr.rkey, b"ahead", 0x8000, 0x8000, 1);
+    let cas = Wqe {
+        opcode: Opcode::Cas,
+        flags: flags::SIGNALED,
+        laddr: 0x100,
+        raddr: 0x8800,
+        rkey: mr.rkey,
+        cmp: 5,
+        swp: 6,
+        wr_id: 2,
+        ..Default::default()
+    };
+    w.nics[0]
+        .post_send(&mut w.mems[0], qp0, cas, false)
+        .unwrap();
+    let outs = collect(|o| w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], o));
+    route(0, outs, &mut eng);
+    eng.run(&mut w);
+
+    assert_eq!(w.nics[1].counters().naks_sent, 1);
+    assert_eq!(w.nics[0].counters().timeouts, 0);
+    assert_eq!(w.mems[1].read(0x8000, 5).unwrap(), b"ahead");
+    assert_eq!(w.mems[1].read_u64(0x8800).unwrap(), 6);
+    assert_eq!(w.mems[0].read_u64(0x100).unwrap(), 5);
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        vec![(1, CqeStatus::Ok), (2, CqeStatus::Ok)]
+    );
+}
+
+/// A sequence-error NAK for a PSN the requester no longer holds (a
+/// go-back already answered its gap) is dropped without a retransmit or
+/// a completion, and without panicking.
+#[test]
+fn a_stale_nak_is_dropped() {
+    let mut w = world(2);
+    let (qp0, qp1, scq0, _rcq1) = reliable_pair(&mut w, 7);
+    let nak = |psn| hl_rnic::Packet {
+        src_nic: 1,
+        src_qpn: qp1,
+        dst_qpn: qp0,
+        psn,
+        reliable: false,
+        op: 0,
+        kind: PacketKind::Nak {
+            wr_id: 0,
+            reason: hl_rnic::NakReason::PsnSequenceError,
+        },
+    };
+    for psn in [0, 3, u64::MAX] {
+        let outs = collect(|o| w.nics[0].on_packet(SimTime::ZERO, nak(psn), &mut w.mems[0], o));
+        assert!(
+            outs.is_empty(),
+            "a stale NAK produced {}",
+            shapes(&outs).join(", ")
+        );
+    }
+    assert_eq!(w.nics[0].counters().rx_dropped, 3);
+    assert_eq!(w.nics[0].counters().retransmits, 0);
+    assert!(statuses(&mut w, 0, scq0).is_empty());
+}
+
+/// A QP without a transport timeout keeps fire-and-forget semantics:
+/// its requests carry no PSN, a loss is simply lost, and the responder
+/// executes the requests behind it and never NAKs.
+#[test]
+fn an_unreliable_qp_never_naks() {
+    let mut w = world(2);
+    let mut eng = Engine::new();
+    let scq0 = w.nics[0].create_cq();
+    let rcq0 = w.nics[0].create_cq();
+    let scq1 = w.nics[1].create_cq();
+    let rcq1 = w.nics[1].create_cq();
+    let qp0 = w.nics[0].create_qp(scq0, rcq0, 0x1000, 16);
+    let qp1 = w.nics[1].create_qp(scq1, rcq1, 0x1000, 16);
+    w.nics[0].connect(qp0, 1, qp1);
+    w.nics[1].connect(qp1, 0, qp0);
+    let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
+
+    w.rx_drop[1] = 1;
+    write_burst(&mut w, &mut eng, qp0, mr.rkey, 0..3);
+    eng.run(&mut w);
+
+    assert_eq!(
+        statuses(&mut w, 0, scq0),
+        vec![(1, CqeStatus::Ok), (2, CqeStatus::Ok)]
+    );
+    assert_eq!(w.mems[1].read(0x8000, 8).unwrap(), [0; 8]);
+    assert_eq!(w.mems[1].read(0x8010, 8).unwrap(), [1; 8]);
+    assert_eq!(w.mems[1].read(0x8020, 8).unwrap(), [2; 8]);
+    assert_eq!(w.nics[1].counters().naks_sent, 0);
+    assert_eq!(w.nics[0].counters().retransmits, 0);
+}
+
 // ----- output order -------------------------------------------------------
 //
 // Outputs become events in the order an entry point produces them, and the

@@ -23,6 +23,7 @@ use hl_cluster::World;
 use hl_rnic::Opcode;
 use hl_sim::telemetry::Stage;
 use hl_sim::{Engine, OpKind, SimTime};
+use std::rc::Rc;
 
 /// Handle used by applications and benchmarks to issue group operations.
 #[derive(Clone)]
@@ -31,14 +32,17 @@ pub struct HyperLoopClient {
 }
 
 impl HyperLoopClient {
-    /// Wrap a built group and subscribe the ACK dispatchers.
+    /// Wrap a built group and subscribe the ACK dispatchers. They hold
+    /// the group weakly, and a retire unsubscribes them.
     pub fn new(group: GroupRef, w: &mut World) -> Self {
         let ch = group.borrow().cfg.client;
         for prim in Primitive::ALL {
-            let rc = group.clone();
+            let weak = Rc::downgrade(&group);
             let ack_rcq = group.borrow().client_rings[prim.idx()].ack.rcq;
             w.subscribe_cq_callback(ch, ack_rcq, move |cqe, w, eng| {
-                dispatch_ack(&rc, cqe, w, eng);
+                if let Some(rc) = weak.upgrade() {
+                    dispatch_ack(&rc, cqe, w, eng);
+                }
             });
         }
         HyperLoopClient { group }

@@ -87,10 +87,11 @@ impl Backend {
 
     /// Take a replaced backend out of service at a reconfiguration's
     /// commit: paused for good, and an offloaded chain's replenishers
-    /// stop ([`crate::group::GroupInner::retire`]).
-    pub fn retire(&self) {
+    /// and ACK dispatchers unsubscribed
+    /// ([`crate::group::GroupInner::retire`]).
+    pub fn retire(&self, w: &mut World) {
         match self {
-            Backend::Hyper(c) => c.group().borrow_mut().retire(),
+            Backend::Hyper(c) => c.group().borrow_mut().retire(w),
             Backend::Naive(n) => n.group().borrow_mut().paused = true,
         }
     }

@@ -39,7 +39,7 @@ use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
 use hl_rnic::{Access, Opcode};
-use hl_sim::{Engine, SimDuration, SimTime};
+use hl_sim::{Engine, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -56,8 +56,6 @@ pub struct FanoutConfig {
     pub rep_bytes: u64,
     /// Pre-posted slots.
     pub ring_slots: u32,
-    /// Replenisher period (primary + backups, off the critical path).
-    pub replenish_period: SimDuration,
 }
 
 impl Default for FanoutConfig {
@@ -68,7 +66,6 @@ impl Default for FanoutConfig {
             backups: Vec::new(),
             rep_bytes: 1 << 20,
             ring_slots: 64,
-            replenish_period: SimDuration::from_micros(200),
         }
     }
 }
@@ -167,7 +164,7 @@ impl FanoutBuilder {
             programs.push(vec![SlotProgram::new(
                 bh,
                 vec![ackq],
-                Recv::Qp(inq.qpn),
+                Recv::Qp(inq),
                 None,
                 vec![],
                 steps,
@@ -198,7 +195,7 @@ impl FanoutBuilder {
         programs[0].push(SlotProgram::new(
             ph,
             queues,
-            Recv::Qp(pri_in.qpn),
+            Recv::Qp(pri_in),
             Some((pri_staging, msg_len)),
             fan_in,
             steps,
@@ -214,7 +211,7 @@ impl FanoutBuilder {
             out,
             tx_staging,
             ack,
-            rings: Rings::prepost(programs, slots, slots / 2, cfg.replenish_period, w),
+            rings: Rings::prepost(programs, slots, slots / 2, w),
             pending: PendingTable::new(),
             msg: MetaMsg::new(g, 0),
             acked: 0,

@@ -38,7 +38,8 @@ pub struct GroupConfig {
     pub rep_bytes: u64,
     /// Pre-posted slots per primitive ring.
     pub ring_slots: u32,
-    /// Replenisher wakeup period.
+    /// Ignored: replenishers wake on ring progress, not on a clock
+    /// (`crate::replica`). Kept only for source compatibility.
     pub replenish_period: SimDuration,
     /// Opt-in reliable transport on the client's outbound QPs:
     /// `(ack timeout, retry_cnt)`. When set, a head-hop loss is repaired
@@ -235,10 +236,15 @@ impl GroupInner {
 
     /// Take the group out of service for good, as a reconfiguration that
     /// replaces it does at its commit: it refuses new issues, and its
-    /// replenishers stop at their next wake-up and let go of it.
-    pub fn retire(&mut self) {
+    /// replenishers' wake-ups and its clients' ACK dispatchers are
+    /// unsubscribed, so nothing in the world holds it any more but its
+    /// client handles.
+    pub fn retire(&mut self, w: &mut World) {
         self.paused = true;
-        self.rings.retired = true;
+        self.rings.retire(w);
+        for ring in &self.client_rings {
+            w.unsubscribe_cq(self.cfg.client, ring.ack.rcq);
+        }
     }
 }
 
@@ -331,7 +337,7 @@ impl GroupBuilder {
                 programs[i].push(SlotProgram::new(
                     rh,
                     queues,
-                    Recv::Qp(prev.qpn),
+                    Recv::Qp(prev),
                     Some((staging_r, msg_len)),
                     vec![],
                     steps,
@@ -354,7 +360,7 @@ impl GroupBuilder {
             client_rings: client_rings
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("three rings")),
-            rings: Rings::prepost(programs, slots, slots / 2, cfg.replenish_period, w),
+            rings: Rings::prepost(programs, slots, slots / 2, w),
             pending: PendingTable::new(),
             msg: MetaMsg::new(g, 0),
             next_seq: 0,

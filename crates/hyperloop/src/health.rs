@@ -469,7 +469,7 @@ pub fn live_cutover(
                 w.telemetry.mark(now, name, src.0 .0);
             }),
             commit: Box::new(move |w, eng| {
-                old.retire();
+                old.retire(w);
                 crate::replica::start_replenishers(&new_group, w, eng);
                 let client = HyperLoopClient::new(new_group, w);
                 retry.swap(client.clone());

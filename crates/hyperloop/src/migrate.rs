@@ -209,7 +209,7 @@ pub fn merge_live(
                 // Teardown: the victim chain stops accepting work and
                 // its replenishers stop; anything still in flight drains
                 // through retries.
-                victim_backend.retire();
+                victim_backend.retire(w);
                 done
             }),
         },

@@ -28,7 +28,7 @@ use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
 use hl_rnic::{Access, Opcode};
-use hl_sim::{Engine, SimDuration, SimTime};
+use hl_sim::{Engine, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -43,8 +43,6 @@ pub struct MultiConfig {
     pub rep_bytes: u64,
     /// Pre-posted slots.
     pub ring_slots: u32,
-    /// Replenisher period.
-    pub replenish_period: SimDuration,
 }
 
 impl Default for MultiConfig {
@@ -54,7 +52,6 @@ impl Default for MultiConfig {
             replicas: Vec::new(),
             rep_bytes: 1 << 20,
             ring_slots: 64,
-            replenish_period: SimDuration::from_micros(200),
         }
     }
 }
@@ -164,12 +161,12 @@ impl MultiBuilder {
                         w.host(rh).nic.attach_srq(q.qpn, srq);
                         w.connect_qps(cl.host, cl.out.qpn, rh, q.qpn);
                     }
-                    (Recv::Srq(srq), rcq)
+                    (Recv::Srq { srq, cq: rcq }, rcq)
                 }
                 Some((prev_host, prev_qp)) => {
                     let q = wire::recv_qp(w, rh);
                     w.connect_qps(prev_host, prev_qp, rh, q.qpn);
-                    (Recv::Qp(q.qpn), q.rcq)
+                    (Recv::Qp(q), q.rcq)
                 }
             };
             // Outbound side: the chain's forwarding slot, or on the tail
@@ -217,8 +214,14 @@ impl MultiBuilder {
             clients,
             reps,
             // All clients draw on one ring, so only its depth bounds how
-            // many operations are in flight.
-            rings: Rings::prepost(programs, slots, slots, cfg.replenish_period, w),
+            // many operations are in flight, less the watermark a
+            // replenisher needs to be woken (`crate::replica`).
+            rings: Rings::prepost(
+                programs,
+                slots,
+                slots - program::watermark(slots as u64) as u32,
+                w,
+            ),
             msg: MetaMsg::new(g, 0),
             acked: 0,
             cfg,

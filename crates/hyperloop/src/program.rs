@@ -169,13 +169,19 @@ pub(crate) fn sq_wqes(steps: &[Step], q: usize, slots: u32) -> u32 {
     steps.iter().filter(|s| s.q == q).count() as u32 * slots
 }
 
-/// Where a slot's RECV is posted.
+/// Where a slot's RECV is posted, and the CQ it completes into.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Recv {
-    /// The receive queue of a QP.
-    Qp(u32),
-    /// A shared receive queue.
-    Srq(u32),
+    /// The receive queue of a QP, completing into its receive CQ.
+    Qp(Qp),
+    /// A shared receive queue whose QPs all complete into `cq`.
+    Srq { srq: u32, cq: u32 },
+}
+
+/// The deficit at which a ring of `slots` is worth a re-post batch: a
+/// quarter of the ring.
+pub(crate) fn watermark(slots: u64) -> u64 {
+    (slots / 4).max(1)
 }
 
 /// The slot program of one ring on one host.
@@ -339,8 +345,8 @@ impl SlotProgram {
         }
         let recv = RecvWqe::at(slot, &self.template, position);
         match self.recv {
-            Recv::Qp(qpn) => host.post_recv(qpn, recv),
-            Recv::Srq(srq) => host.nic.post_srq_recv(srq, recv),
+            Recv::Qp(qp) => host.post_recv(qp.qpn, recv),
+            Recv::Srq { srq, .. } => host.nic.post_srq_recv(srq, recv),
         }
         for &qpn in &self.empty_recvs {
             host.post_recv(qpn, RecvWqe::empty(slot));
@@ -366,10 +372,23 @@ impl SlotProgram {
         (self.consumed(w) + self.slots).saturating_sub(self.posted)
     }
 
-    /// The deficit at which this ring is worth a re-post batch: a
-    /// quarter of the ring.
+    /// The deficit at which this ring is worth a re-post batch.
     pub fn watermark(&self) -> u64 {
-        (self.slots / 4).max(1)
+        watermark(self.slots)
+    }
+
+    /// The CQ every slot's metadata RECV completes into, one completion
+    /// per slot: the one the replenisher's wake-up watches.
+    pub fn notify_cq(&self) -> u32 {
+        match self.recv {
+            Recv::Qp(qp) => qp.rcq,
+            Recv::Srq { cq, .. } => cq,
+        }
+    }
+
+    /// Slot RECVs the ring has received so far.
+    pub fn arrived(&self, w: &World) -> u64 {
+        w.hosts[self.host.0].nic.cq(self.notify_cq()).produced()
     }
 
     /// Park the posted WAITs: one setup-time doorbell per queue.
@@ -689,7 +708,6 @@ mod tests {
             backups: hosts(2..4),
             rep_bytes: 64 << 10,
             ring_slots: SLOTS,
-            ..Default::default()
         })
         .build(&mut w);
         assert_eq!(assert_shapes(&group, &w), 3, "primary + 2 backups");
@@ -704,7 +722,6 @@ mod tests {
             replicas: hosts(2..5),
             rep_bytes: 64 << 10,
             ring_slots: SLOTS,
-            ..Default::default()
         })
         .build(&mut w);
         assert_eq!(assert_shapes(&chain, &w), 3, "3 replicas");

@@ -359,7 +359,7 @@ pub fn rebuild_chain(
             live: None,
             on_stage: Box::new(|_, _, _| {}),
             commit: Box::new(move |w, eng| {
-                old.borrow_mut().retire();
+                old.borrow_mut().retire(w);
                 crate::replica::start_replenishers(&new_group, w, eng);
                 let client = HyperLoopClient::new(new_group, w);
                 Box::new(move |w, eng| done(w, eng, client))
@@ -493,8 +493,8 @@ pub fn degrade_to_naive(
             chunk: 64 * 1024,
             live: None,
             on_stage: Box::new(|_, _, _| {}),
-            commit: Box::new(move |_, _| {
-                group.borrow_mut().retire();
+            commit: Box::new(move |w, _| {
+                group.borrow_mut().retire(w);
                 Box::new(move |w, eng| done(w, eng, naive))
             }),
         },

@@ -6,40 +6,47 @@
 //! "replica server CPUs should only spend very few cycles that
 //! initialize the HyperLoop groups"). One replenisher process runs on every
 //! host that holds slot programs — chain replicas, the fan-out primary
-//! and each backup, multi-client replicas alike. It wakes periodically and
-//! counts consumed slots per ring from the send-queue heads. Re-posting
-//! is batched on a watermark: only once some ring of its host is a
-//! quarter consumed (`SlotProgram::watermark`) does it charge itself
-//! one batch, re-post every ring with a deficit on its own NIC and report
-//! the new credit to the client; below it, a wake-up costs the timer and
-//! nothing else. At the watermark a client at its in-flight limit
-//! (half the ring for chain and fan-out) still holds a quarter ring of
-//! credit, so the batching costs it nothing while ticks keep up.
+//! and each backup, multi-client replicas alike. It has no clock. It
+//! sleeps until its NIC reports that one of its rings received a quarter
+//! ring (`SlotProgram::watermark`) of slot RECVs since its last batch:
+//! a one-shot moderation event (`Nic::moderate_cq`, CQ moderation as
+//! `ibv_modify_cq` sets it) on the CQ the ring's metadata RECVs complete
+//! into (`SlotProgram::notify_cq`), which gets exactly one completion
+//! per slot. The wake-up costs an interrupt. The replenisher then
+//! charges itself one batch, re-posts every ring with a deficit on its
+//! own NIC, reports the new credit to the client and re-arms every ring.
+//! An idle group costs its replicas nothing.
+//!
+//! A client keeps at most `slots − watermark` operations in flight
+//! (`Rings::prepost` asserts it), and a slot a host has received but
+//! not yet consumed belongs to one of them. So after every batch a ring
+//! has at least a watermark of posted slots beyond its arrivals: a client
+//! that runs out of credit has issued enough to wake the host that holds
+//! it back.
 //!
 //! A group that a reconfiguration replaced is *retired*
-//! (`Rings::retired`): its replenishers drop their handle on the next
-//! wake-up and never wake again.
+//! (`GroupInner::retire`): its moderation subscriptions are dropped, so
+//! its replenishers never wake again, and they hold it only weakly.
 //!
-//! If a client outruns the rings (deep bursts + long replenish period),
-//! it hits [`crate::group::Backpressure`] instead of corrupting the
-//! rings — the ablation benchmark measures exactly this onset.
+//! If a client outruns the rings (deep bursts on shallow rings), it hits
+//! [`crate::group::Backpressure`] instead of corrupting the rings — the
+//! ablation benchmark measures exactly this onset.
 
 use crate::group::{Backpressure, GroupRef};
 use crate::program::SlotProgram;
 use hl_cluster::{Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_sim::{Engine, SimDuration};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-const TAG_TICK: u64 = 1;
 const TAG_REPOST: u64 = 2;
 
 /// Per-slot CPU cost of re-posting (write a few WQEs + a RECV).
 const REPOST_COST_PER_SLOT: SimDuration = SimDuration::from_nanos(80);
 /// Fixed overhead per replenish batch.
 const REPOST_COST_FIXED: SimDuration = SimDuration::from_nanos(1_000);
-/// CPU charged for taking the wake-up timer.
-const TICK_COST: SimDuration = SimDuration::from_nanos(500);
+/// CPU charged for taking the wake-up interrupt.
+const WAKE_COST: SimDuration = SimDuration::from_nanos(500);
 /// Fabric delay of the credit report (a tiny control datagram in
 /// reality; modelled as a delayed update of the client's table).
 const CREDIT_DELAY: SimDuration = SimDuration::from_micros(2);
@@ -102,10 +109,8 @@ pub(crate) struct Rings {
     /// `[host][ring]`; every host runs the same rings.
     pub programs: Vec<Vec<SlotProgram>>,
     pub credits: Credits,
-    /// Replenisher wake-up period.
-    pub period: SimDuration,
-    /// The group was replaced by a reconfiguration: its replenishers
-    /// stop at their next wake-up.
+    /// The group was replaced by a reconfiguration: a wake-up already
+    /// on its way to a replenisher does nothing.
     pub retired: bool,
 }
 
@@ -116,9 +121,22 @@ impl Rings {
         mut programs: Vec<Vec<SlotProgram>>,
         slots: u32,
         max_inflight: u32,
-        period: SimDuration,
         w: &mut World,
     ) -> Self {
+        for row in &programs {
+            assert!(
+                max_inflight as u64 + row[0].watermark() <= slots as u64,
+                "{max_inflight} in flight leave no watermark of credit on {slots} slots"
+            );
+            for (i, p) in row.iter().enumerate() {
+                assert!(
+                    row[..i].iter().all(|q| q.notify_cq() != p.notify_cq()),
+                    "two rings on host {} share notify CQ {}",
+                    p.host.0,
+                    p.notify_cq()
+                );
+            }
+        }
         for p in programs.iter_mut().flatten() {
             for _ in 0..slots {
                 p.post(w);
@@ -130,8 +148,16 @@ impl Rings {
         Rings {
             credits: Credits::new(programs[0].len(), programs.len(), slots, max_inflight),
             programs,
-            period,
             retired: false,
+        }
+    }
+
+    /// Retire: drop every ring's wake-up subscription, so no
+    /// replenisher of the group wakes again.
+    pub fn retire(&mut self, w: &mut World) {
+        self.retired = true;
+        for p in self.programs.iter().flatten() {
+            w.unsubscribe_cq(p.host, p.notify_cq());
         }
     }
 }
@@ -145,42 +171,55 @@ pub(crate) trait Offload {
 
 /// The replenisher process of one host of one group.
 struct Replenisher<G> {
-    /// `None` once the group retired: the process then keeps nothing
-    /// alive and is never woken again.
-    group: Option<Rc<RefCell<G>>>,
+    /// Weak: a retired group is freed once its clients let go.
+    group: Weak<RefCell<G>>,
     /// Which row of [`Rings::programs`] lives on this process's host.
     host_idx: usize,
+    /// Per ring of that row: the arrival count its wake-up is armed for.
+    wake_at: Vec<u64>,
+    /// A batch is charged and not yet posted; it covers any wake-up
+    /// that arrives meanwhile.
+    batching: bool,
+}
+
+impl<G: Offload + 'static> Replenisher<G> {
+    /// Arm ring `ring`'s wake-up a watermark past its arrivals so far.
+    fn rearm(&mut self, p: &SlotProgram, ring: usize, w: &mut World) {
+        let at = p.arrived(w) + p.watermark();
+        self.wake_at[ring] = at;
+        w.hosts[p.host.0].nic.moderate_cq(p.notify_cq(), at);
+    }
 }
 
 impl<G: Offload + 'static> Process for Replenisher<G> {
     fn on_event(&mut self, ev: ProcEvent, ctx: &mut Ctx<'_>) {
         let h = self.host_idx;
-        let Some(group) = self.group.clone() else {
+        let Some(group) = self.group.upgrade() else {
             return;
         };
         if group.borrow_mut().rings().retired {
-            self.group = None;
             return;
         }
-        let period = group.borrow_mut().rings().period;
         match ev {
-            ProcEvent::Started => ctx.set_timer(period, TAG_TICK, TICK_COST),
-            ProcEvent::Timer { tag: TAG_TICK } => {
-                let (total, due) = group.borrow_mut().rings().programs[h].iter().fold(
-                    (0, false),
-                    |(total, due), p| {
-                        let d = p.deficit(ctx.world);
-                        (total + d, due || d >= p.watermark())
-                    },
-                );
-                if due {
-                    // Charge the CPU before doing the posting work.
-                    ctx.submit_work(REPOST_COST_FIXED + REPOST_COST_PER_SLOT * total, TAG_REPOST);
-                } else {
-                    ctx.set_timer(period, TAG_TICK, TICK_COST);
+            ProcEvent::CqEvent { .. } if !self.batching => {
+                let mut g = group.borrow_mut();
+                let programs = &g.rings().programs[h];
+                let due = programs
+                    .iter()
+                    .zip(&self.wake_at)
+                    .any(|(p, &at)| p.arrived(ctx.world) >= at);
+                if !due {
+                    // Superseded by a batch that re-armed the ring.
+                    return;
                 }
+                let total: u64 = programs.iter().map(|p| p.deficit(ctx.world)).sum();
+                drop(g);
+                // Charge the CPU before doing the posting work.
+                self.batching = true;
+                ctx.submit_work(REPOST_COST_FIXED + REPOST_COST_PER_SLOT * total, TAG_REPOST);
             }
             ProcEvent::WorkDone { tag: TAG_REPOST } => {
+                self.batching = false;
                 let n_rings = group.borrow_mut().rings().programs[h].len();
                 for ring in 0..n_rings {
                     let (n_queues, posted) = {
@@ -209,7 +248,10 @@ impl<G: Offload + 'static> Process for Replenisher<G> {
                         group.borrow_mut().rings().credits.report(ring, h, posted);
                     });
                 }
-                ctx.set_timer(period, TAG_TICK, TICK_COST);
+                let mut g = group.borrow_mut();
+                for (ring, p) in g.rings().programs[h].iter().enumerate() {
+                    self.rearm(p, ring, ctx.world);
+                }
             }
             _ => {}
         }
@@ -217,35 +259,41 @@ impl<G: Offload + 'static> Process for Replenisher<G> {
 }
 
 /// Start one replenisher per host of `group`'s rings, named
-/// `{name}{host index}`. Returns their addresses.
+/// `{name}{host index}`, each subscribed to its rings' wake-ups and
+/// armed a watermark past their arrivals. Returns their addresses.
 pub(crate) fn start<G: Offload + 'static>(
     group: &Rc<RefCell<G>>,
     name: &str,
     w: &mut World,
     eng: &mut Engine<World>,
 ) -> Vec<ProcAddr> {
-    let hosts: Vec<_> = group
-        .borrow_mut()
-        .rings()
-        .programs
-        .iter()
-        .map(|p| p[0].host)
-        .collect();
-    hosts
-        .iter()
+    let mut g = group.borrow_mut();
+    let rows = &g.rings().programs;
+    rows.iter()
         .enumerate()
-        .map(|(host_idx, &host)| {
-            w.start_process(
+        .map(|(host_idx, row)| {
+            let host = row[0].host;
+            let mut r = Replenisher {
+                group: Rc::downgrade(group),
+                host_idx,
+                wake_at: vec![0; row.len()],
+                batching: false,
+            };
+            for (ring, p) in row.iter().enumerate() {
+                r.rearm(p, ring, w);
+            }
+            let addr = w.start_process(
                 host,
                 &format!("{name}{host_idx}"),
                 None,
-                Box::new(Replenisher {
-                    group: Some(group.clone()),
-                    host_idx,
-                }),
+                Box::new(r),
                 SimDuration::from_micros(1),
                 eng,
-            )
+            );
+            for p in row {
+                w.subscribe_cq_moderation(host, p.notify_cq(), addr.pid, WAKE_COST);
+            }
+            addr
         })
         .collect()
 }
@@ -270,12 +318,14 @@ mod tests {
     use hl_sim::SimTime;
     use std::cell::Cell;
 
-    const PERIOD: SimDuration = SimDuration::from_micros(100);
     /// The replica hosts of [`chain`].
     const REPLICAS: [usize; 2] = [1, 2];
+    /// What `start` charges a replenisher's host for its start-up.
+    const START: SimDuration = SimDuration::from_micros(1);
+    /// How long each test watches the replicas.
+    const WATCH: SimDuration = SimDuration::from_millis(10);
 
-    /// A two-replica chain with 32-slot rings, whose watermark is 8,
-    /// and replenishers waking every `PERIOD`.
+    /// A two-replica chain with 32-slot rings, whose watermark is 8.
     fn chain() -> (World, Engine<World>, GroupRef, HyperLoopClient) {
         let (mut w, mut eng) = ClusterBuilder::new(3).arena_size(4 << 20).seed(5).build();
         let group = GroupBuilder::new(GroupConfig {
@@ -283,7 +333,6 @@ mod tests {
             replicas: REPLICAS.map(HostId).to_vec(),
             rep_bytes: 64 << 10,
             ring_slots: 32,
-            replenish_period: PERIOD,
             ..Default::default()
         })
         .build(&mut w);
@@ -339,71 +388,62 @@ mod tests {
         eng.run_until(w, SimTime::from_nanos(t.as_nanos()));
     }
 
-    /// Seven consumed gWRITE slots, one short of the watermark, leave
-    /// every tick of ten periods costing what an idle replenisher's does
-    /// — one `TICK_COST` — with no re-post, no doorbell and no credit
-    /// report.
-    #[test]
-    fn a_deficit_below_the_watermark_costs_one_tick_and_nothing_else() {
-        let run = |writes| {
-            let (mut w, mut eng, group, client) = chain();
-            burst(&client, &mut w, &mut eng, [writes, 0, 0]);
-            assert!(eng.now() < SimTime::from_nanos(PERIOD.as_nanos() / 2));
-            run_to(&mut w, &mut eng, PERIOD / 2);
-            let before = probe(&w);
-            run_to(&mut w, &mut eng, PERIOD * 10);
-            let after = probe(&w);
-            assert_eq!(
-                group.borrow().stats.reposted,
-                0,
-                "{writes} consumed slots re-posted"
-            );
-            assert_eq!(
-                credits(&group),
-                vec![vec![32; 2]; 3],
-                "a credit report went out"
-            );
-            before
-                .iter()
-                .zip(&after)
-                .map(|(b, a)| (a.0 - b.0, a.1 - b.1))
-                .collect::<Vec<_>>()
-        };
-        let idle = run(0);
-        for &(cpu, doorbells) in &idle {
-            assert_eq!(cpu % TICK_COST.as_nanos(), 0);
-            assert!(
-                cpu >= 9 * TICK_COST.as_nanos(),
-                "{cpu} ns: fewer than 9 ticks"
-            );
-            assert_eq!(doorbells, 0);
-        }
-        assert_eq!(
-            run(7),
-            idle,
-            "a tick below the watermark cost more than an idle one"
-        );
+    /// What a replenisher that never woke leaves on `built`, the
+    /// probe of a just-built chain: its start-up, and the doorbells that
+    /// parked the WAITs at setup.
+    fn asleep(built: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        built
+            .iter()
+            .map(|&(cpu, doorbells)| (cpu + START.as_nanos(), doorbells))
+            .collect()
     }
 
-    /// Crossing the watermark on one ring re-posts every ring with a
-    /// deficit, in one batch: a tick with 2 gMEMCPY and 3 gCAS slots
-    /// consumed does nothing, and the tick after 8 gWRITEs more pays one
-    /// fixed cost for all 13 slots, rings one doorbell per queue of the
-    /// three rings and reports all three rings' credit.
+    /// An idle group costs its replicas no wake-up: over 10 ms each
+    /// replenisher spends its start-up and nothing else, and rings no
+    /// doorbell.
     #[test]
-    fn crossing_the_watermark_reposts_every_ring_in_one_batch() {
+    fn an_idle_group_wakes_no_replica() {
+        let (mut w, mut eng, group, _client) = chain();
+        let built = probe(&w);
+        run_to(&mut w, &mut eng, WATCH);
+        assert_eq!(probe(&w), asleep(&built));
+        assert_eq!(group.borrow().stats.reposted, 0);
+    }
+
+    /// A watermark less one of arrivals on every ring wakes nobody: 7
+    /// gWRITEs, 7 gMEMCPYs and 7 gCASes on 32-slot rings leave the
+    /// replicas as an idle group leaves them, with no re-post and no
+    /// credit report.
+    #[test]
+    fn arrivals_below_the_watermark_wake_nobody() {
         let (mut w, mut eng, group, client) = chain();
-        let before = probe(&w);
+        let built = probe(&w);
+        burst(&client, &mut w, &mut eng, [7, 7, 7]);
+        run_to(&mut w, &mut eng, WATCH);
+        assert_eq!(probe(&w), asleep(&built));
+        assert_eq!(group.borrow().stats.reposted, 0);
+        assert_eq!(credits(&group), vec![vec![32; 2]; 3]);
+    }
+
+    /// The arrival that brings one ring to its watermark wakes each
+    /// replica once, and that one batch re-posts every ring with a
+    /// deficit: 2 gMEMCPYs and 3 gCASes wake nobody, and the 8 gWRITEs
+    /// after them cost each replica one wake-up and one fixed cost for
+    /// all 13 slots, ring one doorbell per queue of the three rings and
+    /// report all three rings' credit.
+    #[test]
+    fn the_watermark_arrival_wakes_once_and_reposts_one_batch() {
+        let (mut w, mut eng, group, client) = chain();
         burst(&client, &mut w, &mut eng, [0, 2, 3]);
-        run_to(&mut w, &mut eng, PERIOD * 3 / 2);
+        run_to(&mut w, &mut eng, WATCH);
         assert_eq!(
             group.borrow().stats.reposted,
             0,
             "re-posted below the watermark"
         );
+        let before = probe(&w);
         burst(&client, &mut w, &mut eng, [8, 0, 0]);
-        assert!(eng.now() < SimTime::from_nanos(PERIOD.as_nanos() * 2));
-        run_to(&mut w, &mut eng, PERIOD * 5 / 2);
+        run_to(&mut w, &mut eng, WATCH * 2);
         let after = probe(&w);
 
         assert_eq!(group.borrow().stats.reposted, 2 * 13);
@@ -413,12 +453,9 @@ mod tests {
             .map(|p| p.queues.len() as u64)
             .sum();
         assert_eq!(queues, 5, "gWRITE 1 + gMEMCPY 2 + gCAS 2 queues");
-        let start = SimDuration::from_micros(1);
         let batch = REPOST_COST_FIXED + REPOST_COST_PER_SLOT * 13;
         for (b, a) in before.iter().zip(&after) {
-            // Each replenisher started at time zero and ticked twice
-            // since.
-            assert_eq!(a.0 - b.0, (start + TICK_COST * 2 + batch).as_nanos());
+            assert_eq!(a.0 - b.0, (WAKE_COST + batch).as_nanos());
             assert_eq!(a.1 - b.1, queues);
         }
     }
@@ -485,10 +522,6 @@ mod tests {
     /// sit at their in-flight limit, half the ring.
     #[test]
     fn steady_state_meets_no_backpressure_at_any_ring_depth() {
-        // The replenishers keep up: 16 in flight complete at most about
-        // two operations per 2 µs period, well under the 32-slot ring's
-        // watermark of 8.
-        let period = SimDuration::from_micros(2);
         let hosts = |r: std::ops::Range<usize>| r.map(HostId).collect::<Vec<_>>();
         for slots in [32, 64, 256, 1024] {
             let total = 3 * slots as u64;
@@ -501,7 +534,6 @@ mod tests {
                 replicas: hosts(1..4),
                 rep_bytes: 64 << 10,
                 ring_slots: slots,
-                replenish_period: period,
                 ..Default::default()
             })
             .build(&mut w);
@@ -523,7 +555,6 @@ mod tests {
                 backups: hosts(2..4),
                 rep_bytes: 64 << 10,
                 ring_slots: slots,
-                replenish_period: period,
             })
             .build(&mut w);
             fanout::start_replenisher(&group, &mut w, &mut eng);
@@ -542,7 +573,6 @@ mod tests {
                 replicas: hosts(2..5),
                 rep_bytes: 64 << 10,
                 ring_slots: slots,
-                replenish_period: period,
             })
             .build(&mut w);
             multi::start_replenisher(&group, &mut w, &mut eng);

@@ -18,7 +18,6 @@ fn setup(n_backups: usize) -> (World, Engine<World>, FanoutClient) {
         backups: (2..2 + n_backups).map(HostId).collect(),
         rep_bytes: 512 << 10,
         ring_slots: 32,
-        ..Default::default()
     };
     let group = FanoutBuilder::new(cfg).build(&mut w);
     fanout::start_replenisher(&group, &mut w, &mut eng);

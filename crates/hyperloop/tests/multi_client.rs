@@ -15,7 +15,6 @@ fn setup() -> (World, Engine<World>, Vec<MultiClient>) {
         replicas: vec![HostId(2), HostId(3), HostId(4)],
         rep_bytes: 512 << 10,
         ring_slots: 32,
-        replenish_period: SimDuration::from_micros(100),
     })
     .build(&mut w);
     multi::start_replenisher(&chain, &mut w, &mut eng);
@@ -137,7 +136,6 @@ fn single_replica_multi_client_chain_works() {
         replicas: vec![HostId(2)],
         rep_bytes: 256 << 10,
         ring_slots: 16,
-        replenish_period: SimDuration::from_micros(100),
     })
     .build(&mut w);
     multi::start_replenisher(&chain, &mut w, &mut eng);

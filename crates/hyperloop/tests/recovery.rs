@@ -312,7 +312,6 @@ fn chain_cfg(client: usize, replicas: &[usize]) -> GroupConfig {
         replicas: replicas.iter().map(|&h| HostId(h)).collect(),
         rep_bytes: 64 << 10,
         ring_slots: 32,
-        replenish_period: SimDuration::from_micros(50),
         ..Default::default()
     }
 }
@@ -338,22 +337,19 @@ fn replenish_ns_after(
     cpu(w).iter().zip(&before).map(|(a, b)| a - b).collect()
 }
 
-/// One replenisher wake-up costs 500 ns.
-const ONE_TICK: u64 = 500;
-
-/// A rebuild retires the old group at its commit, so the old group's
-/// replenishers stop: over 10 ms of idling afterwards the survivor
-/// (host 1, which ran the old chain's replenisher and runs the new
-/// one's) spends on re-posting what the new member (host 3) does, but
-/// for one last wake-up of the old replenisher, and the dropped member
-/// (host 2) spends that wake-up alone. The stopped replenishers also
-/// let go of the old group.
+/// A rebuild retires the old group at its commit: the wake-ups of its
+/// replenishers and its client's ACK dispatchers are unsubscribed, and
+/// they held it only weakly, so once the application drops the old
+/// client nothing keeps the group, its rings and its regions alive.
+/// Over 10 ms of idling afterwards the old replenishers spend nothing:
+/// the dropped member (host 2) nothing at all, the survivor (host 1)
+/// what the new member (host 3) does.
 #[test]
-fn a_rebuild_stops_the_old_groups_replenishers() {
+fn a_rebuild_releases_the_replaced_group() {
     let (mut w, mut eng) = ClusterBuilder::new(4).arena_size(4 << 20).seed(3).build();
     let group = idle_chain(&mut w, &mut eng, 0, &[1, 2]);
+    let client = HyperLoopClient::new(group.clone(), &mut w);
     eng.run_until(&mut w, SimTime::from_nanos(1_000_000));
-    let held = Rc::strong_count(&group);
 
     let done = Rc::new(RefCell::new(false));
     let d = done.clone();
@@ -371,27 +367,23 @@ fn a_rebuild_stops_the_old_groups_replenishers() {
         unreachable!()
     };
     assert!(group.borrow().paused);
+    assert_eq!(dropped, 0, "the old replenisher woke");
+    assert_eq!(survivor, new, "survivor {survivor} ns, new member {new} ns");
+
+    let replaced = Rc::downgrade(&group);
+    drop((group, client));
     assert!(
-        dropped <= ONE_TICK,
-        "the old replenisher kept waking: {dropped} ns"
-    );
-    assert!(new > 50_000, "the new replenisher is not running: {new} ns");
-    assert_eq!(
-        survivor,
-        new + dropped,
-        "survivor {survivor} ns, new member {new} ns"
-    );
-    assert_eq!(
-        Rc::strong_count(&group),
-        held - 2,
-        "a replenisher still holds the old group"
+        replaced.upgrade().is_none(),
+        "the replaced group outlived its last client: {} strong handles",
+        replaced.strong_count()
     );
 }
 
 /// The other reconfigurations that replace an offloaded group retire it
 /// too: degrade-to-Naïve, the live cutover (re-promotion, rejoin) and a
 /// shard merge's victim. After each, the replaced chain's replica hosts
-/// spend at most one last wake-up on its replenishers.
+/// spend nothing on its replenishers, and once the test lets go of its
+/// own handle the degraded group is freed.
 #[test]
 fn degrade_cutover_and_merge_stop_the_replaced_groups_replenishers() {
     let (mut w, mut eng) = ClusterBuilder::new(7).arena_size(4 << 20).seed(3).build();
@@ -418,9 +410,12 @@ fn degrade_cutover_and_merge_stop_the_replaced_groups_replenishers() {
         }),
     );
     let spent = replenish_ns_after(&done, &[1, 2], &mut w, &mut eng);
+    assert_eq!(spent, [0, 0], "after the degrade");
+    let degraded = Rc::downgrade(&group);
+    drop(group);
     assert!(
-        spent.iter().all(|&ns| ns <= ONE_TICK),
-        "after the degrade: {spent:?}"
+        degraded.upgrade().is_none(),
+        "the degraded group is still held"
     );
 
     // Re-promote onto hosts 1 and 2, then cut over to hosts 1 and 3: the
@@ -438,12 +433,8 @@ fn degrade_cutover_and_merge_stop_the_replaced_groups_replenishers() {
         eng.run_while(&mut w, move |_| !*probe.borrow());
     }
     let spent = replenish_ns_after(&done, &[1, 2, 3], &mut w, &mut eng);
-    assert!(spent[1] <= ONE_TICK, "after the cutover: {spent:?}");
-    assert_eq!(
-        spent[0],
-        spent[2] + spent[1],
-        "after the cutover: {spent:?}"
-    );
+    assert_eq!(spent[1], 0, "after the cutover: {spent:?}");
+    assert_eq!(spent[0], spent[2], "after the cutover: {spent:?}");
 
     // Merge shard 1 (hosts 4, 5, 6) into shard 0.
     let victim = idle_chain(&mut w, &mut eng, 4, &[5, 6]);
@@ -462,8 +453,5 @@ fn degrade_cutover_and_merge_stop_the_replaced_groups_replenishers() {
         Box::new(move |_, _| fire()),
     );
     let spent = replenish_ns_after(&done, &[5, 6], &mut w, &mut eng);
-    assert!(
-        spent.iter().all(|&ns| ns <= ONE_TICK),
-        "after the merge: {spent:?}"
-    );
+    assert_eq!(spent, [0, 0], "after the merge");
 }

@@ -10,7 +10,7 @@ use hyperloop_repro::cluster::ClusterBuilder;
 use hyperloop_repro::fabric::HostId;
 use hyperloop_repro::hyperloop::fanout::{self, FanoutBuilder, FanoutClient, FanoutConfig};
 use hyperloop_repro::hyperloop::multi::{self, MultiBuilder, MultiClient, MultiConfig};
-use hyperloop_repro::sim::{SimDuration, SimTime};
+use hyperloop_repro::sim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -31,7 +31,6 @@ fn fanout_demo() {
         backups: vec![HostId(2), HostId(3), HostId(4)],
         rep_bytes: 256 << 10,
         ring_slots: 32,
-        replenish_period: SimDuration::from_micros(100),
     })
     .build(&mut world);
     fanout::start_replenisher(&group, &mut world, &mut engine);
@@ -74,7 +73,6 @@ fn multi_client_demo() {
         replicas: vec![HostId(2), HostId(3), HostId(4)],
         rep_bytes: 256 << 10,
         ring_slots: 32,
-        replenish_period: SimDuration::from_micros(100),
     })
     .build(&mut world);
     multi::start_replenisher(&chain, &mut world, &mut engine);

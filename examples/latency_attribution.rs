@@ -59,8 +59,8 @@ fn main() {
                 replicas,
                 rep_bytes: 256 << 10,
                 ring_slots: 64,
-                replenish_period: SimDuration::from_micros(50),
                 transport_timeout: None,
+                ..Default::default()
             })
             .build(&mut w);
             replica::start_replenishers(&group, &mut w, &mut eng);

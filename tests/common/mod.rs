@@ -62,8 +62,8 @@ pub fn run_gwrite_chain(ops: u64, flush: bool, mut probe: impl FnMut(&World)) ->
         replicas: vec![HostId(1), HostId(2)],
         rep_bytes: SLOTS * WRITE as u64,
         ring_slots: 256,
-        replenish_period: SimDuration::from_micros(50),
         transport_timeout: None,
+        ..Default::default()
     })
     .build(&mut w);
     replica::start_replenishers(&group, &mut w, &mut eng);

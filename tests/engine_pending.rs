@@ -67,7 +67,7 @@ fn pending_marks(ops: usize) -> (usize, usize) {
     }
     assert_eq!(*done.borrow(), ops, "ops left unfinished");
     // Let in-flight chain internals (trailing ACKs, replenish credits)
-    // settle; replenisher/heartbeat machinery keeps a small steady set.
+    // settle; heartbeat machinery keeps a small steady set.
     let end = eng.now() + SimDuration::from_millis(10);
     eng.run_until(&mut w, end);
     (max_pending, eng.pending())
@@ -126,7 +126,8 @@ fn pump(l: &Rc<Loop>, w: &mut World, eng: &mut Engine<World>) {
 
 /// Pending-event marks of one supervised run.
 struct RetryMarks {
-    /// Before the first issue: the replenishers' steady set.
+    /// Before the first issue: the steady set (none: sleeping
+    /// replenishers leave no event queued).
     baseline: usize,
     /// High-water mark, sampled after every event until the last settle.
     max: usize,

@@ -16,8 +16,9 @@
 //! with the inverse-CDF table (same distribution, different factor per
 //! draw, so every jittered nanosecond moved; event counts by ≤ 6, final
 //! time and Σ latency by < 1 %, member bytes not at all). The chain
-//! tuple alone has moved once more since, when a QP's local ops began
-//! completing in posting order (see `GOLD_CHAIN`). Fan-out and
+//! tuple alone has moved twice more since, when a QP's local ops began
+//! completing in posting order and when replenishers began waking on
+//! ring progress (see `GOLD_CHAIN`). Fan-out and
 //! multi-client pin only the ack count and member-region hashes: their
 //! replenisher timing is allowed to change.
 //!
@@ -273,7 +274,6 @@ fn fanout_state_is_pinned() {
         backups: vec![HostId(2), HostId(3)],
         rep_bytes: REP_BYTES,
         ring_slots: RING_SLOTS,
-        ..Default::default()
     })
     .build(&mut w);
     fanout::start_replenisher(&group, &mut w, &mut eng);
@@ -311,7 +311,6 @@ fn multi_client_state_is_pinned() {
         replicas: vec![HostId(2), HostId(3)],
         rep_bytes: REP_BYTES,
         ring_slots: RING_SLOTS,
-        ..Default::default()
     })
     .build(&mut w);
     multi::start_replenisher(&chain, &mut w, &mut eng);
@@ -353,7 +352,14 @@ fn multi_client_state_is_pinned() {
 // them, so the gMEMCPY phase's latencies grow. Before it:
 // (24253, 4962206, 19212525), same hash. Naive runs no local ops, so
 // its literals did not move.
-const GOLD_CHAIN: (u64, u64, u64, u64) = (24249, 4963161, 19402211, 11900267322293170469);
+//
+// And again when replenishers stopped ticking and began waking on ring
+// progress (a quarter ring of slot RECVs): on the 200 µs default
+// period the 32-slot rings ran out of credit, and the client was
+// refused 716 of its issues, each retried 5 µs later; woken by the
+// ring, it is refused none, so the run ends in half the time. Before
+// it: (24249, 4963161, 19402211), same hash.
+const GOLD_CHAIN: (u64, u64, u64, u64) = (24360, 2456444, 19337806, 11900267322293170469);
 const GOLD_NAIVE_EVENT: (u64, u64, u64, u64) = (20994, 2957170, 23332466, 11900267322293170469);
 const GOLD_NAIVE_POLLING: (u64, u64, u64, u64) = (20488, 2386876, 18761887, 11900267322293170469);
 const GOLD_FANOUT_HASH: u64 = 5640311401086956325;

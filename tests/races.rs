@@ -216,7 +216,6 @@ fn fanout_pipelined_writes_report_no_races() {
         backups: vec![HostId(2), HostId(3)],
         rep_bytes: 256 << 10,
         ring_slots: RING,
-        ..Default::default()
     })
     .build(&mut w);
     fanout::start_replenisher(&group, &mut w, &mut eng);
@@ -241,7 +240,6 @@ fn multi_client_pipelined_writes_report_no_races() {
         replicas: vec![HostId(2), HostId(3), HostId(4)],
         rep_bytes: 256 << 10,
         ring_slots: RING,
-        ..Default::default()
     })
     .build(&mut w);
     multi::start_replenisher(&chain, &mut w, &mut eng);
